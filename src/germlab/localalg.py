@@ -10,15 +10,19 @@ maximal ideal and the colength is 1).
 
 The normal form is Mora's tangent-cone reduction with the ecart-minimizing
 selection rule; the basis completion is Buchberger's loop over Mora normal
-forms.  A hard step budget separates "gave up" from every mathematical
-verdict.
+forms, with the critical pairs in a heap keyed by the local order of their
+lcm.  Leading monomials are computed once per polynomial and carried along.
+The Krull dimension of the leading ideal is the number of variables minus a
+minimum hitting set of the leading-monomial supports, found by branch and
+bound.  A hard step budget, charged by reductions, pairs and search nodes
+alike, separates "gave up" from every mathematical verdict.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -87,7 +91,8 @@ def _coeff_bits(p: MultiPoly) -> int:
 
 
 def leading_monomial(p: MultiPoly) -> Exponent:
-    return max(p.terms, key=order_key)
+    # The same monomial as max(p.terms, key=order_key), with a cheaper key.
+    return min(p.terms, key=lambda e: (sum(e), e[::-1]))
 
 
 def leading_coeff(p: MultiPoly) -> Fraction:
@@ -122,9 +127,8 @@ def _primitive(p: MultiPoly) -> MultiPoly:
     return p if scale == 1 else p.scale(scale)
 
 
-def _reduce_once(h: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Cancel the leading term of h against g (LM(g) must divide LM(h))."""
-    lm_h, lm_g = leading_monomial(h), leading_monomial(g)
+def _reduce_once(h: MultiPoly, g: MultiPoly, lm_h: Exponent, lm_g: Exponent) -> MultiPoly:
+    """Cancel the leading term lm_h of h against g (lm_g = LM(g) divides lm_h)."""
     factor_exp = monomial_sub(lm_h, lm_g)
     coeff = h.terms[lm_h] / g.terms[lm_g]
     mono = MultiPoly(h.vars, {factor_exp: coeff})
@@ -159,19 +163,20 @@ def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) 
             if monomial_divides(lm_g, lm_h):
                 rank = (ecart_g, idx)
                 if chosen_rank is None or rank < chosen_rank:
-                    chosen, chosen_rank = g, rank
+                    chosen, chosen_lm, chosen_rank = g, lm_g, rank
         if chosen is None:
             return h
-        if chosen_rank[0] > ecart(h):
-            reducers.append((lm_h, ecart(h), h))
+        ecart_h = h.total_degree() - sum(lm_h)
+        if chosen_rank[0] > ecart_h:
+            reducers.append((lm_h, ecart_h, h))
         budget.tick("normal form", 1 + (len(h.terms) * bits) // 256)
-        h = _reduce_once(h, chosen)
+        h = _reduce_once(h, chosen, lm_h, chosen_lm)
     return h
 
 
-def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    lm_f, lm_g = leading_monomial(f), leading_monomial(g)
-    lcm = monomial_lcm(lm_f, lm_g)
+def _spoly(
+    f: MultiPoly, g: MultiPoly, lm_f: Exponent, lm_g: Exponent, lcm: Exponent
+) -> MultiPoly:
     mf = MultiPoly(f.vars, {monomial_sub(lcm, lm_f): Fraction(1) / f.terms[lm_f]})
     mg = MultiPoly(g.vars, {monomial_sub(lcm, lm_g): Fraction(1) / g.terms[lm_g]})
     return mf * f - mg * g
@@ -184,11 +189,25 @@ def standard_basis(
 
     Deterministic: generators enter in input order and the pair queue is
     processed by descending lcm in the local order (lowest degree first),
-    with index pairs breaking ties.
+    with index pairs breaking ties.  Heap entries are
+    (deg lcm, reversed lcm, i, j, lcm), whose ascending order is exactly
+    that processing order.
     """
     budget = _Budget(budget_limit)
     basis: list[MultiPoly] = []
-    pairs: set[tuple[int, int]] = set()
+    lms: list[Exponent] = []
+    pairs: list[tuple[int, Exponent, int, int, Exponent]] = []
+
+    def add(h: MultiPoly):
+        lm_h = leading_monomial(h)
+        k = len(basis)
+        for t, lm_t in enumerate(lms):
+            lcm = monomial_lcm(lm_t, lm_h)
+            if lcm != monomial_mul(lm_t, lm_h):  # product criterion: skip coprime pairs
+                heapq.heappush(pairs, (sum(lcm), lcm[::-1], t, k, lcm))
+        basis.append(h)
+        lms.append(lm_h)
+
     for g in generators:
         if g.is_zero():
             continue
@@ -196,29 +215,15 @@ def standard_basis(
         # spawn quadratically many pairs.
         g = _primitive(g) if _coeff_bits(g) > 128 else g
         h = mora_normal_form(g, basis, budget) if basis else g
-        if h.is_zero():
-            continue
-        basis.append(h)
-        k = len(basis) - 1
-        pairs.update((t, k) for t in range(k))
-
-    def pair_rank(ij):
-        lcm = monomial_lcm(leading_monomial(basis[ij[0]]), leading_monomial(basis[ij[1]]))
-        return (order_key(lcm), (-ij[0], -ij[1]))
+        if not h.is_zero():
+            add(h)
 
     while pairs:
-        i, j = max(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        lm_i, lm_j = leading_monomial(basis[i]), leading_monomial(basis[j])
-        lcm = monomial_lcm(lm_i, lm_j)
-        if lcm == monomial_mul(lm_i, lm_j):
-            continue  # product criterion: coprime leading monomials
+        _, _, i, j, lcm = heapq.heappop(pairs)
         budget.tick("standard basis")
-        h = mora_normal_form(_spoly(basis[i], basis[j]), basis, budget)
+        h = mora_normal_form(_spoly(basis[i], basis[j], lms[i], lms[j], lcm), basis, budget)
         if not h.is_zero():
-            basis.append(h)
-            k = len(basis) - 1
-            pairs.update((t, k) for t in range(k))
+            add(h)
     return [_monic(g) for g in _minimalize(basis)]
 
 
@@ -232,18 +237,35 @@ def _minimalize(basis: list[MultiPoly]) -> list[MultiPoly]:
     return keep
 
 
-def _monomial_ideal_dimension(lms: Sequence[Exponent], nvars: int) -> int:
-    """Krull dimension of k[x]/(lms): the largest cardinality of a variable
-    subset S such that no generator's support is contained in S."""
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in lms]
-    if any(not s for s in supports):  # a constant generator: unit ideal
+def _monomial_ideal_dimension(lms: Sequence[Exponent], nvars: int, budget: _Budget) -> int:
+    """Krull dimension of k[x]/(lms): nvars minus the size of a minimum set
+    of variables meeting every generator's support (the complement of a
+    largest subset containing no support).
+
+    Branch and bound over the minimal supports: branch on the variables of
+    the smallest support not yet hit, prune at the best size found so far.
+    Every search node is charged to the budget.
+    """
+    supports = {frozenset(i for i, e in enumerate(lm) if e) for lm in lms}
+    if frozenset() in supports:  # a constant generator: unit ideal
         return -1
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not sup <= sset for sup in supports):
-                return size
-    return -1
+    minimal = sorted(
+        (tuple(sorted(s)) for s in supports if not any(t < s for t in supports)),
+        key=lambda s: (len(s), s),
+    )
+    best = len(minimal)  # one variable from each support always hits them all
+
+    def search(size: int, unhit: list[tuple[int, ...]]):
+        nonlocal best
+        budget.tick("Krull dimension")
+        if not unhit:
+            best = size
+        elif size + 1 < best:
+            for v in unhit[0]:
+                search(size + 1, [s for s in unhit if v not in s])
+
+    search(0, minimal)
+    return nvars - best
 
 
 class LocalIdeal:
@@ -310,7 +332,9 @@ class LocalIdeal:
         """Dimension of the leading ideal; -1 for the unit ideal."""
         if self.contains_unit():
             return -1
-        return _monomial_ideal_dimension(self.leading_monomials, len(self.ambient))
+        return _monomial_ideal_dimension(
+            self.leading_monomials, len(self.ambient), _Budget(self.budget)
+        )
 
     def quotient_dimension(self) -> int | float:
         """dim_Q of O/I when finite, else INFINITE (iff Krull dimension > 0)."""

@@ -450,9 +450,10 @@ def generate_sc_germ(
     For kappa >= 2 the components are y^(kappa+i) plus one scheduled monomial
     x_t * y^(j-1) per level j = 2..kappa, giving every divided difference of
     every level an independent linear term; leftover base variables are
-    attached as x_t * y^kappa so they get pinned at level kappa + 1.  For
-    kappa = 1 (p > 2n) the components pin everything at the double point
-    level while keeping D^2 nonempty.  The output is re-analyzed and must
+    attached as x_t * y^kappa, one per component, so that level kappa + 1
+    pins each of them (on a shared component it would pin only their sum).
+    For kappa = 1 (p > 2n) the components pin everything at the double
+    point level while keeping D^2 nonempty.  The output is re-analyzed and must
     pass the strong-contractibility check; that self-check is part of the
     contract.
     """
@@ -498,7 +499,8 @@ def generate_sc_germ(
                 h = h + x(t) * y ** (j - 1)
             comps.append(h)
         for t in range(scheduled + 1, n):
-            comps[0] = comps[0] + x(t) * y**kap
+            c = t - scheduled - 1  # leftover <= m, by feasibility
+            comps[c] = comps[c] + x(t) * y**kap
     spec = GermSpec(n, p, vs_names[:-1], "y", tuple(comps))
     if self_check:
         analysis = analyze_germ(spec, budget=budget, seed=seed)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import germlab
 from germlab.cli import (
     EXIT_BAD_CHECK_DATA,
     EXIT_INCONSISTENT,
@@ -154,13 +157,17 @@ class TestAnalyze:
         import sys
 
         path = files("g.germ", S2_GERM)
+        # The child imports the germlab under test, installed or not.
+        pythonpath = os.pathsep.join(
+            filter(None, [str(Path(germlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        )
         outs = []
         for seed in ("101", "202"):
             proc = subprocess.run(
                 [sys.executable, "-m", "germlab.cli", "analyze", path],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
@@ -203,6 +210,12 @@ class TestScCommands:
         code, out, _ = run(capsys, "analyze", out_path)
         assert code == EXIT_OK
         assert json.loads(out)["strongly_contractible"] is True
+
+    @pytest.mark.parametrize("n, p", [(9, 14), (17, 23)])
+    def test_generate_with_leftover_base_variables(self, capsys, n, p):
+        code, out, err = run(capsys, "sc-generate", str(n), str(p))
+        assert code == EXIT_OK, err
+        assert out.startswith(f"n {n}\np {p}\n")
 
     def test_generate_infeasible(self, capsys):
         code, _, err = run(capsys, "sc-generate", "3", "5")
@@ -259,6 +272,18 @@ class TestMilnorCommand:
         code, out, _ = run(capsys, "milnor", path)
         assert code == EXIT_OK
         assert json.loads(out) == {"mu": 3}
+
+    def test_budget_exit_in_krull_search(self, files, capsys):
+        # Pure powers: no reduction and no surviving pair, so the first work
+        # charged is the Krull-dimension search of the colength computation.
+        names = [f"x{i}" for i in range(1, 13)]
+        text = "vars " + " ".join(names) + "\n" + "".join(f"{x}^2\n" for x in names)
+        path = files("powers.ideal", text)
+        code, _, err = run(capsys, "--budget-steps", "5", "milnor", path)
+        assert code == EXIT_RESOURCE
+        assert "Krull dimension" in err
+        code, out, _ = run(capsys, "milnor", path)
+        assert code == EXIT_OK and json.loads(out) == {"mu": 2**12 - 1}
 
 
 class TestConservationCommand:

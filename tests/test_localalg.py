@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
@@ -15,8 +18,38 @@ from germlab import (
     ideal_from_text,
     parse_poly,
 )
-from germlab.localalg import leading_monomial, monomial_mul, order_key
+from germlab.localalg import (
+    _Budget,
+    _monomial_ideal_dimension,
+    leading_monomial,
+    monomial_mul,
+    order_key,
+    standard_basis,
+)
 from germlab import multipoint as mp
+from germlab.poly import format_poly
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# The (16,22) germ emitted by `germlab sc-generate 16 22` (kappa = 3).
+SC_16_22 = """\
+n 16
+p 22
+base x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15
+corank y
+component x15*y^3 + y^4 + x2*y^2 + x1*y
+component y^5 + x4*y^2 + x3*y
+component y^6 + x6*y^2 + x5*y
+component y^7 + x8*y^2 + x7*y
+component y^8 + x10*y^2 + x9*y
+component y^9 + x12*y^2 + x11*y
+component y^10 + x14*y^2 + x13*y
+"""
+
+# (number of variables, a list of up to 10 exponent vectors)
+monomial_sets = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=10).map(lambda lms: (n, lms))
+)
 
 
 def ideal(var_names, gens, **kw):
@@ -39,6 +72,14 @@ class TestOrder:
     def test_multiplicative_compatibility(self, a, b, m):
         if order_key(a) > order_key(b):
             assert order_key(monomial_mul(m, a)) > order_key(monomial_mul(m, b))
+
+    @given(monomial_sets, st.lists(st.integers(-5, 5).filter(bool), min_size=10, max_size=10))
+    @settings(max_examples=200)
+    def test_leading_monomial_is_order_key_maximum(self, n_and_lms, coeffs):
+        n, lms = n_and_lms
+        assume(lms)
+        p = MultiPoly(VarSet(tuple(f"x{i}" for i in range(n))), dict(zip(lms, coeffs)))
+        assert leading_monomial(p) == max(p.terms, key=order_key)
 
 
 class TestStandardBasis:
@@ -81,6 +122,35 @@ class TestStandardBasis:
         for g in backward.generators:
             assert forward.normal_form(g).is_zero()
 
+    def test_golden_basis_of_16_22_triple_point_ideal(self):
+        I = mp.multiple_point_equations(mp.germ_from_text(SC_16_22), 3)
+        golden = [
+            line
+            for line in (DATA / "sc_16_22_d3_standard_basis.txt").read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert [format_poly(g) for g in standard_basis(I.generators)] == golden
+
+    def test_golden_basis_that_depends_on_pair_order(self):
+        # Reducing pairs of equal lcm degree in lex rather than reverse-lex
+        # order of the lcm yields a different last element, so this pins
+        # the queue order (captured before the heap queue was introduced).
+        I = ideal(
+            ["x", "y", "z"],
+            [
+                "2*x*y^3*z^2 + 3*x*y*z^2 + y*z^3",
+                "2*y*z^2 + 8*x^2*y + 4*x*y*z^2",
+                "5*x*y^3*z + 5*y^3*z^3",
+            ],
+        )
+        assert [format_poly(g) for g in standard_basis(I.generators)] == [
+            "1/2*x*y*z^2 + x^2*y + 1/4*y*z^2",
+            "2/3*x*y^3*z^2 + x*y*z^2 + 1/3*y*z^3",
+            "y^3*z^3 + x*y^3*z",
+            "-24/13*x^2*y^3*z^2 + 8/13*x*y^3*z^3 + 18/13*x*y*z^4 + y*z^4",
+            "-2*x*y^3*z^3 + y^3*z^3",
+        ]
+
     def test_idempotent(self):
         I = ideal(["x", "y1", "y2"], ["y1 + y2", "y1^2 + y1*y2 + y2^2 + x^3"])
         std = I.standard_basis()
@@ -107,7 +177,24 @@ class TestNormalForm:
             assert I.normal_form(gen.substitute(swap)).is_zero()
 
 
+def _krull_by_subsets(lms, nvars):
+    """Oracle: the largest variable subset containing no support."""
+    supports = [{i for i, e in enumerate(lm) if e} for lm in lms]
+    if any(not s for s in supports):
+        return -1
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+
+
 class TestDimensions:
+    @given(monomial_sets)
+    @settings(max_examples=300)
+    def test_hitting_set_dimension_matches_subset_enumeration(self, n_and_lms):
+        n, lms = n_and_lms
+        assert _monomial_ideal_dimension(lms, n, _Budget(10**6)) == _krull_by_subsets(lms, n)
+
     def test_krull_dimension_of_double_point_space(self):
         g = mp.germ(5, 8, ["y^3+x1*y", "y^4+x2*y", "y^5+x3*y", "x4*y+x1*y^2"])
         I = mp.multiple_point_equations(g, 2)
@@ -152,6 +239,17 @@ class TestBudget:
         with pytest.raises(ResourceLimitError) as err:
             I.quotient_dimension()
         assert err.value.steps == 3
+
+
+    def test_budget_bounds_krull_search(self):
+        # Disjoint leading monomials: no pair survives the product criterion,
+        # so the hitting-set search is the first work charged.
+        names = [f"x{i}" for i in range(1, 17)]
+        gens = [f"x{i}*x{i + 1}" for i in range(1, 17, 2)]
+        assert ideal(names, gens).krull_dimension() == 8
+        with pytest.raises(ResourceLimitError) as err:
+            ideal(names, gens, budget=5).krull_dimension()
+        assert "Krull" in str(err.value)
 
 
 class TestSerialization:

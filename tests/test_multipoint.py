@@ -229,6 +229,24 @@ class TestGenerator:
         an = mp.analyze_germ(g)
         assert an.verdict.strongly_contractible
 
+    def test_every_feasible_pair_up_to_20_40_passes_self_check(self):
+        # Covers every pair with two or more leftover base variables at
+        # kappa >= 2 in this range, from (9, 14) up to (20, 36), and the
+        # kappa = 4 germ (19, 24) with 18 base variables.
+        pairs = [
+            (n, p) for n in range(1, 21) for p in range(n + 1, 41) if sc_dimension_feasible(n, p)
+        ]
+        assert len(pairs) == 465 and (19, 24) in pairs
+        for n, p in pairs:
+            g = generate_sc_germ(n, p)  # raises unless re-analysis is strongly contractible
+            assert (g.n, g.p) == (n, p)
+
+    def test_leftover_base_variables_land_on_distinct_components(self):
+        # (9, 14): kappa = 2, six components, x1..x6 scheduled, x7 and x8 left over.
+        g = generate_sc_germ(9, 14, self_check=False)
+        owners = [[i for i, c in enumerate(g.components) if c.involves(x)] for x in ("x7", "x8")]
+        assert owners == [[0], [1]]
+
 
 class TestGermFiles:
     def test_variable_roles(self):
