@@ -18,7 +18,7 @@ from .errors import (
     ResourceLimitError,
     VariableMismatchError,
 )
-from .poly import MultiPoly, VarSet, arith, divided_difference, format_poly, parse_poly
+from .poly import MultiPoly, VarSet, divided_difference, format_poly, parse_poly
 from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, ideal_from_text
 from .icis import MilnorData, VarietyClass, classify, milnor_data, milnor_hypersurface, milnor_icis
 from .symrep import (

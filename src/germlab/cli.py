@@ -26,9 +26,7 @@ from .errors import (
     InconsistentDataError,
     InvalidInputError,
     NotAFiniteError,
-    PolySyntaxError,
     ResourceLimitError,
-    VariableMismatchError,
 )
 from .icis import DEFAULT_SEED
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
@@ -41,6 +39,17 @@ EXIT_NOT_A_FINITE = 3
 EXIT_INFEASIBLE = 4
 EXIT_INCONSISTENT = 5
 EXIT_BAD_CHECK_DATA = 6
+
+# Read top to bottom by main: the first class the error is an instance of
+# decides, so every subclass comes before its bases.
+EXIT_CODES: tuple[tuple[type[GermlabError], int], ...] = (
+    (ResourceLimitError, EXIT_RESOURCE),
+    (InfeasibleDimensionsError, EXIT_INFEASIBLE),
+    (NotAFiniteError, EXIT_NOT_A_FINITE),
+    (InconsistentDataError, EXIT_INCONSISTENT),
+    (IncompleteDataError, EXIT_BAD_CHECK_DATA),
+    (GermlabError, EXIT_INPUT),
+)
 
 
 def _read(path: str) -> str:
@@ -151,7 +160,7 @@ def cmd_milnor(args) -> int:
         dim = len(ideal.ambient) - len(ideal.generators)
         if dim < 0:
             raise InvalidInputError("more generators than ambient variables")
-        mu = icis_mod.milnor_icis(ideal, dim, budget=args.budget_steps, seed=args.seed)
+        mu = icis_mod.milnor_icis(ideal, dim, seed=args.seed)
     if args.format == "json":
         _emit(json.dumps({"mu": mu}) + "\n", args.output)
     else:
@@ -319,30 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except InfeasibleDimensionsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NotAFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_FINITE
-    except InconsistentDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except (PolySyntaxError, VariableMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except IncompleteDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CHECK_DATA
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GermlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -60,10 +60,6 @@ class VarietyClass:
     def nonempty(self) -> bool:
         return self.kind in (SMOOTH, ICIS, ISOLATED_POINTS)
 
-    @property
-    def is_singular(self) -> bool:
-        return self.kind == ICIS and bool(self.mu)
-
 
 @dataclass(frozen=True)
 class MilnorData:
@@ -118,10 +114,6 @@ def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
     return rank
 
 
-def _jacobian(generators: Sequence[MultiPoly], ambient: VarSet) -> list[list[MultiPoly]]:
-    return [[g.derivative(v) for v in ambient.names] for g in generators]
-
-
 def _maximal_minors(rows: list[list[MultiPoly]], ambient: VarSet) -> list[MultiPoly]:
     """All r x r minors of an r x N polynomial matrix.
 
@@ -164,17 +156,16 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     return int(q)
 
 
-def _chain_mu(
-    gens: Sequence[MultiPoly], ambient: VarSet, budget: int
-) -> int:
+def _chain_mu(gens: Sequence[MultiPoly], ideal: LocalIdeal) -> int:
     """One Le-Greuel telescoping pass along the generators as given."""
+    ambient = ideal.ambient
     mu_prev = 0
     jac_rows: list[list[MultiPoly]] = []
     for i, g in enumerate(gens, start=1):
         jac_rows.append([g.derivative(v) for v in ambient.names])
         minors = _maximal_minors(jac_rows, ambient)
         section = list(gens[: i - 1]) + minors
-        q = LocalIdeal(section, ambient, budget=budget).quotient_dimension()
+        q = LocalIdeal(section, ambient, budget=ideal.budget).quotient_dimension()
         if q == INFINITE:
             raise NotIcisError(f"chain step {i} has infinite colength")
         mu_i = int(q) - mu_prev
@@ -184,17 +175,13 @@ def _chain_mu(
     return mu_prev
 
 
-def milnor_icis(
-    ideal: LocalIdeal,
-    dim: int,
-    budget: int = DEFAULT_STEP_BUDGET,
-    seed: int = DEFAULT_SEED,
-) -> int:
+def milnor_icis(ideal: LocalIdeal, dim: int, seed: int = DEFAULT_SEED) -> int:
     """Milnor number of an ICIS of the stated dimension.
 
     dim == 0 reduces to colength minus one (fiber point count minus the base
     point).  dim > 0 runs the Le-Greuel chain in generator order, retrying
     with up to CHAIN_RETRIES seeded invertible recombinations on failure.
+    Every ideal of the chain runs under the budget of ``ideal``.
     """
     if dim < 0:
         raise InconsistentDataError("milnor_icis needs a non-negative dimension")
@@ -210,14 +197,14 @@ def milnor_icis(
     if len(gens) != codim:
         gens = _recombine_to_codim(gens, codim, ideal, random.Random(seed))
     try:
-        return _chain_mu(gens, ideal.ambient, budget)
+        return _chain_mu(gens, ideal)
     except NotIcisError:
         pass
     rng = random.Random(seed)
     for _ in range(CHAIN_RETRIES):
         mixed = _random_recombination(gens, rng)
         try:
-            return _chain_mu(mixed, ideal.ambient, budget)
+            return _chain_mu(mixed, ideal)
         except NotIcisError:
             continue
     raise NotIcisError(
@@ -254,7 +241,6 @@ def _recombine_to_codim(
         raise NotIcisError(
             f"{len(gens)} generators cannot cut a codimension {codim} complete intersection"
         )
-    std = ideal.standard_basis()
     for _ in range(CHAIN_RETRIES):
         candidate = []
         for _i in range(codim):
@@ -266,18 +252,13 @@ def _recombine_to_codim(
             candidate.append(acc)
         cand_ideal = LocalIdeal(candidate, ideal.ambient, budget=ideal.budget)
         if all(cand_ideal.contains(g) for g in gens) and all(
-            std.contains(c) for c in candidate
+            ideal.contains(c) for c in candidate
         ):
             return candidate
     raise NotIcisError("could not reduce the generating set to codimension size")
 
 
-def classify(
-    ideal: LocalIdeal,
-    expected_dim: int,
-    budget: int = DEFAULT_STEP_BUDGET,
-    seed: int = DEFAULT_SEED,
-) -> VarietyClass:
+def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> VarietyClass:
     """Marar-Mond style verdict for one locus against its expected dimension."""
     n_amb = len(ideal.ambient)
     if expected_dim > n_amb:
@@ -305,7 +286,7 @@ def classify(
     if rank == n_amb - expected_dim:
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence="jacobian rank at origin")
     try:
-        mu = milnor_icis(ideal, expected_dim, budget=budget, seed=seed)
+        mu = milnor_icis(ideal, expected_dim, seed=seed)
     except NotIcisError as exc:
         return VarietyClass(NOT_ICIS, dim=actual, evidence=str(exc))
     if mu == 0:
@@ -317,16 +298,10 @@ def classify(
 
 
 def milnor_data(
-    ideal: LocalIdeal,
-    expected_dim: int,
-    budget: int = DEFAULT_STEP_BUDGET,
-    seed: int = DEFAULT_SEED,
-    classification: VarietyClass | None = None,
+    ideal: LocalIdeal, expected_dim: int, classification: VarietyClass | None = None
 ) -> MilnorData:
     """MilnorData for a locus already known not to be not_icis."""
-    cls = classification if classification is not None else classify(
-        ideal, expected_dim, budget=budget, seed=seed
-    )
+    cls = classification if classification is not None else classify(ideal, expected_dim)
     if cls.kind == NOT_ICIS:
         raise NotIcisError(f"milnor_data on a not_icis locus ({cls.evidence})")
     if cls.kind == EMPTY:

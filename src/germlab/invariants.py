@@ -132,13 +132,8 @@ def mu_k_tau(
     data: dict[str, IcisDatum] = {}
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
-        kind = sp.classification.kind
-        if kind == EMPTY:
-            data[shape.label()] = IcisDatum(dim=0, mu_tilde=0)
-        elif kind == ISOLATED_POINTS:
-            data[shape.label()] = IcisDatum(dim=0, mu_tilde=-sp.milnor.beta0)
-        else:
-            data[shape.label()] = IcisDatum(dim=sp.expected_dim, mu_tilde=sp.milnor.mu)
+        dim = 0 if sp.classification.kind in (EMPTY, ISOLATED_POINTS) else sp.expected_dim
+        data[shape.label()] = IcisDatum(dim=dim, mu_tilde=sp.milnor.mu_tilde)
     d_k = analysis.full_space(k).expected_dim
     return mu_tau(table, data, tau, d_k)
 

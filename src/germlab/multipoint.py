@@ -4,9 +4,12 @@ A germ is stored in the normal form (x, h_1(x,y), ..., h_m(x,y)) with
 m = p - n + 1.  The k-th multiple point space lives in (x, y_1..y_k) and is
 cut out by the iterated divided differences of the components: level j
 contributes the divided difference of level j-1 in a fresh variable y_j, for
-j = 2..k.  Fixed loci of a cycle shape substitute y_i -> z_{cycle(i)} for the
-canonical permutation whose cycles occupy consecutive positions in
-decreasing length order (all choices give isomorphic loci).
+j = 2..k.  One table of these differences is built per k, and every cell of
+that k is read off it.  The fixed locus of a cycle shape is the image of the
+table under the monomial map y_i -> z_{cycle(i)} for the canonical
+permutation, whose cycles occupy consecutive positions in decreasing length
+order (all choices give isomorphic loci): each cycle's block of y-exponents
+sums to one z-exponent.
 
 The analyzer classifies every (k, shape) cell against its expected dimension
 and derives the Marar-Mond style verdicts: stability, A-finiteness, strong
@@ -19,6 +22,8 @@ as max{k <= kappa : D^k nonempty}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import accumulate, pairwise
 from math import floor
 from typing import Sequence
 
@@ -38,6 +43,7 @@ from .localalg import DEFAULT_STEP_BUDGET, LocalIdeal
 from .poly import (
     ROLE_BASE,
     ROLE_CORANK,
+    Exponent,
     MultiPoly,
     VarSet,
     divided_difference,
@@ -170,14 +176,13 @@ def _check_dims(n: int, p: int):
 # -- equations ---------------------------------------------------------------
 
 
-def _ambient(g: GermSpec, k: int) -> VarSet:
-    names = tuple(f"{g.corank_name}{i}" for i in range(1, k + 1))
-    for nm in names:
+def _ambient(g: GermSpec, corank_names: Sequence[str]) -> VarSet:
+    for nm in corank_names:
         if nm in g.base_names:
             raise InvalidInputError(f"variable clash: {nm} is already a base variable")
     return VarSet(
-        g.base_names + names,
-        (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * k,
+        g.base_names + tuple(corank_names),
+        (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * len(corank_names),
     )
 
 
@@ -194,34 +199,51 @@ def divided_difference_table(g: GermSpec, k: int) -> list[list[MultiPoly]]:
         raise InvalidInputError(
             f"k = {k} exceeds the practical bound kappa + 1 = {kappa(g.n, g.p) + 1}"
         )
-    amb = _ambient(g, k)
     y = [f"{g.corank_name}{i}" for i in range(1, k + 1)]
-    current = [
-        h.substitute({g.corank_name: MultiPoly.variable(amb, y[0])}, target=amb)
-        for h in g.components
-    ]
+    amb = _ambient(g, y)
+    # The germ's corank variable is last and y1 is the ambient's first corank
+    # variable, so lifting y -> y1 pads every exponent with zeros.
+    pad = (0,) * (k - 1)
+    current = [MultiPoly(amb, {e + pad: c for e, c in h.terms.items()}) for h in g.components]
     rows: list[list[MultiPoly]] = []
     for j in range(2, k + 1):
         current = [divided_difference(q, y[j - 2], y[j - 1]) for q in current]
-        rows.append(list(current))
+        rows.append(current)
     return rows
+
+
+def _full_ideal(rows: list[list[MultiPoly]], budget: int) -> LocalIdeal:
+    """D^k(f) in (x, y_1..y_k) from the table of k."""
+    return LocalIdeal([q for row in rows for q in row], rows[0][0].vars, budget=budget)
+
+
+def _fixed_ideal(
+    g: GermSpec, rows: list[list[MultiPoly]], shape: Partition, budget: int
+) -> LocalIdeal:
+    """D^k(f)^sigma in (x, z_1..z_c) from the table of k, for the canonical sigma.
+
+    Its cycles occupy consecutive y positions, so y_i -> z_{cycle(i)} sums
+    each cycle's block of y-exponents; coefficients add where images collide.
+    """
+    target = _ambient(g, [f"z{i}" for i in range(1, shape.cycle_count + 1)])
+    nb = len(g.base_names)
+    blocks = list(pairwise(accumulate(shape.parts, initial=nb)))
+    gens = []
+    for row in rows:
+        for q in row:
+            terms: dict[Exponent, Fraction] = {}
+            for e, c in q.terms.items():
+                image = e[:nb] + tuple(sum(e[a:b]) for a, b in blocks)
+                terms[image] = terms.get(image, 0) + c
+            gens.append(MultiPoly(target, terms))
+    return LocalIdeal(gens, target, budget=budget)
 
 
 def multiple_point_equations(
     g: GermSpec, k: int, budget: int = DEFAULT_STEP_BUDGET
 ) -> LocalIdeal:
     """The ideal of D^k(f) in (x, y_1..y_k): all levels' divided differences."""
-    rows = divided_difference_table(g, k)
-    amb = _ambient(g, k)
-    return LocalIdeal([q for row in rows for q in row], amb, budget=budget)
-
-
-def _cycle_assignment(shape: Partition) -> list[int]:
-    """Position i (0-based) -> cycle index, cycles in decreasing length order."""
-    out: list[int] = []
-    for cycle_index, length in enumerate(shape.parts):
-        out.extend([cycle_index] * length)
-    return out
+    return _full_ideal(divided_difference_table(g, k), budget)
 
 
 def fixed_locus_equations(
@@ -230,23 +252,7 @@ def fixed_locus_equations(
     """Equations of D^k(f)^sigma in (x, z_1..z_c) for the canonical sigma."""
     if shape.k != k:
         raise InvalidInputError(f"cycle shape {shape.parts} is not a partition of {k}")
-    rows = divided_difference_table(g, k)
-    c = shape.cycle_count
-    z = tuple(f"z{i}" for i in range(1, c + 1))
-    for nm in z:
-        if nm in g.base_names:
-            raise InvalidInputError(f"variable clash: {nm} is already a base variable")
-    target = VarSet(
-        g.base_names + z,
-        (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * c,
-    )
-    assign = _cycle_assignment(shape)
-    bindings = {
-        f"{g.corank_name}{i + 1}": MultiPoly.variable(target, z[assign[i]])
-        for i in range(k)
-    }
-    gens = [q.substitute(bindings, target=target) for row in rows for q in row]
-    return LocalIdeal(gens, target, budget=budget)
+    return _fixed_ideal(g, divided_difference_table(g, k), shape, budget)
 
 
 # -- analysis ----------------------------------------------------------------
@@ -374,11 +380,11 @@ def analyze_germ(
         raw_count = sum(len(r) for r in rows)
         for shape in shapes:
             if shape.parts == (1,) * k:
-                ideal = multiple_point_equations(g, k, budget=budget)
+                ideal = _full_ideal(rows, budget)
             else:
-                ideal = fixed_locus_equations(g, k, shape, budget=budget)
+                ideal = _fixed_ideal(g, rows, shape, budget)
             e_dim = expected_dim_sigma(g.n, g.p, k, shape)
-            cls = icis.classify(ideal, e_dim, budget=budget, seed=seed)
+            cls = icis.classify(ideal, e_dim, seed=seed)
             milnor = None
             if cls.kind != NOT_ICIS:
                 milnor = icis.milnor_data(ideal, e_dim, classification=cls)

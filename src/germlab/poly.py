@@ -140,10 +140,6 @@ class MultiPoly:
         """Max total degree among terms; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def involves(self, name: str) -> bool:
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)
@@ -273,17 +269,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)!r})"
-
-
-def arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Dispatch form of the ring operations: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:

@@ -161,9 +161,6 @@ class CharacterTable:
     def row(self, label: str) -> tuple[Fraction, ...]:
         return self.values[self.irrep_labels.index(label)]
 
-    def class_index(self, label: str) -> int:
-        return self.class_labels.index(label)
-
     def validate(self):
         if sum(self.class_sizes) != self.group_order:
             raise InconsistentDataError("class sizes do not sum to the group order")
@@ -222,11 +219,6 @@ def character_table_symmetric(k: int) -> CharacterTable:
     )
     table.validate()
     return table
-
-
-def symmetric_classes(k: int) -> list[Partition]:
-    """Conjugacy classes of S_k in table order."""
-    return partitions(k)
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import germlab
+from germlab import cli
 from germlab.cli import (
     EXIT_BAD_CHECK_DATA,
     EXIT_INCONSISTENT,
@@ -19,6 +20,18 @@ from germlab.cli import (
     EXIT_RESOURCE,
     main,
 )
+from germlab.errors import (
+    GermlabError,
+    IncompleteDataError,
+    InconsistentDataError,
+    InvalidInputError,
+    NotAFiniteError,
+    NotIcisError,
+    PolySyntaxError,
+    ResourceLimitError,
+    VariableMismatchError,
+)
+from germlab.multipoint import InfeasibleDimensionsError
 
 CONTRACTIBLE_GERM = """\
 n 5
@@ -315,3 +328,39 @@ class TestConservationCommand:
         payload = json.loads(out)
         assert payload["status"] == "violated"
         assert payload["difference"] == "1"
+
+
+class TestExitCodes:
+    # Every GermlabError class with the exit code the cli docstring gives it.
+    DOCUMENTED = {
+        ResourceLimitError: EXIT_RESOURCE,
+        NotAFiniteError: EXIT_NOT_A_FINITE,
+        InfeasibleDimensionsError: EXIT_INFEASIBLE,
+        InconsistentDataError: EXIT_INCONSISTENT,
+        IncompleteDataError: EXIT_BAD_CHECK_DATA,
+        GermlabError: EXIT_INPUT,
+        PolySyntaxError: EXIT_INPUT,
+        VariableMismatchError: EXIT_INPUT,
+        NotIcisError: EXIT_INPUT,
+        InvalidInputError: EXIT_INPUT,
+    }
+
+    def test_every_error_class_exits_with_its_documented_code(self, monkeypatch, capsys):
+        found, todo = {GermlabError}, [GermlabError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                if sub not in found:
+                    found.add(sub)
+                    todo.append(sub)
+        assert found == set(self.DOCUMENTED), "an error class has no documented exit code"
+        for cls in sorted(found, key=lambda c: c.__name__):
+            exc = cls.__new__(cls)
+            Exception.__init__(exc, f"injected {cls.__name__}")
+
+            def command(args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "cmd_sc_feasible", command)
+            code, _, err = run(capsys, "sc-feasible", "5", "8")
+            assert (cls, code) == (cls, self.DOCUMENTED[cls])
+            assert f"injected {cls.__name__}" in err

@@ -8,6 +8,7 @@ from germlab import (
     LocalIdeal,
     MilnorData,
     NotIcisError,
+    ResourceLimitError,
     VarSet,
     classify,
     milnor_data,
@@ -114,6 +115,13 @@ class TestIcisMilnor:
         # defect across the branches), r = 4, so mu = 2*delta - r + 1 = 5.
         I = ideal(["x", "y", "z"], ["x^2 + y^2 + z^2", "x*y"])
         assert milnor_icis(I, 1) == 5
+
+    def test_chain_runs_under_the_ideal_budget(self):
+        # The same curve computes mu = 3 under the default budget (see the
+        # CLI milnor test); its chain ideals inherit budget 1 and run out.
+        I = ideal(["x", "y1", "y2"], ["y1 + y2", "y1^2 + y1*y2 + y2^2 + x^4"], budget=1)
+        with pytest.raises(ResourceLimitError):
+            milnor_icis(I, 1)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_chain_independence_under_recombination(self, seed):

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlab import (
     InvalidInputError,
     MultiPoly,
     Partition,
+    VarSet,
+    VarietyClass,
+    divided_difference,
     expected_dim,
     expected_dim_sigma,
     fixed_locus_equations,
@@ -23,8 +30,9 @@ from germlab import (
     sc_feasibility_report,
 )
 from germlab import multipoint as mp
-from germlab.icis import EMPTY
+from germlab.icis import EMPTY, NOT_ICIS
 from germlab.multipoint import InfeasibleDimensionsError, divided_difference_table
+from germlab.poly import ROLE_BASE, ROLE_CORANK
 
 CONTRACTIBLE_5_8 = ["y^3+x1*y", "y^4+x2*y", "y^5+x3*y", "x4*y+x1*y^2"]
 STABLE_3_5 = ["y^3+x1*y", "y^4+x2*y", "x2*y+y^2"]
@@ -133,6 +141,88 @@ class TestFixedLoci:
         I = fixed_locus_equations(g, 2, Partition((2,)))
         assert not I.contains_unit()
         assert all(gen.constant_term() == 0 for gen in I.generators)
+
+
+def _reference_table(g, k):
+    """The divided-difference table with y -> y1 done by polynomial substitution."""
+    y = tuple(f"{g.corank_name}{i}" for i in range(1, k + 1))
+    amb = VarSet(g.base_names + y, (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * k)
+    current = [
+        h.substitute({g.corank_name: MultiPoly.variable(amb, y[0])}, target=amb)
+        for h in g.components
+    ]
+    rows = []
+    for j in range(1, k):
+        current = [divided_difference(q, y[j - 1], y[j]) for q in current]
+        rows.append(current)
+    return rows, amb
+
+
+def _reference_fixed_locus(g, k, shape):
+    """Fixed-locus generators by substituting y_i -> z_{cycle(i)} into the table."""
+    rows, _ = _reference_table(g, k)
+    z = tuple(f"z{i}" for i in range(1, shape.cycle_count + 1))
+    target = VarSet(g.base_names + z, (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * len(z))
+    cycle = [c for c, length in enumerate(shape.parts) for _ in range(length)]
+    bindings = {
+        f"{g.corank_name}{i + 1}": MultiPoly.variable(target, z[cycle[i]]) for i in range(k)
+    }
+    return [q.substitute(bindings, target=target) for row in rows for q in row], target
+
+
+def _term_maps(gens):
+    return [q.terms for q in gens if not q.is_zero()]
+
+
+@st.composite
+def small_germs(draw):
+    """Germs with n <= 4, p <= 7 and components of degree <= 5."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(n + 1, 7))
+    base = tuple(f"x{i}" for i in range(1, n))
+    vs = VarSet(base + ("y",), (ROLE_BASE,) * (n - 1) + (ROLE_CORANK,))
+
+    def monomial():
+        left = draw(st.integers(1, 5))
+        exp = []
+        for _ in base:
+            e = draw(st.integers(0, left))
+            exp.append(e)
+            left -= e
+        return tuple(exp) + (left,)
+
+    comps = []
+    for _ in range(p - n + 1):
+        size = draw(st.integers(0, 4))
+        comps.append(MultiPoly(vs, {monomial(): draw(st.integers(-3, 3)) for _ in range(size)}))
+    return mp.GermSpec(n, p, base, "y", tuple(comps))
+
+
+class TestEquationsAgainstSubstitution:
+    @settings(max_examples=60, deadline=None)
+    @given(small_germs())
+    def test_fixed_loci_and_cells_match_substitution(self, g):
+        kap = kappa(g.n, g.p)
+        for k in range(2, kap + 1):
+            for shape in partitions(k):
+                gens, target = _reference_fixed_locus(g, k, shape)
+                I = fixed_locus_equations(g, k, shape)
+                assert I.ambient == target
+                assert _term_maps(I.generators) == _term_maps(gens)
+        # Only the cell ideals are under test here, so classification is stubbed.
+        verdict = VarietyClass(NOT_ICIS)
+        with mock.patch.object(mp.icis, "classify", lambda ideal, e_dim, seed: verdict):
+            an = mp.analyze_germ(g)
+        assert len(an.cells) == sum(len(partitions(k)) for k in range(2, kap + 1)) + 1
+        for (k, parts), cell in an.cells.items():
+            rows, amb = _reference_table(g, k)
+            assert cell.equation_count == sum(len(r) for r in rows)
+            if parts == (1,) * k:
+                gens, target = [q for row in rows for q in row], amb
+            else:
+                gens, target = _reference_fixed_locus(g, k, Partition(parts))
+            assert cell.ideal.ambient == target
+            assert _term_maps(cell.ideal.generators) == _term_maps(gens)
 
 
 class TestAnalyze:

@@ -13,7 +13,6 @@ from germlab import (
     PolySyntaxError,
     VariableMismatchError,
     VarSet,
-    arith,
     divided_difference,
     format_poly,
     parse_poly,
@@ -74,16 +73,12 @@ class TestArith:
     def test_product_matches_divided_difference_reconstruction(self):
         # (y2 - y1) * (x1 + y1^2 + y1*y2 + y2^2) telescopes between the two levels.
         vs = VarSet(("x1", "y1", "y2"))
-        lhs = arith(
-            parse_poly("y2 - y1", vs),
-            parse_poly("x1 + y1^2 + y1*y2 + y2^2", vs),
-            "mul",
-        )
+        lhs = parse_poly("y2 - y1", vs) * parse_poly("x1 + y1^2 + y1*y2 + y2^2", vs)
         assert lhs == parse_poly("(y2^3 + x1*y2) - (y1^3 + x1*y1)", vs)
 
     def test_variable_mismatch_raises(self):
         with pytest.raises(VariableMismatchError):
-            arith(P("y"), parse_poly("y1", V3), "add")
+            P("y") + parse_poly("y1", V3)
 
     def test_zero_coefficients_never_stored(self):
         p = P("y - y + x1")
