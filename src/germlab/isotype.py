@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
 from .symrep import CharacterTable
@@ -67,14 +69,39 @@ class ConservationVerdict:
 
 
 def _check_classes(table: CharacterTable, data: Mapping[str, object]):
+    known = set(table.class_labels)
     for label in data:
-        if label not in table.class_labels:
+        if label not in known:
             raise InvalidInputError(f"datum for unknown class {label!r}")
     for label in table.class_labels:
         if label not in data:
             raise InvalidInputError(f"missing datum for class {label!r}")
-    if table.class_labels[table.identity_index] not in data:
-        raise InvalidInputError("identity class datum is required")
+
+
+def _exact_sum(
+    weights: Iterable[int], values: Sequence[Fraction | int], scale: int
+) -> Fraction:
+    """sum(weights[c] * values[c]) / scale, exactly, for integer weights.
+
+    Integer values stay on the integer path; rational values are first put
+    over their common denominator, so no Fraction is formed per term.
+    """
+    if all(type(v) is int for v in values):
+        return Fraction(sum(map(mul, weights, values)), scale)
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    return Fraction(sum(map(mul, weights, nums)), scale * den)
+
+
+def _class_sum(table: CharacterTable, i: int, values: Sequence[Fraction | int]) -> Fraction:
+    """(1/|G|) sum_classes size * chi_i * value, values in class order."""
+    den, ints = table.integer_rows[i]
+    return _exact_sum(map(mul, table.class_sizes, ints), values, table.group_order * den)
+
+
+def _signed(d: int, dim: int, value: int) -> int:
+    return -value if (d - dim) % 2 else value
 
 
 def solve_character_system(
@@ -87,26 +114,22 @@ def solve_character_system(
     exactly (see evaluate_class_function).
     """
     _check_classes(table, b)
-    out: dict[str, Fraction] = {}
-    for label, row in zip(table.irrep_labels, table.values):
-        acc = Fraction(0)
-        for cls, size, chi in zip(table.class_labels, table.class_sizes, row):
-            acc += size * chi * Fraction(b[cls])
-        out[label] = acc / table.group_order
-    return out
+    values = [b[cls] for cls in table.class_labels]
+    return {label: _class_sum(table, i, values) for i, label in enumerate(table.irrep_labels)}
 
 
 def evaluate_class_function(
     table: CharacterTable, x: Mapping[str, Fraction | int]
 ) -> dict[str, Fraction]:
     """Forward evaluation b_sigma = sum_tau chi_tau(sigma) x_tau per class."""
-    out: dict[str, Fraction] = {}
-    for j, cls in enumerate(table.class_labels):
-        acc = Fraction(0)
-        for label, row in zip(table.irrep_labels, table.values):
-            acc += row[j] * Fraction(x[label])
-        out[cls] = acc
-    return out
+    values = [x[label] for label in table.irrep_labels]
+    rows = table.integer_rows
+    common = lcm(*(den for den, _ in rows))
+    # chi_tau(sigma) = ints_tau[j] / D_tau = ints_tau[j] * (common // D_tau) / common
+    return {
+        cls: _exact_sum((ints[j] * (common // den) for den, ints in rows), values, common)
+        for j, cls in enumerate(table.class_labels)
+    }
 
 
 def tau_characteristic(
@@ -114,11 +137,8 @@ def tau_characteristic(
 ) -> Fraction:
     """chi_tau(M) = (1/|G|) sum size * chi_tau * chi_Top(M^sigma)."""
     _check_classes(table, data)
-    row = table.row(tau)
-    acc = Fraction(0)
-    for cls, size, chi in zip(table.class_labels, table.class_sizes, row):
-        acc += size * chi * data[cls].euler
-    return acc / table.group_order
+    i = table.irrep_index(tau)
+    return _class_sum(table, i, [data[cls].euler for cls in table.class_labels])
 
 
 def tau_betti_single_dim(
@@ -138,13 +158,9 @@ def tau_betti_single_dim(
     identity_label = table.class_labels[table.identity_index]
     if data[identity_label].dim != d:
         raise InvalidInputError("identity-class dimension must equal the top dimension d")
-    row = table.row(tau)
-    acc = Fraction(0)
-    for cls, size, chi in zip(table.class_labels, table.class_sizes, row):
-        datum = data[cls]
-        sign = -1 if (d - datum.dim) % 2 else 1
-        acc += size * sign * chi * datum.betti
-    value = acc / table.group_order
+    i = table.irrep_index(tau)
+    values = [_signed(d, data[cls].dim, data[cls].betti) for cls in table.class_labels]
+    value = _class_sum(table, i, values)
     if value.denominator != 1 or value < 0:
         raise InconsistentDataError(
             f"beta_{d}^{tau} is {value}, not a non-negative integer: inconsistent input",
@@ -171,13 +187,9 @@ def mu_tau(
     identity_label = table.class_labels[table.identity_index]
     if data[identity_label].dim != d:
         raise InvalidInputError("identity-class dimension must equal d")
-    row = table.row(tau)
-    acc = Fraction(0)
-    for cls, size, chi in zip(table.class_labels, table.class_sizes, row):
-        datum = data[cls]
-        sign = -1 if (d - datum.dim) % 2 else 1
-        acc += size * sign * chi * datum.mu_tilde
-    value = acc / table.group_order
+    i = table.irrep_index(tau)
+    values = [_signed(d, data[cls].dim, data[cls].mu_tilde) for cls in table.class_labels]
+    value = _class_sum(table, i, values)
     if not allow_nonintegral and (value.denominator != 1 or value < 0):
         raise InconsistentDataError(
             f"mu^{tau} is {value}, not a non-negative integer: inconsistent input",
@@ -234,6 +246,16 @@ class FixedPointFile:
     top_dim: int | None
 
 
+_RECORD_FIELDS = {"euler": (4, EulerOnly), "single": (5, SingleDim), "icis": (5, IcisDatum)}
+
+
+def _record_ints(fields: Sequence[str], line: str) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError as exc:
+        raise InvalidInputError(f"bad integer in fixed-point record: {line!r}") from exc
+
+
 def fixed_point_data_from_text(text: str) -> FixedPointFile:
     kind: str | None = None
     data: dict[str, object] = {}
@@ -244,7 +266,9 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
             continue
         fields = line.split()
         if fields[0] == "top_dim":
-            top_dim = int(fields[1])
+            if len(fields) != 2:
+                raise InvalidInputError(f"bad top_dim record: {line!r}")
+            (top_dim,) = _record_ints(fields[1:], line)
             continue
         if fields[0] != "class" or len(fields) < 4:
             raise InvalidInputError(f"bad fixed-point record: {line!r}")
@@ -253,18 +277,14 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
             kind = this_kind
         elif kind != this_kind:
             raise InvalidInputError("mixed record kinds in one fixed-point file")
-        if this_kind == "euler":
-            data[label] = EulerOnly(int(fields[3]))
-        elif this_kind == "single":
-            if len(fields) != 5:
-                raise InvalidInputError(f"bad single record: {line!r}")
-            data[label] = SingleDim(int(fields[3]), int(fields[4]))
-        elif this_kind == "icis":
-            if len(fields) != 5:
-                raise InvalidInputError(f"bad icis record: {line!r}")
-            data[label] = IcisDatum(int(fields[3]), int(fields[4]))
-        else:
+        if this_kind not in _RECORD_FIELDS:
             raise InvalidInputError(f"unknown fixed-point record kind {this_kind!r}")
+        width, record = _RECORD_FIELDS[this_kind]
+        if len(fields) != width:
+            raise InvalidInputError(f"bad {this_kind} record: {line!r}")
+        if label in data:
+            raise InvalidInputError(f"repeated fixed-point record for class {label!r}")
+        data[label] = record(*_record_ints(fields[3:], line))
     if kind is None:
         raise InvalidInputError("empty fixed-point data file")
     return FixedPointFile(kind, data, top_dim)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Iterable
+from functools import cached_property, lru_cache
+from math import factorial, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
 
@@ -135,6 +136,11 @@ def character_value(irrep: Partition, cls: Partition) -> int:
     return _mn_char(irrep.parts, cls.parts)
 
 
+def _check_rectangular(rows: Sequence[Sequence[Fraction]], width: int):
+    if any(len(r) != width for r in rows):
+        raise InconsistentDataError("ragged character table")
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Irreducible characters indexed by conjugacy class, all values exact.
@@ -158,26 +164,45 @@ class CharacterTable:
     def degree(self, row: int) -> Fraction:
         return self.values[row][self.identity_index]
 
+    def irrep_index(self, label: str) -> int:
+        try:
+            return self.irrep_labels.index(label)
+        except ValueError:
+            raise InvalidInputError(f"unknown irreducible {label!r}") from None
+
     def row(self, label: str) -> tuple[Fraction, ...]:
-        return self.values[self.irrep_labels.index(label)]
+        return self.values[self.irrep_index(label)]
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per irreducible i: (D_i, r_i), D_i the lcm of the row's denominators
+        and r_i = D_i * row_i in integers, so that exact sums over a row need
+        one division at the end instead of a Fraction per term."""
+        out = []
+        for row in self.values:
+            den = lcm(*(v.denominator for v in row))
+            out.append((den, tuple(v.numerator * (den // v.denominator) for v in row)))
+        return tuple(out)
 
     def validate(self):
         if sum(self.class_sizes) != self.group_order:
             raise InconsistentDataError("class sizes do not sum to the group order")
-        if any(len(r) != len(self.class_labels) for r in self.values):
-            raise InconsistentDataError("ragged character table")
-        n = len(self.irrep_labels)
-        for i in range(n):
-            for j in range(i, n):
-                acc = Fraction(0)
-                for size, a, b in zip(self.class_sizes, self.values[i], self.values[j]):
-                    acc += size * a * b
+        _check_rectangular(self.values, len(self.class_labels))
+        rows = self.integer_rows
+        for i, (den_i, ints_i) in enumerate(rows):
+            # sum size * row_i * row_j == expected  <=>  the same identity
+            # multiplied through by D_i * D_j, in integers.
+            weighted = tuple(map(mul, self.class_sizes, ints_i))
+            for j in range(i, len(rows)):
+                den_j, ints_j = rows[j]
+                acc = sum(map(mul, weighted, ints_j))
                 expected = self.group_order if i == j else 0
-                if acc != expected:
+                if acc != expected * den_i * den_j:
                     raise InconsistentDataError(
-                        f"row orthogonality fails for irreducibles {i} and {j}", value=acc
+                        f"row orthogonality fails for irreducibles {i} and {j}",
+                        value=Fraction(acc, den_i * den_j),
                     )
-        for i in range(n):
+        for i in range(len(rows)):
             if self.degree(i) <= 0:
                 raise InconsistentDataError("non-positive degree in character table")
 
@@ -222,10 +247,31 @@ def character_table_symmetric(k: int) -> CharacterTable:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Plain ASCII integers (the whole of a symmetric-group table) skip the
+    # Fraction string parser; everything else (underscores, non-ASCII digits,
+    # quotients, decimals) goes through it, so exactly the strings Fraction
+    # accepts are accepted.
+    digits = text[1:] if text[:1] in ("+", "-") else text
     try:
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(text))
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad rational literal {text!r}") from exc
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {what} {text!r}") from exc
+
+
+def _add_label(labels: list[str], seen: set[str], label: str, kind: str):
+    if label in seen:
+        raise InvalidInputError(f"repeated {kind} label {label!r}")
+    seen.add(label)
+    labels.append(label)
 
 
 def table_from_text(text: str) -> CharacterTable:
@@ -233,15 +279,18 @@ def table_from_text(text: str) -> CharacterTable:
 
     Format: one `group_order N` line, then `class <label> <size>` lines, then
     `irrep <label> <value per class...>` lines.  Blank lines and `#` comments
-    are ignored.  The identity class is the one of size 1 on which every
-    irreducible is positive; orthogonality is validated and inconsistent
-    tables are rejected.
+    are ignored; class labels and irreducible labels must each be unique and
+    class sizes positive.  The identity class is the one of size 1 on which
+    every irreducible is positive; orthogonality is validated and
+    inconsistent tables are rejected.
     """
     order = None
     class_labels: list[str] = []
     class_sizes: list[int] = []
     irrep_labels: list[str] = []
     rows: list[tuple[Fraction, ...]] = []
+    seen_classes: set[str] = set()
+    seen_irreps: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -249,21 +298,28 @@ def table_from_text(text: str) -> CharacterTable:
         fields = line.split()
         key = fields[0]
         if key == "group_order":
-            order = int(fields[1])
+            if len(fields) != 2:
+                raise InvalidInputError(f"bad group_order line: {line!r}")
+            order = _parse_int(fields[1], "group order")
         elif key == "class":
             if len(fields) != 3:
                 raise InvalidInputError(f"bad class line: {line!r}")
-            class_labels.append(fields[1])
-            class_sizes.append(int(fields[2]))
+            size = _parse_int(fields[2], "class size")
+            if size <= 0:
+                raise InvalidInputError(f"class size must be positive: {line!r}")
+            _add_label(class_labels, seen_classes, fields[1], "class")
+            class_sizes.append(size)
         elif key == "irrep":
             if len(fields) < 3:
                 raise InvalidInputError(f"bad irrep line: {line!r}")
-            irrep_labels.append(fields[1])
-            rows.append(tuple(_parse_fraction(v) for v in fields[2:]))
+            row = tuple(_parse_fraction(v) for v in fields[2:])
+            _add_label(irrep_labels, seen_irreps, fields[1], "irreducible")
+            rows.append(row)
         else:
             raise InvalidInputError(f"unknown directive {key!r} in character table")
     if order is None or not class_labels or not irrep_labels:
         raise InvalidInputError("character table needs group_order, classes and irreps")
+    _check_rectangular(rows, len(class_labels))
     identity_candidates = [
         j for j, size in enumerate(class_sizes) if size == 1 and all(row[j] > 0 for row in rows)
     ]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import germlab
 from germlab import cli
@@ -271,6 +275,152 @@ class TestIsotypeCommand:
         code, _, err = run(capsys, "isotype", table, data, "--tau", "(1,1)")
         assert code == EXIT_INCONSISTENT
         assert "inconsistent" in err
+
+    @pytest.mark.parametrize(
+        "table, data, expected, message",
+        [
+            # printed {"t": "3"} and exited 0: one irreducible lost, one datum counted twice
+            ("group_order 2\nclass a 1\nclass a 1\nirrep t 1 1\nirrep t 1 -1\n",
+             "class a euler 3\n", EXIT_INPUT, "repeated class label"),
+            ("group_order 2\nclass a 1\nclass b 1\nirrep t 1 1\nirrep t 1 -1\n",
+             "class a euler 3\nclass b euler 1\n", EXIT_INPUT, "repeated irreducible label"),
+            # each of these ended in a traceback
+            ("group_order abc\nclass a 1\nirrep t 1\n", "class a euler 1\n", EXIT_INPUT,
+             "bad group order"),
+            ("group_order\nclass a 1\nirrep t 1\n", "class a euler 1\n", EXIT_INPUT,
+             "bad group_order line"),
+            ("group_order 1\nclass a x\nirrep t 1\n", "class a euler 1\n", EXIT_INPUT,
+             "bad class size"),
+            ("group_order 2\nclass a 1\nclass b 1\nirrep t 1 1\nirrep u 1\n",
+             "class a euler 1\nclass b euler 1\n", EXIT_INCONSISTENT, "ragged"),
+            ("group_order 1\nclass a 1\nirrep t 1/0\n", "class a euler 1\n", EXIT_INPUT,
+             "bad rational literal"),
+            (S2_TABLE, "class (1,1) euler x\nclass (2) euler 0\n", EXIT_INPUT, "bad integer"),
+            (S2_TABLE, "top_dim x\nclass (1,1) single 2 1\nclass (2) single 1 1\n",
+             EXIT_INPUT, "bad integer"),
+        ],
+        ids=["repeated-class", "repeated-irrep", "order-abc", "order-missing", "size-x",
+             "short-row", "zero-denominator", "euler-x", "top-dim-x"],
+    )
+    def test_malformed_input_exit_codes(self, files, capsys, table, data, expected, message):
+        code, out, err = run(capsys, "isotype", files("t.table", table), files("d.data", data))
+        assert (code, out) == (expected, "")
+        assert message in err
+
+    def test_unknown_tau_is_an_input_error(self, files, capsys):
+        table = files("s2.table", S2_TABLE)
+        data = files("sphere.data", SPHERE_DATA)
+        code, _, err = run(capsys, "isotype", table, data, "--tau", "(3)")
+        assert code == EXIT_INPUT
+        assert "unknown irreducible" in err
+
+    def test_undecodable_file_is_an_input_error(self, files, capsys, tmp_path):
+        path = tmp_path / "latin1.table"
+        path.write_bytes(b"group_order 1\nclass \xe9 1\nirrep t 1\n")
+        code, _, err = run(capsys, "isotype", str(path), files("d.data", "class a euler 1\n"))
+        assert code == EXIT_INPUT
+        assert "cannot read" in err
+
+
+# -- fuzzing the character-table and fixed-point formats ----------------------
+
+S3_TABLE = """\
+group_order 6
+class (3) 2
+class (2,1) 3
+class (1,1,1) 1
+irrep (3) 1 1 1
+irrep (2,1) -1 0 2
+irrep (1,1,1) 1 -1 1
+"""
+
+# Each is the permutation character of S_3 on three points: trivial plus standard.
+S3_DATA = (
+    "class (3) euler 0\nclass (2,1) euler 1\nclass (1,1,1) euler 3\n",
+    "top_dim 2\nclass (3) single 2 0\nclass (2,1) single 0 1\nclass (1,1,1) single 2 3\n",
+    "top_dim 2\nclass (3) icis 2 0\nclass (2,1) icis 0 1\nclass (1,1,1) icis 2 3\n",
+)
+
+TOKENS = (
+    "group_order", "class", "irrep", "top_dim", "euler", "single", "icis", "#", "(3)", "(2,1)",
+    "(1,1,1)", "a", "0", "1", "-1", "2", "3", "6", "1/2", "-1/3", "1/0", "1_0", "x", "1e3",
+    "+2", "-", "0.5", "99999999999999999999",
+)
+
+token_lines = st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join)
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines.append(draw(token_lines))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "repeat", "swap", "field", "truncate", "insert")))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "field":
+            fields = lines[i].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(fields)
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            lines.insert(i, draw(token_lines))
+    return "\n".join(lines) + "\n"
+
+
+def contents(valid: st.SearchStrategy[str]) -> st.SearchStrategy[str | bytes]:
+    return st.one_of(
+        valid,
+        valid.flatmap(mutated),
+        st.lists(token_lines, max_size=8).map("\n".join),
+        st.text(max_size=40),
+        st.binary(max_size=40),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestIsotypeFuzz:
+    ALLOWED = {EXIT_OK} | {code for _, code in cli.EXIT_CODES}
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        table=contents(st.just(S3_TABLE)),
+        data=contents(st.sampled_from(S3_DATA)),
+        tau=st.sampled_from((None, "(2,1)", "(1,1,1)", "t", "(4)")),
+        fmt=st.sampled_from(("json", "text")),
+    )
+    def test_returns_a_documented_exit_code(self, fuzz_dir, table, data, tau, fmt):
+        paths = []
+        for name, body in (("fuzz.table", table), ("fuzz.data", data)):
+            path = fuzz_dir / name
+            if isinstance(body, bytes):
+                path.write_bytes(body)
+            else:
+                path.write_text(body, encoding="utf-8")
+            paths.append(str(path))
+        argv = ["--format", fmt, "isotype", *paths] + (["--tau", tau] if tau else [])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in self.ALLOWED
+
+    def test_unmutated_s3_files_succeed(self, files, capsys):
+        table = files("s3.table", S3_TABLE)
+        for i, data in enumerate(S3_DATA):
+            code, out, _ = run(capsys, "isotype", table, files(f"s3.{i}", data))
+            assert (code, json.loads(out)) == (EXIT_OK, {"(3)": "1", "(2,1)": "1", "(1,1,1)": "0"})
 
 
 class TestMilnorCommand:

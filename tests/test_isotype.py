@@ -6,6 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import rational_tables
 
 from germlab import (
     EulerOnly,
@@ -20,7 +23,7 @@ from germlab import (
     tau_betti_single_dim,
     tau_characteristic,
 )
-from germlab.errors import IncompleteDataError
+from germlab.errors import IncompleteDataError, InvalidInputError
 from germlab.isotype import fixed_point_data_from_text
 
 T2 = character_table_symmetric(2)
@@ -188,4 +191,107 @@ class TestFixedPointFiles:
         with pytest.raises(Exception):
             fixed_point_data_from_text(
                 "class (1,1) euler 2\nclass (2) single 1 1\n"
+            )
+
+    def test_bad_records_are_input_errors(self):
+        for text in ("class a euler x\n", "top_dim x\nclass a euler 1\n", "top_dim\n",
+                     "class a single 1 y\n", "class a euler 1 2\n"):
+            with pytest.raises(InvalidInputError):
+                fixed_point_data_from_text(text)
+
+    def test_repeated_class_record_rejected(self):
+        with pytest.raises(InvalidInputError, match="repeated"):
+            fixed_point_data_from_text("class a euler 1\nclass a euler 2\n")
+
+
+# -- integer class sums against the Fraction loops -----------------------------
+#
+# The loops below are the per-term Fraction code the integer helper replaced,
+# kept as the reference.
+
+
+def fraction_solve(table, b):
+    out = {}
+    for label, row in zip(table.irrep_labels, table.values):
+        acc = Fraction(0)
+        for cls, size, chi in zip(table.class_labels, table.class_sizes, row):
+            acc += size * chi * Fraction(b[cls])
+        out[label] = acc / table.group_order
+    return out
+
+
+def fraction_evaluate(table, x):
+    out = {}
+    for j, cls in enumerate(table.class_labels):
+        acc = Fraction(0)
+        for label, row in zip(table.irrep_labels, table.values):
+            acc += row[j] * Fraction(x[label])
+        out[cls] = acc
+    return out
+
+
+def fraction_class_sum(table, tau, values):
+    """(1/|G|) sum size * chi_tau * value: tau_characteristic's loop, and that
+    of tau_betti_single_dim and mu_tau on the signed values."""
+    acc = Fraction(0)
+    for size, chi, value in zip(table.class_sizes, table.row(tau), values):
+        acc += size * chi * value
+    return acc / table.group_order
+
+
+def exact(call):
+    """The value returned, or the value carried by InconsistentDataError."""
+    try:
+        return call()
+    except InconsistentDataError as exc:
+        return exc.value
+
+
+numbers = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30),
+                                                    st.integers(1, 8)))
+
+
+@st.composite
+def tables_with_data(draw):
+    table = draw(rational_tables)
+    m, n = len(table.class_labels), len(table.irrep_labels)
+    by_class = dict(zip(table.class_labels, draw(st.lists(numbers, min_size=m, max_size=m))))
+    by_irrep = dict(zip(table.irrep_labels, draw(st.lists(numbers, min_size=n, max_size=n))))
+    ints = draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))
+    dims = draw(st.lists(st.integers(-1, 3), min_size=m, max_size=m))
+    d = draw(st.integers(0, 3))
+    dims[table.identity_index] = d
+    return table, by_class, by_irrep, ints, dims, d
+
+
+class TestIntegerClassSums:
+    @settings(max_examples=300, deadline=None)
+    @given(tables_with_data())
+    def test_same_fractions_as_the_reference_loops(self, case):
+        table, by_class, by_irrep, ints, dims, d = case
+        labels = table.class_labels
+        assert solve_character_system(table, by_class) == fraction_solve(table, by_class)
+        assert evaluate_class_function(table, by_irrep) == fraction_evaluate(table, by_irrep)
+        signs = [-1 if (d - dim) % 2 else 1 for dim in dims]
+        euler = {c: EulerOnly(v) for c, v in zip(labels, ints)}
+        single = {c: SingleDim(dim, v) for c, dim, v in zip(labels, dims, ints)}
+        icis = {c: IcisDatum(dim, v) for c, dim, v in zip(labels, dims, ints)}
+        for tau in table.irrep_labels:
+            plain = fraction_class_sum(table, tau, ints)
+            signed = fraction_class_sum(table, tau, [s * v for s, v in zip(signs, ints)])
+            assert tau_characteristic(table, euler, tau) == plain
+            assert exact(lambda: tau_betti_single_dim(table, single, tau, d)) == signed
+            assert exact(lambda: mu_tau(table, icis, tau, d)) == signed
+            assert mu_tau(table, icis, tau, d, allow_nonintegral=True) == signed
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_integer_data_on_symmetric_tables(self, k):
+        t = character_table_symmetric(k)
+        rng = random.Random(k)
+        b = {label: rng.randint(-50, 50) for label in t.class_labels}
+        assert solve_character_system(t, b) == fraction_solve(t, b)
+        euler = {label: EulerOnly(v) for label, v in b.items()}
+        for tau in t.irrep_labels:
+            assert tau_characteristic(t, euler, tau) == fraction_class_sum(
+                t, tau, list(b.values())
             )

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import rational_tables
 
 from germlab import (
     CharacterTable,
     InconsistentDataError,
+    InvalidInputError,
     Partition,
     character_table_symmetric,
     class_size,
@@ -19,6 +24,7 @@ from germlab import (
     table_from_text,
 )
 from germlab import multipoint as mp
+from germlab.symrep import _parse_fraction
 
 
 class TestPartitions:
@@ -209,3 +215,126 @@ irrep other 1 1
 """
         with pytest.raises(InconsistentDataError):
             table_from_text(bad)
+
+    def test_duplicate_class_label_rejected(self):
+        # Accepted before: one irreducible was lost and the datum of the
+        # repeated class counted twice.
+        with pytest.raises(InvalidInputError, match="repeated class label 'a'"):
+            table_from_text("group_order 2\nclass a 1\nclass a 1\nirrep t 1 1\nirrep u 1 -1\n")
+
+    def test_duplicate_irrep_label_rejected(self):
+        with pytest.raises(InvalidInputError, match="repeated irreducible label 't'"):
+            table_from_text("group_order 2\nclass a 1\nclass b 1\nirrep t 1 1\nirrep t 1 -1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "group_order abc\nclass a 1\nirrep t 1\n",
+            "group_order\nclass a 1\nirrep t 1\n",
+            "group_order 1\nclass a x\nirrep t 1\n",
+            "group_order 1\nclass a 0\nirrep t 1\n",
+            "group_order 1\nclass a 1\nirrep t 1/0\n",
+        ],
+        ids=["order-not-a-number", "order-missing", "size-not-a-number", "size-zero", "zero-den"],
+    )
+    def test_bad_numbers_and_missing_fields_are_input_errors(self, text):
+        with pytest.raises(InvalidInputError):
+            table_from_text(text)
+
+    def test_short_row_is_ragged_not_an_index_error(self):
+        with pytest.raises(InconsistentDataError, match="ragged"):
+            table_from_text("group_order 2\nclass a 1\nclass b 1\nirrep t 1 1\nirrep u 1\n")
+
+    def test_unknown_irreducible_is_an_input_error(self):
+        with pytest.raises(InvalidInputError, match="unknown irreducible"):
+            character_table_symmetric(3).row("(4)")
+
+
+# -- integer kernel against the Fraction loop ---------------------------------
+
+
+def fraction_validate(table: CharacterTable):
+    """Row orthogonality with one Fraction multiply-add per (pair, class):
+    the reference for the integer kernel in CharacterTable.validate."""
+    if sum(table.class_sizes) != table.group_order:
+        raise InconsistentDataError("class sizes do not sum to the group order")
+    if any(len(r) != len(table.class_labels) for r in table.values):
+        raise InconsistentDataError("ragged character table")
+    n = len(table.irrep_labels)
+    for i in range(n):
+        for j in range(i, n):
+            acc = Fraction(0)
+            for size, a, b in zip(table.class_sizes, table.values[i], table.values[j]):
+                acc += size * a * b
+            expected = table.group_order if i == j else 0
+            if acc != expected:
+                raise InconsistentDataError(
+                    f"row orthogonality fails for irreducibles {i} and {j}", value=acc
+                )
+    for i in range(n):
+        if table.degree(i) <= 0:
+            raise InconsistentDataError("non-positive degree in character table")
+
+
+def verdict(check, table):
+    try:
+        check(table)
+    except InconsistentDataError as exc:
+        return str(exc), exc.value, type(exc.value)
+    return None
+
+
+class TestIntegerKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(rational_tables)
+    def test_validate_matches_fraction_reference(self, table):
+        assert verdict(CharacterTable.validate, table) == verdict(fraction_validate, table)
+
+    def test_rows_scaled_by_a_half_are_rejected(self):
+        # The diagonal sum of a row halved is |G| / 4: the integer check must
+        # compare against |G| * D_i * D_j, not |G|.
+        t = character_table_symmetric(3)
+        halved = replace(t, values=tuple(tuple(v / 2 for v in row) for row in t.values))
+        assert verdict(CharacterTable.validate, halved) == (
+            "row orthogonality fails for irreducibles 0 and 0",
+            Fraction(3, 2),
+            Fraction,
+        )
+
+    def test_perturbed_entry_rejected_like_the_reference(self):
+        t = character_table_symmetric(5)
+        values = [list(row) for row in t.values]
+        values[2][3] += Fraction(1, 3)
+        bad = replace(t, values=tuple(map(tuple, values)))
+        expected = verdict(fraction_validate, bad)
+        assert expected is not None
+        assert verdict(CharacterTable.validate, bad) == expected
+
+    def test_integer_rows(self):
+        t = replace(
+            character_table_symmetric(2),
+            values=((Fraction(1, 2), Fraction(-1, 3)), (Fraction(4), Fraction(-2, 4))),
+        )
+        assert t.integer_rows == ((6, (3, -2)), (2, (8, -1)))
+
+
+LITERALS = ["1", "+5", "-0", "007", "1_0", "_1", "1__0", "1/0", "0/5", "-3/6", "1.5", "1e3",
+            "\u0661\u0662", "\u00b2", "", "+", "-", "--1", "0x10", "1/-2", "inf", "nan"]
+
+
+class TestRationalLiterals:
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError, InvalidInputError):
+            return "rejected"
+
+    @pytest.mark.parametrize("text", LITERALS)
+    def test_pinned_literals_match_fraction(self, text):
+        assert self.outcome(_parse_fraction, text) == self.outcome(Fraction, text)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789+-/._e \u0661\u00b2", max_size=8))
+    def test_accepts_exactly_what_fraction_accepts(self, text):
+        assert self.outcome(_parse_fraction, text) == self.outcome(Fraction, text)
