@@ -31,6 +31,7 @@ from .errors import (
 from .icis import DEFAULT_SEED
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
+from .poly import parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -200,9 +201,9 @@ def _parse_conservation_file(text: str) -> dict:
             elif key in ("d", "n", "p", "mu_i", "nu_i", "delta"):
                 data[key] = int(fields[1])
             elif key in ("mu_x0", "betti_tau", "beta0_xt", "beta0_x0"):
-                data[key] = Fraction(fields[1])
+                data[key] = parse_rational(fields[1])
             elif key == "local":
-                data["local"].append(Fraction(fields[1]))
+                data["local"].append(parse_rational(fields[1]))
             elif key == "betti":
                 data["betti"][int(fields[1])] = int(fields[2])
             elif key == "local_mu":

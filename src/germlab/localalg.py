@@ -16,6 +16,12 @@ The Krull dimension of the leading ideal is the number of variables minus a
 minimum hitting set of the leading-monomial supports, found by branch and
 bound.  A hard step budget, charged by reductions, pairs and search nodes
 alike, separates "gave up" from every mathematical verdict.
+
+The normal form is fraction-free: the remainder and its reducers are
+primitive integer term maps, reduced by pseudo-division, and only the
+result becomes a MultiPoly again.  A reduction step is charged
+1 + terms * bits // 256 units, where terms is the size of the remainder and
+bits the bit length of its largest integer coefficient.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable, Sequence
+from itertools import compress
+from math import gcd, lcm as _int_lcm
+from operator import add, itemgetter, le, sub
+from typing import Collection, Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError, VariableMismatchError
 from .poly import Exponent, MultiPoly, VarSet, format_poly, parse_poly
@@ -45,19 +53,19 @@ def order_key(exp: Exponent):
 
 
 def monomial_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class _Budget:
@@ -80,28 +88,28 @@ class _Budget:
             raise ResourceLimitError(f"step budget exceeded during {what}", self.limit)
 
 
-def _coeff_bits(p: MultiPoly) -> int:
-    """Bit size of the largest coefficient (numerator plus denominator)."""
-    bits = 0
-    for c in p.terms.values():
-        n = c.numerator.bit_length() + c.denominator.bit_length()
-        if n > bits:
-            bits = n
-    return bits
+_reversed = itemgetter(slice(None, None, -1))
+
+
+def _lead(terms: Collection[Exponent]) -> tuple[Exponent, int]:
+    """Leading monomial and ecart of a term map's exponents.
+
+    The leading monomial is the reverse-lexicographic minimum among the
+    exponents of least total degree (the same monomial as
+    max(terms, key=order_key)); the ecart is the top degree minus that one.
+    """
+    degs = list(map(sum, terms))
+    low = min(degs)
+    lm = min(compress(terms, map(low.__eq__, degs)), key=_reversed)
+    return lm, max(degs) - low
 
 
 def leading_monomial(p: MultiPoly) -> Exponent:
-    # The same monomial as max(p.terms, key=order_key), with a cheaper key.
-    return min(p.terms, key=lambda e: (sum(e), e[::-1]))
+    return _lead(p.terms)[0]
 
 
 def leading_coeff(p: MultiPoly) -> Fraction:
     return p.terms[leading_monomial(p)]
-
-
-def ecart(p: MultiPoly) -> int:
-    """Total degree spread: deg(p) minus deg of the leading monomial."""
-    return p.total_degree() - sum(leading_monomial(p))
 
 
 def _monic(p: MultiPoly) -> MultiPoly:
@@ -109,30 +117,31 @@ def _monic(p: MultiPoly) -> MultiPoly:
     return p if c == 1 else p.scale(Fraction(1) / c)
 
 
-def _primitive(p: MultiPoly) -> MultiPoly:
-    """Scale to coprime integer coefficients.
+# Inside the normal form a polynomial is an integer term map: exponent tuple
+# to nonzero int, a nonzero rational multiple of the MultiPoly it stands for.
 
-    Reduction chains over Q square coefficient sizes unless the content is
-    divided out; gcd cost on huge integers, not step count, is what blows up
-    otherwise.  Scaling by a unit changes no leading monomial and no verdict.
+
+def _integer_terms(p: MultiPoly) -> dict[Exponent, int]:
+    """p scaled to coprime integer coefficients."""
+    den = _int_lcm(*(c.denominator for c in p.terms.values()))
+    return _primitive({e: c.numerator * (den // c.denominator) for e, c in p.terms.items()})
+
+
+def _coeff_bits(h: dict[Exponent, int]) -> int:
+    """Bit size of the largest coefficient."""
+    return max(map(int.bit_length, h.values()))
+
+
+def _primitive(h: dict[Exponent, int]) -> dict[Exponent, int]:
+    """Divide out the content (the gcd of the coefficients).
+
+    Pseudo-division multiplies the remainder by a cofactor at every step, so
+    coefficient sizes grow with the chain unless the content is divided out;
+    gcd cost on huge integers, not step count, is what blows up otherwise.
+    Scaling by a unit changes no leading monomial and no verdict.
     """
-    if not p.terms:
-        return p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm // gcd(den_lcm, c.denominator) * c.denominator
-    scale = Fraction(den_lcm, num_gcd)
-    return p if scale == 1 else p.scale(scale)
-
-
-def _reduce_once(h: MultiPoly, g: MultiPoly, lm_h: Exponent, lm_g: Exponent) -> MultiPoly:
-    """Cancel the leading term lm_h of h against g (lm_g = LM(g) divides lm_h)."""
-    factor_exp = monomial_sub(lm_h, lm_g)
-    coeff = h.terms[lm_h] / g.terms[lm_g]
-    mono = MultiPoly(h.vars, {factor_exp: coeff})
-    return h - mono * g
+    g = gcd(*h.values())
+    return h if g == 1 else {e: c // g for e, c in h.items()}
 
 
 def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) -> MultiPoly:
@@ -144,41 +153,61 @@ def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) 
     recruitment is what makes the loop terminate in a local order, and
     recruited reducers are only ever applied with multipliers in the maximal
     ideal, so the result differs from p by a unit times an ideal member.
+
+    Fraction-free: p on entry, and each basis element on its first use,
+    becomes a primitive integer term map, and a step cancels the leading
+    term of h against g by pseudo-division,
+    h := (lc g / d) * h - (lc h / d) * m * g with d = gcd(lc h, lc g).  This
+    is the division over Q times a nonzero integer, and scaling by a unit
+    changes no leading monomial, no ecart and no choice of reducer, so the
+    steps are the same; the remainder returned is the one over Q times a
+    nonzero rational, with integer coefficients.
     """
     if p.is_zero():
         return p
-    reducers = [(leading_monomial(g), ecart(g), g) for g in basis]
-    h = p
-    while not h.is_zero():
+    reducers = [[*_lead(g.terms), g] for g in basis]
+    h = _integer_terms(p)
+    while h:
         bits = _coeff_bits(h)
         if bits > 128:
             # Content removal only once coefficients actually grow; on tame
             # inputs the gcd would just be overhead.
             h = _primitive(h)
             bits = _coeff_bits(h)
-        lm_h = leading_monomial(h)
+        lm_h, ecart_h = _lead(h)
         chosen = None
-        chosen_rank = None
-        for idx, (lm_g, ecart_g, g) in enumerate(reducers):
-            if monomial_divides(lm_g, lm_h):
-                rank = (ecart_g, idx)
-                if chosen_rank is None or rank < chosen_rank:
-                    chosen, chosen_lm, chosen_rank = g, lm_g, rank
+        for reducer in reducers:  # the first of least ecart
+            if monomial_divides(reducer[0], lm_h) and (chosen is None or reducer[1] < chosen[1]):
+                chosen = reducer
         if chosen is None:
-            return h
-        ecart_h = h.total_degree() - sum(lm_h)
-        if chosen_rank[0] > ecart_h:
-            reducers.append((lm_h, ecart_h, h))
-        budget.tick("normal form", 1 + (len(h.terms) * bits) // 256)
-        h = _reduce_once(h, chosen, lm_h, chosen_lm)
-    return h
+            break
+        lm_g, ecart_g, g = chosen
+        if type(g) is MultiPoly:  # a basis element, converted on first use
+            g = chosen[2] = _integer_terms(g)
+        if ecart_g > ecart_h:
+            reducers.append([lm_h, ecart_h, h])
+        budget.tick("normal form", 1 + (len(h) * bits) // 256)
+        d = gcd(h[lm_h], g[lm_g])
+        a, b = h[lm_h] // d, g[lm_g] // d
+        m = monomial_sub(lm_h, lm_g)
+        # A new map either way: h may have just become a reducer.
+        h = dict(h) if b == 1 else {e: b * c for e, c in h.items()}
+        for e, c in g.items():
+            e = tuple(map(add, e, m))
+            c = h.get(e, 0) - a * c
+            if c:
+                h[e] = c
+            else:
+                del h[e]
+    return MultiPoly(p.vars, h)
 
 
 def _spoly(
     f: MultiPoly, g: MultiPoly, lm_f: Exponent, lm_g: Exponent, lcm: Exponent
 ) -> MultiPoly:
-    mf = MultiPoly(f.vars, {monomial_sub(lcm, lm_f): Fraction(1) / f.terms[lm_f]})
-    mg = MultiPoly(g.vars, {monomial_sub(lcm, lm_g): Fraction(1) / g.terms[lm_g]})
+    """The S-polynomial times lc(f) * lc(g), fraction-free on integer f, g."""
+    mf = MultiPoly(f.vars, {monomial_sub(lcm, lm_f): g.terms[lm_g]})
+    mg = MultiPoly(g.vars, {monomial_sub(lcm, lm_g): f.terms[lm_f]})
     return mf * f - mg * g
 
 
@@ -213,7 +242,6 @@ def standard_basis(
             continue
         # Interreduce on intake: redundant generators vanish before they can
         # spawn quadratically many pairs.
-        g = _primitive(g) if _coeff_bits(g) > 128 else g
         h = mora_normal_form(g, basis, budget) if basis else g
         if not h.is_zero():
             add(h)

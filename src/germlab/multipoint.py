@@ -48,6 +48,7 @@ from .poly import (
     VarSet,
     divided_difference,
     format_poly,
+    parse_integer,
     parse_poly,
 )
 from .symrep import MAX_SYMMETRIC_K, Partition, partitions
@@ -126,9 +127,9 @@ def germ_from_text(text: str) -> GermSpec:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "n":
-            n = int(rest)
+            n = parse_integer(rest, "n")
         elif key == "p":
-            p = int(rest)
+            p = parse_integer(rest, "p")
         elif key == "base":
             base = rest.split()
         elif key == "corank":

@@ -5,6 +5,14 @@ together with the ordered variable list it lives over.  This representation
 is canonical: two polynomials over the same variable list are equal iff their
 term maps are equal.  All arithmetic is exact; nothing here ever rounds.
 
+Two constructors keep that invariant.  The public ``MultiPoly(vars, terms)``
+checks its input: every exponent must have one entry per variable, and every
+coefficient is coerced to a Fraction (zeros dropped).  The ring operations
+(``+``, ``-``, negation, ``*``, ``scale``, ``derivative`` and
+``divided_difference``) build their results through the private
+``MultiPoly._trusted``, which trusts that its terms are already well formed
+and only drops the zero coefficients that cancellation produced.
+
 The one domain-specific primitive is ``divided_difference``: the exact
 quotient (h[y_old -> y_new] - h) / (y_new - y_old), computed term by term
 (never by polynomial division), which is the building block of multiple
@@ -14,9 +22,10 @@ point space equations.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
-from .errors import PolySyntaxError, VariableMismatchError
+from .errors import InvalidInputError, PolySyntaxError, VariableMismatchError
 
 Exponent = tuple[int, ...]
 
@@ -101,6 +110,16 @@ class MultiPoly:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, vars: VarSet, terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Result of a ring operation: ``terms`` already maps exponent tuples
+        of the right width to Fractions, so only zero coefficients are
+        dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
+
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
@@ -156,31 +175,31 @@ class MultiPoly:
         self._check_vars(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return MultiPoly(self.vars, out)
+            out[exp] = out[exp] + c if exp in out else c
+        return MultiPoly._trusted(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) - c
-        return MultiPoly(self.vars, out)
+            out[exp] = out[exp] - c if exp in out else -c
+        return MultiPoly._trusted(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, out)
+                exp = tuple(map(add, e1, e2))
+                out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
+        return MultiPoly._trusted(self.vars, out)
 
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)
-        return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -215,8 +234,8 @@ class MultiPoly:
                 e = list(exp)
                 e[i] -= 1
                 e = tuple(e)
-                out[e] = out.get(e, Fraction(0)) + c * exp[i]
-        return MultiPoly(self.vars, out)
+                out[e] = out[e] + c * exp[i] if e in out else c * exp[i]
+        return MultiPoly._trusted(self.vars, out)
 
     def substitute(
         self,
@@ -250,18 +269,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def extend(self, target: VarSet) -> "MultiPoly":
-        """Reinterpret over a larger VarSet containing all current names."""
-        mapping = [target.index(v) for v in self.vars.names]
-        width = len(target)
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            e = [0] * width
-            for src, dst in enumerate(mapping):
-                e[dst] = exp[src]
-            out[tuple(e)] = c
-        return MultiPoly(target, out)
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -294,8 +301,8 @@ def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
             e[i] = t
             e[j] = a - 1 - t
             e = tuple(e)
-            out[e] = out.get(e, Fraction(0)) + c
-    return MultiPoly(h.vars, out)
+            out[e] = out[e] + c if e in out else c
+    return MultiPoly._trusted(h.vars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +315,46 @@ def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
 #   factor  := primary ['^' INT]
 #   primary := INT ['/' INT] | NAME | '(' expr ')'
 #
-# INT is a nonnegative decimal integer; '/' only forms rational literals.
-# NAME is a declared variable. Whitespace is free. There is no implicit
-# multiplication: write x1*y, not x1y.
+# INT is a nonnegative decimal integer of ASCII digits, [0-9]+; '/' only
+# forms rational literals. NAME is a declared variable. Whitespace is free.
+# There is no implicit multiplication: write x1*y, not x1y.
+#
+# Outside polynomials, a rational literal is one whitespace-free field
+# [+-]?[0-9]+(/[0-9]+)? (parse_rational); character tables and conservation
+# files read their rationals with it.
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()/"
+
+
+def _digits(text: str) -> bool:
+    """Whether text is INT: one or more ASCII decimal digits, [0-9]+."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_integer(text: str, what: str) -> int:
+    """Read an integer field as ``int`` does; ``what`` names it in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"bad {what} {text!r}") from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read a rational literal ``[+-]?[0-9]+(/[0-9]+)?``.
+
+    ASCII digits only: no decimals, exponents, underscores or other Unicode
+    digits, so the work is linear in the length of the text.
+    """
+    num, slash, den = text.partition("/")
+    if not _digits(num[1:] if num[:1] in ("+", "-") else num) or (slash and not _digits(den)):
+        raise InvalidInputError(f"bad rational literal {text!r}")
+    try:
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except ZeroDivisionError:
+        raise InvalidInputError(f"bad rational literal {text!r}: zero denominator") from None
+    except ValueError:  # more digits than int() converts
+        raise InvalidInputError(f"bad rational literal {text!r}: too many digits") from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -329,9 +370,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if _digits(ch):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and _digits(text[i]):
                 i += 1
             tokens.append(("INT", text[start:i], start))
             continue
@@ -367,6 +408,13 @@ class _Parser:
             raise PolySyntaxError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
+    @staticmethod
+    def integer(tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts
+            raise PolySyntaxError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
     def parse(self) -> MultiPoly:
         poly = self.expr()
         tok = self.peek()
@@ -396,19 +444,18 @@ class _Parser:
         poly = self.primary()
         if self.peek()[0] == "^":
             self.take()
-            tok = self.expect("INT")
-            poly = poly ** int(tok[1])
+            poly = poly ** self.integer(self.expect("INT"))
         return poly
 
     def primary(self) -> MultiPoly:
         tok = self.take()
         kind, value, pos = tok
         if kind == "INT":
-            num = int(value)
+            num = self.integer(tok)
             if self.peek()[0] == "/":
                 self.take()
                 den_tok = self.expect("INT")
-                den = int(den_tok[1])
+                den = self.integer(den_tok)
                 if den == 0:
                     raise PolySyntaxError("zero denominator", den_tok[2])
                 return MultiPoly.constant(self.vars, Fraction(num, den))

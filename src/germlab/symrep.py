@@ -18,6 +18,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
+from .poly import parse_integer, parse_rational
 
 MAX_SYMMETRIC_K = 12
 
@@ -246,27 +247,6 @@ def character_table_symmetric(k: int) -> CharacterTable:
     return table
 
 
-def _parse_fraction(text: str) -> Fraction:
-    # Plain ASCII integers (the whole of a symmetric-group table) skip the
-    # Fraction string parser; everything else (underscores, non-ASCII digits,
-    # quotients, decimals) goes through it, so exactly the strings Fraction
-    # accepts are accepted.
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    try:
-        if digits.isascii() and digits.isdigit():
-            return Fraction(int(text))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"bad rational literal {text!r}") from exc
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InvalidInputError(f"bad {what} {text!r}") from exc
-
-
 def _add_label(labels: list[str], seen: set[str], label: str, kind: str):
     if label in seen:
         raise InvalidInputError(f"repeated {kind} label {label!r}")
@@ -300,11 +280,11 @@ def table_from_text(text: str) -> CharacterTable:
         if key == "group_order":
             if len(fields) != 2:
                 raise InvalidInputError(f"bad group_order line: {line!r}")
-            order = _parse_int(fields[1], "group order")
+            order = parse_integer(fields[1], "group order")
         elif key == "class":
             if len(fields) != 3:
                 raise InvalidInputError(f"bad class line: {line!r}")
-            size = _parse_int(fields[2], "class size")
+            size = parse_integer(fields[2], "class size")
             if size <= 0:
                 raise InvalidInputError(f"class size must be positive: {line!r}")
             _add_label(class_labels, seen_classes, fields[1], "class")
@@ -312,7 +292,7 @@ def table_from_text(text: str) -> CharacterTable:
         elif key == "irrep":
             if len(fields) < 3:
                 raise InvalidInputError(f"bad irrep line: {line!r}")
-            row = tuple(_parse_fraction(v) for v in fields[2:])
+            row = tuple(map(parse_rational, fields[2:]))
             _add_label(irrep_labels, seen_irreps, fields[1], "irreducible")
             rows.append(row)
         else:

@@ -209,6 +209,21 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "offset" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # each of these ended in a ValueError traceback
+            ("n 2\np x\ncomponent y^2\ncomponent y^3\n", "bad p"),
+            ("n\np 3\ncomponent y^2\ncomponent y^3\n", "bad n"),
+            ("n 2\np 3\ncomponent y^\u00b2\ncomponent y^3\n", "unexpected character"),
+        ],
+        ids=["p-not-an-integer", "n-missing", "superscript-exponent"],
+    )
+    def test_malformed_germ_file_is_an_input_error(self, files, capsys, text, message):
+        code, out, err = run(capsys, "analyze", files("g.germ", text))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert message in err
+
 
 class TestScCommands:
     def test_feasible_false(self, files, capsys):
@@ -347,15 +362,16 @@ TOKENS = (
     "+2", "-", "0.5", "99999999999999999999",
 )
 
-token_lines = st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join)
+def token_lines(tokens: tuple[str, ...] = TOKENS) -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(tokens), max_size=6).map(" ".join)
 
 
 @st.composite
-def mutated(draw, text: str) -> str:
+def mutated(draw, text: str, tokens: tuple[str, ...] = TOKENS) -> str:
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
-            lines.append(draw(token_lines))
+            lines.append(draw(token_lines(tokens)))
             continue
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(("drop", "repeat", "swap", "field", "truncate", "insert")))
@@ -368,20 +384,22 @@ def mutated(draw, text: str) -> str:
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "field":
             fields = lines[i].split() or [""]
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(tokens))
             lines[i] = " ".join(fields)
         elif op == "truncate":
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
         else:
-            lines.insert(i, draw(token_lines))
+            lines.insert(i, draw(token_lines(tokens)))
     return "\n".join(lines) + "\n"
 
 
-def contents(valid: st.SearchStrategy[str]) -> st.SearchStrategy[str | bytes]:
+def contents(
+    valid: st.SearchStrategy[str], tokens: tuple[str, ...] = TOKENS
+) -> st.SearchStrategy[str | bytes]:
     return st.one_of(
         valid,
-        valid.flatmap(mutated),
-        st.lists(token_lines, max_size=8).map("\n".join),
+        valid.flatmap(lambda text: mutated(text, tokens)),
+        st.lists(token_lines(tokens), max_size=8).map("\n".join),
         st.text(max_size=40),
         st.binary(max_size=40),
     )
@@ -421,6 +439,67 @@ class TestIsotypeFuzz:
         for i, data in enumerate(S3_DATA):
             code, out, _ = run(capsys, "isotype", table, files(f"s3.{i}", data))
             assert (code, json.loads(out)) == (EXIT_OK, {"(3)": "1", "(2,1)": "1", "(1,1,1)": "0"})
+
+
+# -- fuzzing the germ, ideal and conservation formats -------------------------
+
+# Exponents and dimensions stay small: building the multiple point equations
+# is not charged to the step budget yet, so y^999 or n 10^9 would only time
+# out; the budget bounds the standard bases.
+GERM_TOKENS = (
+    "n", "p", "base", "corank", "component", "#", "x1", "x2", "y", "z", "y^2", "y^3", "x1*y",
+    "x1^2*y", "+", "-", "*", "^", "(", ")", "0", "1", "2", "3", "-1", "1/2", "1/0", "x", "1_0",
+    "1e3", "\u00b2", "y^\u00b2", "\u0661",
+)
+IDEAL_TOKENS = (
+    "vars", "#", "x", "y", "y1", "y2", "x^3", "y^3", "y1 + y2", "y1^2 + y1*y2 + y2^2", "x*y",
+    "+", "-", "*", "^", "(", ")", "0", "1", "2", "3", "1/2", "1/0", "1e3", "1_0", "\u00b2",
+)
+CONSERVATION_TOKENS = (
+    "kind", "tau-milnor", "image-milnor", "d", "n", "p", "mu_x0", "betti_tau", "beta0_xt",
+    "beta0_x0", "local", "mu_i", "nu_i", "betti", "local_mu", "local_nu", "delta", "#", "0", "1",
+    "2", "3", "5", "-1", "1/2", "-3/6", "1/0", "1e3", "1.5", "1_0", "\u00b2", "x",
+)
+CUSP_IDEAL = "vars x y\nx^3 + y^3\n"
+CURVE_IDEAL = "vars x y1 y2\ny1 + y2\ny1^2 + y1*y2 + y2^2 + x^4\n"
+
+
+class TestTextFormatFuzz:
+    ALLOWED = {EXIT_OK} | {code for _, code in cli.EXIT_CODES}
+
+    def exit_code(self, fuzz_dir, body: str | bytes, *argv: str) -> int:
+        path = fuzz_dir / "fuzz.input"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["--budget-steps", "20000", *argv, str(path)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        germ=contents(st.sampled_from((S2_GERM, STABLE_GERM, NOT_A_FINITE_GERM)), GERM_TOKENS),
+        command=st.sampled_from((("analyze",), ("icss",), ("--format", "text", "analyze"),
+                                 ("--format", "csv", "icss"))),
+    )
+    def test_germ_files(self, fuzz_dir, germ, command):
+        assert self.exit_code(fuzz_dir, germ, *command) in self.ALLOWED
+
+    @settings(max_examples=300, deadline=None)
+    @given(ideal=contents(st.sampled_from((CUSP_IDEAL, CURVE_IDEAL)), IDEAL_TOKENS),
+           fmt=st.sampled_from(("json", "text")))
+    def test_ideal_files(self, fuzz_dir, ideal, fmt):
+        assert self.exit_code(fuzz_dir, ideal, "--format", fmt, "milnor") in self.ALLOWED
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=contents(st.sampled_from((CUSP_CONSERVATION, KILLING_CONSERVATION, MISSING_DELTA)),
+                      CONSERVATION_TOKENS),
+        fmt=st.sampled_from(("json", "text")),
+    )
+    def test_conservation_files(self, fuzz_dir, data, fmt):
+        code = self.exit_code(fuzz_dir, data, "--format", fmt, "conservation-check")
+        assert code in self.ALLOWED
 
 
 class TestMilnorCommand:
@@ -467,6 +546,21 @@ class TestConservationCommand:
         code, _, err = run(capsys, "conservation-check", path)
         assert code == EXIT_BAD_CHECK_DATA
         assert "correction term" in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1/0", "zero denominator"),  # ended in a ZeroDivisionError traceback
+            ("1e20000000", "bad rational literal"),  # took 37 s to parse as a Fraction
+            ("1.5", "bad rational literal"),
+            ("1_0", "bad rational literal"),
+        ],
+    )
+    def test_rational_literal_grammar(self, files, capsys, value, message):
+        path = files("bad.cons", f"kind tau-milnor\nd 1\nmu_x0 {value}\nbetti_tau 0\nlocal 1\n")
+        code, out, err = run(capsys, "conservation-check", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert message in err
 
     def test_violation_reported(self, files, capsys):
         path = files(

@@ -20,14 +20,18 @@ from germlab import (
 )
 from germlab.localalg import (
     _Budget,
+    _monic,
     _monomial_ideal_dimension,
     leading_monomial,
     monomial_mul,
+    mora_normal_form,
     order_key,
     standard_basis,
 )
 from germlab import multipoint as mp
 from germlab.poly import format_poly
+
+import fraction_mora
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -50,6 +54,32 @@ component y^10 + x14*y^2 + x13*y
 monomial_sets = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=10).map(lambda lms: (n, lms))
 )
+
+
+# Up to 4 variables, up to 3 generators of up to 4 terms with exponents <= 3
+# and small rational coefficients; then one more polynomial to reduce.
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(1, 4))
+    vs = VarSet(tuple(f"x{i}" for i in range(n)))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(lambda d: MultiPoly(vs, d))
+    return draw(st.lists(polys, min_size=1, max_size=3)), draw(polys)
+
+
+# The reference's budget; an example it cannot finish is skipped.  The
+# integer kernel takes the same steps but charges each by its own coefficient
+# bits, so it runs under KERNEL_BUDGET.
+REFERENCE_BUDGET = 20_000
+KERNEL_BUDGET = 5 * REFERENCE_BUDGET
+
+
+def reference(compute, *args):
+    try:
+        return compute(*args)
+    except ResourceLimitError:
+        assume(False)
 
 
 def ideal(var_names, gens, **kw):
@@ -156,6 +186,47 @@ class TestStandardBasis:
         std = I.standard_basis()
         again = std.standard_basis()
         assert [str(g) for g in std.generators] == [str(g) for g in again.generators]
+
+
+class TestFractionReference:
+    """The integer kernel against the Fraction engine it replaced."""
+
+    @given(small_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_standard_bases_match(self, drawn):
+        gens, _ = drawn
+        expected = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
+        got = standard_basis(gens, KERNEL_BUDGET)
+        assert [format_poly(g) for g in got] == [format_poly(g) for g in expected]
+        assert got == expected
+
+    @given(small_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_normal_forms_match(self, drawn):
+        # Against the raw generators (recruitment at work) and against the
+        # standard basis (membership): the same verdict, and a remainder that
+        # is the reference's times a nonzero rational, with integer coefficients.
+        gens, p = drawn
+        std = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
+        for basis in (gens, std):
+            for q in (p, *gens):
+                expected = reference(
+                    fraction_mora.mora_normal_form, q, basis, _Budget(REFERENCE_BUDGET)
+                )
+                got = mora_normal_form(q, basis, _Budget(KERNEL_BUDGET))
+                assert got.is_zero() == expected.is_zero()
+                if not got.is_zero():
+                    assert _monic(got) == _monic(expected)
+                    assert all(c.denominator == 1 for c in got.terms.values())
+
+    def test_pseudo_division_divides_by_the_gcd_of_leading_coefficients(self):
+        # d = gcd(2, 4) = 2: h := (4/2) h - (2/2) g.  Multiplying by 4 and 2
+        # instead would return 12*y^2 - 2*z^2.
+        vs = VarSet(("x", "y", "z"))
+        nf = mora_normal_form(
+            parse_poly("2*x + 3*y^2", vs), [parse_poly("4*x + z^2", vs)], _Budget(100)
+        )
+        assert nf == parse_poly("6*y^2 - z^2", vs)
 
 
 class TestNormalForm:

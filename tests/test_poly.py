@@ -60,6 +60,19 @@ class TestParse:
         with pytest.raises(PolySyntaxError):
             P("x1 x2")
 
+    @pytest.mark.parametrize("text, offset", [("y^\u00b2", 2), ("\u0661*y", 0), ("2\u00b2", 1)])
+    def test_only_ascii_digits_form_integers(self, text, offset):
+        with pytest.raises(PolySyntaxError) as err:
+            P(text)
+        assert err.value.position == offset
+
+    def test_integer_with_too_many_digits_is_a_syntax_error(self):
+        # int() converts at most 4300 digits.
+        with pytest.raises(PolySyntaxError) as err:
+            P("y + " + "1" * 5000)
+        assert err.value.position == 4
+        assert P("y + " + "1" * 400).constant_term() == int("1" * 400)
+
 
 class TestArith:
     def test_substitute_at_origin(self):
@@ -84,11 +97,18 @@ class TestArith:
         p = P("y - y + x1")
         assert all(c != 0 for c in p.terms.values())
 
-    def test_extension_into_larger_variable_set(self):
-        small = VarSet(("x1", "y"))
-        big = VarSet(("x1", "x2", "y"))
-        p = parse_poly("y^2 + x1", small)
-        assert p.extend(big) == parse_poly("y^2 + x1", big)
+
+class TestConstructors:
+    def test_public_constructor_rejects_exponents_of_the_wrong_width(self):
+        with pytest.raises(VariableMismatchError):
+            MultiPoly(V3, {(1, 0): 1})
+        with pytest.raises(VariableMismatchError):
+            MultiPoly(V3, {(0, 0, 0): 1, (1, 0, 0, 0): 2})
+
+    def test_public_constructor_coerces_to_fractions_and_drops_zeros(self):
+        p = MultiPoly(V3, {(1, 0, 0): 2, (0, 1, 0): 0, (0, 0, 1): Fraction(1, 3)})
+        assert p.terms == {(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(1, 3)}
+        assert all(type(c) is Fraction for c in p.terms.values())
 
 
 class TestDividedDifference:
@@ -167,3 +187,23 @@ def test_iterated_differences_stay_symmetric(d):
         {"y2": "y3", "y3": "y2"},
     ):
         assert _permute(level3, mapping, vs) == level3
+
+
+def _nonzero_fractions(p: MultiPoly) -> bool:
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+@given(_polys, _polys, _coeffs)
+@settings(max_examples=100)
+def test_ring_operations_hold_only_nonzero_fractions(p, q, c):
+    # q - q, p + (-p) and scaling by 0 cancel every term: the trusted
+    # constructor behind the ring operations must drop what cancels.
+    results = [
+        p + q, p - q, q - q, p + (-p), -p, p * q, p * (q - q), p.scale(c), p.scale(0),
+        p.scale(int(c)), p.derivative("x1"), p.derivative("y2"),
+        divided_difference(p, "y1", "y2"),
+    ]
+    for r in results:
+        assert r.vars == V3
+        assert _nonzero_fractions(r)
+    assert (q - q).is_zero() and (p + (-p)).is_zero() and p.scale(0).is_zero()

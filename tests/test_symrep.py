@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -24,7 +25,7 @@ from germlab import (
     table_from_text,
 )
 from germlab import multipoint as mp
-from germlab.symrep import _parse_fraction
+from germlab.poly import parse_rational
 
 
 class TestPartitions:
@@ -318,23 +319,46 @@ class TestIntegerKernel:
         assert t.integer_rows == ((6, (3, -2)), (2, (8, -1)))
 
 
-LITERALS = ["1", "+5", "-0", "007", "1_0", "_1", "1__0", "1/0", "0/5", "-3/6", "1.5", "1e3",
-            "\u0661\u0662", "\u00b2", "", "+", "-", "--1", "0x10", "1/-2", "inf", "nan"]
+REJECTED = "rejected"
+
+# Each literal with what the grammar [+-]?[0-9]+(/[0-9]+)? makes of it.
+LITERALS = {
+    "1": Fraction(1), "+5": Fraction(5), "-0": Fraction(0), "007": Fraction(7),
+    "0/5": Fraction(0), "-3/6": Fraction(-1, 2), "+12/8": Fraction(3, 2),
+    "1/0": REJECTED, "-0/00": REJECTED, "1_0": REJECTED, "_1": REJECTED, "1__0": REJECTED,
+    "1.5": REJECTED, "1e3": REJECTED, "1e20000000": REJECTED, "0e600010": REJECTED,
+    "\u0661\u0662": REJECTED, "\u00b2": REJECTED, "": REJECTED, "+": REJECTED, "-": REJECTED,
+    "--1": REJECTED, "0x10": REJECTED, "1/-2": REJECTED, "1/+2": REJECTED, "1/2/3": REJECTED,
+    " 1": REJECTED, "1\n": REJECTED, "inf": REJECTED, "nan": REJECTED,
+}
+
+
+def grammar_reference(text: str):
+    """The documented grammar, spelled as a regular expression."""
+    if not re.fullmatch("[+-]?[0-9]+(/[0-9]+)?", text):
+        return REJECTED
+    num, _, den = text.partition("/")
+    return REJECTED if den and int(den) == 0 else Fraction(int(num), int(den or 1))
 
 
 class TestRationalLiterals:
     @staticmethod
-    def outcome(parse, text):
+    def outcome(text):
         try:
-            return parse(text)
-        except (ValueError, ZeroDivisionError, InvalidInputError):
-            return "rejected"
+            return parse_rational(text)
+        except InvalidInputError:
+            return REJECTED
 
     @pytest.mark.parametrize("text", LITERALS)
-    def test_pinned_literals_match_fraction(self, text):
-        assert self.outcome(_parse_fraction, text) == self.outcome(Fraction, text)
+    def test_pinned_literals(self, text):
+        assert self.outcome(text) == grammar_reference(text) == LITERALS[text]
 
     @settings(max_examples=300)
-    @given(st.text(alphabet="0123456789+-/._e \u0661\u00b2", max_size=8))
-    def test_accepts_exactly_what_fraction_accepts(self, text):
-        assert self.outcome(_parse_fraction, text) == self.outcome(Fraction, text)
+    @given(st.text(alphabet="0123456789+-/._e \u0661\u00b2\n", max_size=8))
+    def test_accepts_exactly_the_grammar(self, text):
+        assert self.outcome(text) == grammar_reference(text)
+
+    def test_too_many_digits_is_an_input_error(self):
+        # int() converts at most 4300 digits; the literal is rejected, not a traceback.
+        assert self.outcome("1" * 5000) == REJECTED
+        assert self.outcome("7" * 400) == Fraction(int("7" * 400))
