@@ -350,8 +350,11 @@ class TestRationalLiterals:
             return REJECTED
 
     @pytest.mark.parametrize("text", LITERALS)
-    def test_pinned_literals(self, text):
+    def test_pinned_literals_match_fraction(self, text):
+        # The grammar accepts a subset of what Fraction parses, with Fraction's value.
         assert self.outcome(text) == grammar_reference(text) == LITERALS[text]
+        if LITERALS[text] is not REJECTED:
+            assert LITERALS[text] == Fraction(text)
 
     @settings(max_examples=300)
     @given(st.text(alphabet="0123456789+-/._e \u0661\u00b2\n", max_size=8))
