@@ -31,7 +31,7 @@ from .errors import (
 from .icis import DEFAULT_SEED
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
-from .poly import parse_rational
+from .poly import parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -199,20 +199,20 @@ def _parse_conservation_file(text: str) -> dict:
             if key == "kind":
                 data["kind"] = fields[1]
             elif key in ("d", "n", "p", "mu_i", "nu_i", "delta"):
-                data[key] = int(fields[1])
+                data[key] = parse_integer(fields[1], key)
             elif key in ("mu_x0", "betti_tau", "beta0_xt", "beta0_x0"):
                 data[key] = parse_rational(fields[1])
             elif key == "local":
                 data["local"].append(parse_rational(fields[1]))
             elif key == "betti":
-                data["betti"][int(fields[1])] = int(fields[2])
-            elif key == "local_mu":
-                data["local_mu"].append(int(fields[1]))
-            elif key == "local_nu":
-                data["local_nu"].append(int(fields[1]))
+                data["betti"][parse_integer(fields[1], "betti degree")] = parse_integer(
+                    fields[2], "betti number"
+                )
+            elif key in ("local_mu", "local_nu"):
+                data[key].append(parse_integer(fields[1], key))
             else:
                 raise InvalidInputError(f"unknown conservation directive {key!r}")
-        except (IndexError, ValueError) as exc:
+        except IndexError as exc:
             raise InvalidInputError(f"bad conservation record: {line!r}") from exc
     if "kind" not in data:
         raise InvalidInputError("conservation file must declare a kind")

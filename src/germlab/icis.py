@@ -9,6 +9,24 @@ A locus handed to this module comes as a LocalIdeal plus the dimension it is
   isolated_points  expected dimension < 0 and the locus is the base point
   not_icis         anything else (dimension mismatch, chain failure)
 
+classify decides in this order, with e the expected dimension, n the number
+of ambient variables and r the rank of the generators' linear parts; the
+first three tests are exact and build no standard basis:
+
+  1. zero ideal       smooth when e = n, else not_icis
+  2. constant term    a generator with a nonzero constant term is a unit: empty
+  3. r = n            the linear parts span m/m^2, so the ideal is the maximal
+                      ideal (Nakayama): isolated_points when e < 0, smooth
+                      when e = 0, not_icis (dimension 0) when e > 0
+  4. r = n - e = number of generators
+                      smooth, by the implicit function theorem (without the
+                      generator count this is unsound: (x, y^2) in C^2 has
+                      r = 1 = n - 1 and is a fat point)
+  5. Krull dimension  from the standard basis: isolated_points or not_icis
+                      when e < 0, not_icis when it differs from e
+  6. r = n - e        smooth, now that the dimension is e
+  7. Milnor number    icis, or not_icis when the chain fails
+
 Milnor numbers: hypersurfaces by the Jacobian-ideal colength, positive
 dimensional complete intersections by the telescoping chain
 
@@ -25,8 +43,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import InconsistentDataError, NotIcisError
@@ -41,6 +59,11 @@ SMOOTH = "smooth"
 ICIS = "icis"
 ISOLATED_POINTS = "isolated_points"
 NOT_ICIS = "not_icis"
+
+# Evidence of the verdicts decided before any standard basis.
+UNIT_CONSTANT_TERM = "unit constant term"
+FULL_LINEAR_RANK = "linear part of full rank"
+IMPLICIT_FUNCTION = "implicit function theorem"
 
 
 @dataclass(frozen=True)
@@ -90,26 +113,34 @@ class MilnorData:
 
 
 def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
-    """Rank over Q of the stacked linear parts, by exact Gaussian elimination."""
-    rows = [g.linear_part() for g in generators]
+    """Rank over Q of the stacked linear parts, by fraction-free elimination.
+
+    Each nonzero row is scaled to integers (zero rows, most generators of a
+    multiple point space, stay zero and are skipped), then Bareiss
+    elimination keeps every entry an integer: after a pivot step the new
+    entries are 2 x 2 determinants divided exactly by the previous pivot.
+    """
+    rows = []
+    for g in generators:
+        row = g.linear_part()
+        if any(row):
+            den = lcm(*(c.denominator for c in row))
+            rows.append([c.numerator * (den // c.denominator) for c in row])
     rank = 0
+    prev = 1
     ncols = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
-        inv = Fraction(1) / pr[col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
+        p = pr[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            f = row[col]
+            rows[r] = [(p * a - f * b) // prev for a, b in zip(row, pr)]
+        prev = p
         rank += 1
     return rank
 
@@ -269,8 +300,24 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         if expected_dim == n_amb:
             return VarietyClass(SMOOTH, dim=n_amb, mu=0, evidence="zero ideal")
         return VarietyClass(NOT_ICIS, dim=n_amb, evidence="zero ideal of wrong dimension")
-    if ideal.contains_unit():
-        return VarietyClass(EMPTY, evidence="unit in standard basis")
+    gens = ideal.generators
+    if any(g.constant_term() for g in gens):
+        return VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
+    # Every generator now vanishes at the origin.
+    rank = jacobian_rank_at_origin(gens)
+    if rank == n_amb:
+        # The linear parts span m/m^2, so the ideal is m (Nakayama): the
+        # reduced point, of dimension 0.
+        if expected_dim < 0:
+            return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FULL_LINEAR_RANK)
+        if expected_dim == 0:
+            return VarietyClass(SMOOTH, dim=0, mu=0, evidence=FULL_LINEAR_RANK)
+        evidence = f"dimension 0 != expected {expected_dim} ({FULL_LINEAR_RANK})"
+        return VarietyClass(NOT_ICIS, dim=0, evidence=evidence)
+    if rank == n_amb - expected_dim == len(gens):
+        # Implicit function theorem: codim generators with independent
+        # linear parts cut out a smooth germ of the expected dimension.
+        return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence=IMPLICIT_FUNCTION)
     actual = ideal.krull_dimension()
     if expected_dim < 0:
         if actual <= 0:
@@ -282,7 +329,6 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         return VarietyClass(
             NOT_ICIS, dim=actual, evidence=f"dimension {actual} != expected {expected_dim}"
         )
-    rank = jacobian_rank_at_origin(ideal.generators)
     if rank == n_amb - expected_dim:
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence="jacobian rank at origin")
     try:

@@ -21,6 +21,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
+from .poly import parse_integer
 from .symrep import CharacterTable
 
 
@@ -250,10 +251,7 @@ _RECORD_FIELDS = {"euler": (4, EulerOnly), "single": (5, SingleDim), "icis": (5,
 
 
 def _record_ints(fields: Sequence[str], line: str) -> list[int]:
-    try:
-        return [int(f) for f in fields]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad integer in fixed-point record: {line!r}") from exc
+    return [parse_integer(f, f"integer in fixed-point record {line!r}:") for f in fields]
 
 
 def fixed_point_data_from_text(text: str) -> FixedPointFile:

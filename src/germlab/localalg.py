@@ -11,17 +11,19 @@ maximal ideal and the colength is 1).
 The normal form is Mora's tangent-cone reduction with the ecart-minimizing
 selection rule; the basis completion is Buchberger's loop over Mora normal
 forms, with the critical pairs in a heap keyed by the local order of their
-lcm.  Leading monomials are computed once per polynomial and carried along.
-The Krull dimension of the leading ideal is the number of variables minus a
-minimum hitting set of the leading-monomial supports, found by branch and
-bound.  A hard step budget, charged by reductions, pairs and search nodes
+lcm.  The Krull dimension of the leading ideal is the number of variables
+minus a minimum hitting set of the leading-monomial supports, found by
+branch and bound.  A hard step budget, charged by reductions, pairs and search nodes
 alike, separates "gave up" from every mathematical verdict.
 
 The normal form is fraction-free: the remainder and its reducers are
-primitive integer term maps, reduced by pseudo-division, and only the
-result becomes a MultiPoly again.  A reduction step is charged
-1 + terms * bits // 256 units, where terms is the size of the remainder and
-bits the bit length of its largest integer coefficient.
+primitive integer term maps, reduced by pseudo-division.  Inside the basis
+completion every element is held as a reducer (leading monomial, ecart,
+integer term map), computed once when it joins, and S-polynomials are formed
+on those maps; only the final minimal basis becomes MultiPolys again.  A
+reduction step is charged 1 + terms * bits // 256 units, where terms is the
+size of the remainder and bits the bit length of its largest integer
+coefficient.
 """
 
 from __future__ import annotations
@@ -112,11 +114,6 @@ def leading_coeff(p: MultiPoly) -> Fraction:
     return p.terms[leading_monomial(p)]
 
 
-def _monic(p: MultiPoly) -> MultiPoly:
-    c = leading_coeff(p)
-    return p if c == 1 else p.scale(Fraction(1) / c)
-
-
 # Inside the normal form a polynomial is an integer term map: exponent tuple
 # to nonzero int, a nonzero rational multiple of the MultiPoly it stands for.
 
@@ -144,29 +141,43 @@ def _primitive(h: dict[Exponent, int]) -> dict[Exponent, int]:
     return h if g == 1 else {e: c // g for e, c in h.items()}
 
 
-def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) -> MultiPoly:
-    """Weak normal form of p against basis (Mora's algorithm).
+def _subtract_multiple(
+    h: dict[Exponent, int], a: int, g: dict[Exponent, int], m: Exponent
+) -> dict[Exponent, int]:
+    """h := h - a * x^m * g, in place."""
+    for e, c in g.items():
+        e = tuple(map(add, e, m))
+        c = h.get(e, 0) - a * c
+        if c:
+            h[e] = c
+        else:
+            del h[e]
+    return h
 
-    Returns 0 iff p is in the local ideal generated by a *standard* basis.
+
+def _entry(h: dict[Exponent, int]) -> tuple[Exponent, int, dict[Exponent, int]]:
+    """A reducer: the leading monomial, ecart and primitive integer term map h."""
+    return (*_lead(h), h)
+
+
+def _reduce(
+    h: dict[Exponent, int], reducers: Sequence[tuple], budget: _Budget
+) -> dict[Exponent, int]:
+    """Mora's loop on the integer term map h against a copy of the reducers.
+
     When the best (ecart-minimal) divisor has strictly larger ecart than the
     current remainder, the remainder itself joins the reducer set; that
     recruitment is what makes the loop terminate in a local order, and
     recruited reducers are only ever applied with multipliers in the maximal
-    ideal, so the result differs from p by a unit times an ideal member.
+    ideal, so the result differs from h by a unit times an ideal member.
 
-    Fraction-free: p on entry, and each basis element on its first use,
-    becomes a primitive integer term map, and a step cancels the leading
-    term of h against g by pseudo-division,
+    A step cancels the leading term of h against g by pseudo-division,
     h := (lc g / d) * h - (lc h / d) * m * g with d = gcd(lc h, lc g).  This
     is the division over Q times a nonzero integer, and scaling by a unit
     changes no leading monomial, no ecart and no choice of reducer, so the
-    steps are the same; the remainder returned is the one over Q times a
-    nonzero rational, with integer coefficients.
+    steps are those of the division over Q.
     """
-    if p.is_zero():
-        return p
-    reducers = [[*_lead(g.terms), g] for g in basis]
-    h = _integer_terms(p)
+    reducers = list(reducers)
     while h:
         bits = _coeff_bits(h)
         if bits > 128:
@@ -182,33 +193,41 @@ def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) 
         if chosen is None:
             break
         lm_g, ecart_g, g = chosen
-        if type(g) is MultiPoly:  # a basis element, converted on first use
-            g = chosen[2] = _integer_terms(g)
         if ecart_g > ecart_h:
-            reducers.append([lm_h, ecart_h, h])
+            reducers.append((lm_h, ecart_h, h))
         budget.tick("normal form", 1 + (len(h) * bits) // 256)
         d = gcd(h[lm_h], g[lm_g])
         a, b = h[lm_h] // d, g[lm_g] // d
-        m = monomial_sub(lm_h, lm_g)
         # A new map either way: h may have just become a reducer.
         h = dict(h) if b == 1 else {e: b * c for e, c in h.items()}
-        for e, c in g.items():
-            e = tuple(map(add, e, m))
-            c = h.get(e, 0) - a * c
-            if c:
-                h[e] = c
-            else:
-                del h[e]
-    return MultiPoly(p.vars, h)
+        _subtract_multiple(h, a, g, monomial_sub(lm_h, lm_g))
+    return h
 
 
-def _spoly(
-    f: MultiPoly, g: MultiPoly, lm_f: Exponent, lm_g: Exponent, lcm: Exponent
-) -> MultiPoly:
-    """The S-polynomial times lc(f) * lc(g), fraction-free on integer f, g."""
-    mf = MultiPoly(f.vars, {monomial_sub(lcm, lm_f): g.terms[lm_g]})
-    mg = MultiPoly(g.vars, {monomial_sub(lcm, lm_g): f.terms[lm_f]})
-    return mf * f - mg * g
+def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) -> MultiPoly:
+    """Weak normal form of p against basis (Mora's algorithm).
+
+    Returns 0 iff p is in the local ideal generated by a *standard* basis.
+    Fraction-free: p and the basis elements become primitive integer term
+    maps, so the remainder returned is the one over Q times a nonzero
+    rational, with integer coefficients.
+    """
+    if p.is_zero():
+        return p
+    reducers = [_entry(_integer_terms(g)) for g in basis]
+    return MultiPoly(p.vars, _reduce(_integer_terms(p), reducers, budget))
+
+
+def _spoly(first: tuple, second: tuple, lcm: Exponent) -> dict[Exponent, int]:
+    """The S-polynomial of two reducers f, g, fraction-free:
+    (lc g / d) * (lcm / lm f) * f - (lc f / d) * (lcm / lm g) * g with
+    d = gcd(lc f, lc g)."""
+    (lm_f, _, f), (lm_g, _, g) = first, second
+    d = gcd(f[lm_f], g[lm_g])
+    a, b = g[lm_g] // d, f[lm_f] // d
+    mf = monomial_sub(lcm, lm_f)
+    h = {tuple(map(add, e, mf)): a * c for e, c in f.items()}
+    return _subtract_multiple(h, b, g, monomial_sub(lcm, lm_g))
 
 
 def standard_basis(
@@ -221,47 +240,57 @@ def standard_basis(
     with index pairs breaking ties.  Heap entries are
     (deg lcm, reversed lcm, i, j, lcm), whose ascending order is exactly
     that processing order.
+
+    The basis is held as reducers (leading monomial, ecart, primitive
+    integer term map), each computed once when its element joins; only the
+    final minimal basis becomes MultiPolys.
     """
     budget = _Budget(budget_limit)
-    basis: list[MultiPoly] = []
-    lms: list[Exponent] = []
+    basis: list[tuple] = []
     pairs: list[tuple[int, Exponent, int, int, Exponent]] = []
 
-    def add(h: MultiPoly):
-        lm_h = leading_monomial(h)
+    def add(h: dict[Exponent, int]):
+        entry = _entry(_primitive(h))
+        lm_h = entry[0]
         k = len(basis)
-        for t, lm_t in enumerate(lms):
+        for t, (lm_t, _, _) in enumerate(basis):
             lcm = monomial_lcm(lm_t, lm_h)
             if lcm != monomial_mul(lm_t, lm_h):  # product criterion: skip coprime pairs
                 heapq.heappush(pairs, (sum(lcm), lcm[::-1], t, k, lcm))
-        basis.append(h)
-        lms.append(lm_h)
+        basis.append(entry)
 
     for g in generators:
         if g.is_zero():
             continue
         # Interreduce on intake: redundant generators vanish before they can
         # spawn quadratically many pairs.
-        h = mora_normal_form(g, basis, budget) if basis else g
-        if not h.is_zero():
+        h = _reduce(_integer_terms(g), basis, budget)
+        if h:
             add(h)
 
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
         budget.tick("standard basis")
-        h = mora_normal_form(_spoly(basis[i], basis[j], lms[i], lms[j], lcm), basis, budget)
-        if not h.is_zero():
-            add(h)
-    return [_monic(g) for g in _minimalize(basis)]
+        h = _spoly(basis[i], basis[j], lcm)
+        if h:
+            h = _reduce(_primitive(h), basis, budget)
+            if h:
+                add(h)
+    if not basis:
+        return []
+    vars = generators[0].vars
+    return [
+        MultiPoly._trusted(vars, {e: Fraction(c, h[lm]) for e, c in h.items()})
+        for lm, _, h in _minimalize(basis)
+    ]
 
 
-def _minimalize(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Drop elements whose leading monomial is divisible by another's."""
-    keep: list[MultiPoly] = []
-    for g in sorted(basis, key=lambda g: order_key(leading_monomial(g)), reverse=True):
-        lm = leading_monomial(g)
-        if not any(monomial_divides(leading_monomial(h), lm) for h in keep):
-            keep.append(g)
+def _minimalize(basis: list[tuple]) -> list[tuple]:
+    """Drop reducers whose leading monomial is divisible by another's."""
+    keep: list[tuple] = []
+    for entry in sorted(basis, key=lambda entry: order_key(entry[0]), reverse=True):
+        if not any(monomial_divides(kept[0], entry[0]) for kept in keep):
+            keep.append(entry)
     return keep
 
 

@@ -69,15 +69,10 @@ class GermSpec:
     components: tuple[MultiPoly, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n < self.p:
-            raise InvalidInputError(f"need 1 <= n < p, got ({self.n}, {self.p})")
+        _check_dims(self.n, self.p)
         if len(self.base_names) != self.n - 1:
             raise InvalidInputError("base variable count must be n - 1")
-        m = self.p - self.n + 1
-        if len(self.components) != m:
-            raise InvalidInputError(
-                f"component count {len(self.components)} != p - n + 1 = {m}"
-            )
+        _check_component_count(len(self.components), self.n, self.p)
         vs = self.varset
         for h in self.components:
             if h.vars != vs:
@@ -142,6 +137,11 @@ def germ_from_text(text: str) -> GermSpec:
         raise InvalidInputError("germ file must declare n and p")
     if not comp_texts:
         raise InvalidInputError("germ file declares no components")
+    # Every germ file is read to be analyzed: refuse what analyze_germ would
+    # before building n - 1 base names.
+    _check_dims(n, p)
+    _check_component_count(len(comp_texts), n, p)
+    _check_multiplicity_bound(n, p)
     return germ(n, p, comp_texts, base=base, corank=corank)
 
 
@@ -172,6 +172,21 @@ def expected_dim_sigma(n: int, p: int, k: int, shape: Partition) -> int:
 def _check_dims(n: int, p: int):
     if not 1 <= n < p:
         raise InvalidInputError(f"need 1 <= n < p, got ({n}, {p})")
+
+
+def _check_component_count(count: int, n: int, p: int):
+    if count != p - n + 1:
+        raise InvalidInputError(f"component count {count} != p - n + 1 = {p - n + 1}")
+
+
+def _check_multiplicity_bound(n: int, p: int) -> int:
+    """kappa, once kappa + 1 is known to be a supported multiplicity."""
+    kap = kappa(n, p)
+    if kap + 1 > MAX_SYMMETRIC_K:
+        raise InvalidInputError(
+            f"kappa + 1 = {kap + 1} exceeds the supported multiplicity bound"
+        )
+    return kap
 
 
 # -- equations ---------------------------------------------------------------
@@ -369,11 +384,7 @@ def analyze_germ(
     seed: int = DEFAULT_SEED,
 ) -> GermAnalysis:
     """Classify every D^k(f)^sigma for k = 2..kappa and D^{kappa+1}(f)."""
-    kap = kappa(g.n, g.p)
-    if kap + 1 > MAX_SYMMETRIC_K:
-        raise InvalidInputError(
-            f"kappa + 1 = {kap + 1} exceeds the supported multiplicity bound"
-        )
+    kap = _check_multiplicity_bound(g.n, g.p)
     cells: dict[tuple[int, tuple[int, ...]], MultiPointSpace] = {}
     for k in range(2, kap + 2):
         shapes = partitions(k) if k <= kap else [Partition((1,) * k)]

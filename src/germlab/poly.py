@@ -8,7 +8,7 @@ term maps are equal.  All arithmetic is exact; nothing here ever rounds.
 Two constructors keep that invariant.  The public ``MultiPoly(vars, terms)``
 checks its input: every exponent must have one entry per variable, and every
 coefficient is coerced to a Fraction (zeros dropped).  The ring operations
-(``+``, ``-``, negation, ``*``, ``scale``, ``derivative`` and
+(``+``, ``-``, negation, ``*``, ``**``, ``scale``, ``derivative`` and
 ``divided_difference``) build their results through the private
 ``MultiPoly._trusted``, which trusts that its terms are already well formed
 and only drops the zero coefficients that cancellation produced.
@@ -204,6 +204,9 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:  # a monomial: scale its exponent, power its coefficient
+            ((exp, c),) = self.terms.items()
+            return MultiPoly._trusted(self.vars, {tuple(e * n for e in exp): c**n})
         result = MultiPoly.constant(self.vars, 1)
         base = self
         while n:
@@ -319,9 +322,10 @@ def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
 # forms rational literals. NAME is a declared variable. Whitespace is free.
 # There is no implicit multiplication: write x1*y, not x1y.
 #
-# Outside polynomials, a rational literal is one whitespace-free field
-# [+-]?[0-9]+(/[0-9]+)? (parse_rational); character tables and conservation
-# files read their rationals with it.
+# Outside polynomials, an integer field is [+-]?[0-9]+ (parse_integer) and a
+# rational literal is one whitespace-free field [+-]?[0-9]+(/[0-9]+)?
+# (parse_rational); germ, character-table, fixed-point and conservation
+# files read their numbers with these two.
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()/"
@@ -332,12 +336,22 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _signed_digits(text: str) -> bool:
+    """Whether text is an integer literal ``[+-]?[0-9]+``."""
+    return _digits(text[1:] if text[:1] in ("+", "-") else text)
+
+
 def parse_integer(text: str, what: str) -> int:
-    """Read an integer field as ``int`` does; ``what`` names it in the error."""
+    """Read an integer literal ``[+-]?[0-9]+``; ``what`` names it in the error.
+
+    ASCII digits only: no underscores, whitespace or other Unicode digits.
+    """
+    if not _signed_digits(text):
+        raise InvalidInputError(f"bad {what} {text!r}")
     try:
         return int(text)
-    except ValueError:
-        raise InvalidInputError(f"bad {what} {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise InvalidInputError(f"bad {what} {text!r}: too many digits") from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -347,7 +361,7 @@ def parse_rational(text: str) -> Fraction:
     digits, so the work is linear in the length of the text.
     """
     num, slash, den = text.partition("/")
-    if not _digits(num[1:] if num[:1] in ("+", "-") else num) or (slash and not _digits(den)):
+    if not _signed_digits(num) or (slash and not _digits(den)):
         raise InvalidInputError(f"bad rational literal {text!r}")
     try:
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,81 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", files("g.germ", text))
         assert (code, out) == (EXIT_INPUT, "")
         assert message in err
+
+
+    def test_huge_dimensions_are_refused_before_any_base_name(self, files, capsys):
+        # kappa + 1 exceeds the supported multiplicity bound; this file took
+        # 3.2 s and 290 MB at n 1000000 when the n - 1 base names came first.
+        path = files("huge.germ", "n 100000000\np 100000001\ncomponent y^2\ncomponent y^3\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "multiplicity bound" in err
+
+    def test_component_count_is_checked_before_the_components_are_parsed(self, files, capsys):
+        path = files("g.germ", "n 2\np 3\ncomponent y^^2\n")
+        code, _, err = run(capsys, "analyze", path)
+        assert code == EXIT_INPUT and "component count 1 != p - n + 1 = 2" in err
+
+
+# One integer grammar [+-]?[0-9]+ for every integer field of every file
+# format: (command, file contents with {} for the field, and for the isotype
+# command the data file as well).
+INTEGER_FIELDS = {
+    "germ-n": ("analyze", "n {}\np 3\ncomponent y^2\ncomponent y^3\n", None),
+    "germ-p": ("analyze", "n 2\np {}\ncomponent y^2\ncomponent y^3\n", None),
+    "group-order": ("isotype", "group_order {}\nclass a 1\nirrep t 1\n", "class a euler 1\n"),
+    "class-size": ("isotype", "group_order 1\nclass a {}\nirrep t 1\n", "class a euler 1\n"),
+    "top-dim": ("isotype", S2_TABLE, "top_dim {}\nclass (1,1) single 2 1\nclass (2) single 1 1\n"),
+    "single-dim": ("isotype", S2_TABLE,
+                   "top_dim 2\nclass (1,1) single {} 1\nclass (2) single 1 1\n"),
+    "euler": ("isotype", S2_TABLE, "class (1,1) euler {}\nclass (2) euler 0\n"),
+    **{
+        f"conservation-{key}": (
+            "conservation-check",
+            KILLING_CONSERVATION.replace(f"\n{key} {old}\n", f"\n{key} {{}}\n"),
+            None,
+        )
+        for key, old in [("n", "3"), ("p", "5"), ("mu_i", "0"), ("nu_i", "0"),
+                         ("local_mu", "1"), ("local_nu", "1"), ("delta", "0")]
+    },
+    "conservation-betti-degree": (
+        "conservation-check", KILLING_CONSERVATION.replace("betti 2 1", "betti {} 1"), None
+    ),
+    "conservation-betti-number": (
+        "conservation-check", KILLING_CONSERVATION.replace("betti 2 1", "betti 2 {}"), None
+    ),
+    "conservation-d": ("conservation-check", CUSP_CONSERVATION.replace("d 1", "d {}"), None),
+}
+
+
+class TestIntegerGrammar:
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    @pytest.mark.parametrize(
+        "value", ["1_0", "\u0663", "1.0", "", "++1", "1" * 5000],
+        ids=["underscore", "arabic-indic", "decimal", "empty", "two-signs", "too-many-digits"],
+    )
+    def test_only_ascii_signed_digits_are_integers(self, files, capsys, field, value):
+        command, first, second = INTEGER_FIELDS[field]
+        paths = [files("a.input", first.replace("{}", value))]
+        if second is not None:
+            paths.append(files("b.input", second.replace("{}", value)))
+        assert "{}" in first + (second or "")
+        code, out, err = run(capsys, command, *paths)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "bad" in err
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_signed_ascii_integers_are_read(self, files, capsys, field):
+        # The same files with an ordinary value parse (whatever the
+        # mathematics then says about them).
+        command, first, second = INTEGER_FIELDS[field]
+        paths = [files("a.input", first.replace("{}", "+1"))]
+        if second is not None:
+            paths.append(files("b.input", second.replace("{}", "+1")))
+        code, _, err = run(capsys, command, *paths)
+        assert "bad" not in err, err
 
 
 class TestScCommands:

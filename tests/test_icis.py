@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from germlab import (
     LocalIdeal,
@@ -17,7 +21,19 @@ from germlab import (
     parse_poly,
 )
 from germlab import multipoint as mp
-from germlab.icis import EMPTY, ICIS, ISOLATED_POINTS, NOT_ICIS, SMOOTH, _random_recombination
+from germlab.icis import (
+    EMPTY,
+    FULL_LINEAR_RANK,
+    ICIS,
+    IMPLICIT_FUNCTION,
+    ISOLATED_POINTS,
+    NOT_ICIS,
+    SMOOTH,
+    UNIT_CONSTANT_TERM,
+    _random_recombination,
+    jacobian_rank_at_origin,
+)
+from germlab.poly import MultiPoly
 import random
 
 
@@ -62,6 +78,133 @@ class TestClassify:
         # Two equations in C^3 expected to cut a surface, but they share a factor.
         I = ideal(["x", "y", "z"], ["x*y", "x*z"])
         assert classify(I, 1).kind == NOT_ICIS
+
+
+@st.composite
+def criterion_ideals(draw):
+    """An ideal in at most 4 variables and an expected dimension in -2..n,
+    often n minus the rank of the linear parts.
+
+    Each generator is a linear form plus terms of degree 2 and 3, one in ten
+    with a constant term.  The linear forms are combinations of at most n
+    drawn rows, so that full rank, rank equal to the number of generators
+    and rank below it (dependent linear parts) all occur often."""
+    n = draw(st.integers(1, 4))
+    vs = VarSet(tuple(f"x{i}" for i in range(n)))
+    small = st.integers(-3, 3).filter(bool)
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+    higher = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 2 <= sum(e) <= 3)
+    unit = st.sampled_from([False] * 9 + [True])
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {e: draw(small) for e in draw(st.lists(higher, min_size=1, max_size=3))}
+        mix = [draw(st.integers(-2, 2)) for _ in rows]
+        for i in range(n):
+            terms[tuple(int(j == i) for j in range(n))] = sum(m * r[i] for m, r in zip(mix, rows))
+        if draw(unit):
+            terms[(0,) * n] = draw(small)
+        gens.append(MultiPoly(vs, terms))
+    rank = jacobian_rank_at_origin(gens)
+    e = draw(st.one_of(st.just(n - rank), st.integers(-2, n)))
+    return LocalIdeal(gens, vs, budget=20_000), e
+
+
+class TestExactCriteria:
+    """The verdicts classify reaches before any standard basis."""
+
+    def test_extra_generator_at_full_codimension_rank_is_not_smooth(self):
+        # (x, y^2) at expected dimension 1: rank 1 = codimension, but two
+        # generators cut the fat point, so the implicit function theorem
+        # does not apply and the basis route finds dimension 0.
+        cls = classify(ideal(["x", "y"], ["x", "y^2"]), 1)
+        assert (cls.kind, cls.dim) == (NOT_ICIS, 0)
+
+    @pytest.mark.parametrize(
+        "gens, e, kind, dim, evidence",
+        [
+            (["x + y^2", "1 + x"], 1, EMPTY, None, UNIT_CONSTANT_TERM),
+            (["x + y^2", "y - x^3"], -1, ISOLATED_POINTS, 0, FULL_LINEAR_RANK),
+            (["x + y^2", "y - x^3"], 0, SMOOTH, 0, FULL_LINEAR_RANK),
+            (["x + y^2", "y - x^3"], 1, NOT_ICIS, 0, "dimension 0 != expected 1"),
+            (["x + y^2"], 1, SMOOTH, 1, IMPLICIT_FUNCTION),
+        ],
+    )
+    def test_decided_without_a_standard_basis(self, gens, e, kind, dim, evidence):
+        I = ideal(["x", "y"], gens)
+        cls = classify(I, e)
+        assert (cls.kind, cls.dim) == (kind, dim) and evidence in cls.evidence
+        assert "_std" not in vars(I)  # the cached basis was never built
+
+    @given(criterion_ideals())
+    @settings(max_examples=300, deadline=None)
+    def test_criteria_agree_with_the_standard_basis(self, drawn):
+        I, e = drawn
+        try:
+            cls = classify(I, e)
+        except ResourceLimitError:
+            assume(False)
+        try:
+            if cls.evidence == UNIT_CONSTANT_TERM:
+                assert cls.kind == EMPTY and I.contains_unit()
+            elif FULL_LINEAR_RANK in cls.evidence:
+                assert I.quotient_dimension() == 1
+                expected = ISOLATED_POINTS if e < 0 else SMOOTH if e == 0 else NOT_ICIS
+                assert cls.kind == expected
+            elif cls.evidence == IMPLICIT_FUNCTION:
+                assert cls.kind == SMOOTH and I.krull_dimension() == e
+                assert not I.contains_unit()
+            else:
+                return
+        except ResourceLimitError:
+            assume(False)
+
+
+def _fraction_rank(rows):
+    """Reference: Gaussian elimination over Q."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestJacobianRank:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=6)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                max_size=6,
+            ).map(lambda rows: (n, rows))
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_fraction_gaussian_elimination(self, n_rows):
+        n, rows = n_rows
+        vs = VarSet(tuple(f"x{i}" for i in range(n)))
+        eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        # The linear parts, with a constant and a quadratic term that the
+        # rank must ignore.
+        other = {(0,) * n: 1, (2,) + (0,) * (n - 1): 1}
+        gens = [MultiPoly(vs, {**dict(zip(eye, row)), **other}) for row in rows]
+        assert jacobian_rank_at_origin(gens) == _fraction_rank(rows)
+
+    def test_rank_deficient_column_and_rational_row(self):
+        # The second column has no pivot after the first step, and the third
+        # row is scaled to integers first: rank 2 over Q.
+        vs = VarSet(("x", "y", "z"))
+        gens = [parse_poly(t, vs) for t in ("2*x + 3*y + z", "4*x + 6*y + 5*z", "2/3*x + y + 4*z")]
+        assert jacobian_rank_at_origin(gens) == 2
 
 
 class TestHypersurfaceMilnor:

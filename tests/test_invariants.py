@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from germlab import (
@@ -21,6 +24,8 @@ from germlab import (
 from germlab import multipoint as mp
 from germlab.icis import ICIS
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b, mu_k_tau_number
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestMuAlt:
@@ -284,3 +289,14 @@ class TestReport:
         d = rep.as_dict()
         assert d["a_finite"] is False
         assert d["mu_image"] is None and d["mu_alt"] is None
+
+    def test_corpus_reports_match_their_golden_digests(self, corpus, not_a_finite_analysis):
+        # One sha256 per germ over its JSON report (`germlab analyze` output).
+        analyses = {**corpus, "not_a_finite": not_a_finite_analysis}
+        got = {
+            name: hashlib.sha256(build_report(a).to_json().encode()).hexdigest()
+            for name, a in analyses.items()
+        }
+        lines = (DATA / "corpus_report_digests.txt").read_text().splitlines()
+        golden = dict(line.split() for line in lines if line and not line.startswith("#"))
+        assert got == golden

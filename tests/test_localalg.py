@@ -20,7 +20,6 @@ from germlab import (
 )
 from germlab.localalg import (
     _Budget,
-    _monic,
     _monomial_ideal_dimension,
     leading_monomial,
     monomial_mul,
@@ -216,7 +215,7 @@ class TestFractionReference:
                 got = mora_normal_form(q, basis, _Budget(KERNEL_BUDGET))
                 assert got.is_zero() == expected.is_zero()
                 if not got.is_zero():
-                    assert _monic(got) == _monic(expected)
+                    assert fraction_mora.monic(got) == fraction_mora.monic(expected)
                     assert all(c.denominator == 1 for c in got.terms.values())
 
     def test_pseudo_division_divides_by_the_gcd_of_leading_coefficients(self):

@@ -207,3 +207,23 @@ def test_ring_operations_hold_only_nonzero_fractions(p, q, c):
         assert r.vars == V3
         assert _nonzero_fractions(r)
     assert (q - q).is_zero() and (p + (-p)).is_zero() and p.scale(0).is_zero()
+
+
+def _repeated_product(p: MultiPoly, n: int) -> MultiPoly:
+    out = MultiPoly.constant(p.vars, 1)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+_monomials = st.builds(lambda e, c: MultiPoly(V3, {e: c}), _exps2, _coeffs.filter(bool))
+
+
+@pytest.mark.parametrize("polys", [_monomials, _polys], ids=["monomial", "polynomial"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_power_equals_repeated_product(polys, data):
+    p, n = data.draw(polys), data.draw(st.integers(0, 7))
+    got = p**n
+    assert got == _repeated_product(p, n)
+    assert _nonzero_fractions(got)
