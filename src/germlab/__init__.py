@@ -20,7 +20,7 @@ from .errors import (
 )
 from .poly import MultiPoly, VarSet, divided_difference, format_poly, parse_poly
 from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, ideal_from_text
-from .icis import MilnorData, VarietyClass, classify, milnor_data, milnor_hypersurface, milnor_icis
+from .icis import MilnorData, VarietyClass, classify, milnor_hypersurface, milnor_icis
 from .symrep import (
     CharacterTable,
     Partition,

@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import invariants, isotype, multipoint, symrep
+from . import icis, invariants, isotype, multipoint, symrep
 from .errors import (
     GermlabError,
     IncompleteDataError,
@@ -153,15 +153,13 @@ def cmd_isotype(args) -> int:
 
 def cmd_milnor(args) -> int:
     ideal = ideal_from_text(_read(args.ideal), budget=args.budget_steps)
-    from . import icis as icis_mod
-
     if len(ideal.generators) == 1:
-        mu = icis_mod.milnor_hypersurface(ideal.generators[0], budget=args.budget_steps)
+        mu = icis.milnor_hypersurface(ideal.generators[0], budget=args.budget_steps)
     else:
         dim = len(ideal.ambient) - len(ideal.generators)
         if dim < 0:
             raise InvalidInputError("more generators than ambient variables")
-        mu = icis_mod.milnor_icis(ideal, dim, seed=args.seed)
+        mu = icis.milnor_icis(ideal, dim, seed=args.seed)
     if args.format == "json":
         _emit(json.dumps({"mu": mu}) + "\n", args.output)
     else:
@@ -277,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-steps",
         type=int,
         default=DEFAULT_STEP_BUDGET,
-        help="reduction step budget per standard-basis computation",
+        help="work budget for each standard basis, Krull-dimension search, staircase "
+        "count and normal form; the ideals of a Milnor chain inherit it",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="seed for chain recombination retries"

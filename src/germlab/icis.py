@@ -83,33 +83,40 @@ class VarietyClass:
     def nonempty(self) -> bool:
         return self.kind in (SMOOTH, ICIS, ISOLATED_POINTS)
 
+    @property
+    def milnor(self) -> MilnorData | None:
+        """The Milnor data of this verdict; None for a not_icis locus."""
+        if self.kind == NOT_ICIS:
+            return None
+        if self.kind == EMPTY:
+            return MilnorData(0, 0, 0)
+        if self.kind == ISOLATED_POINTS:
+            return MilnorData(0, 1, -1)
+        return MilnorData(self.mu, 1, self.mu)
+
 
 @dataclass(frozen=True)
 class MilnorData:
     """Milnor number together with its signed and extended companions.
 
     beta0 follows the mono-germ convention: 1 for a nonempty locus at the
-    origin, 0 for an empty one.  mu_tilde is mu for an ICIS and -beta0
-    otherwise, which is the value the isotype formulas consume.
+    origin, 0 for an empty one.  mu_tilde is -beta0 for isolated points and
+    mu otherwise, which is the value the isotype formulas consume; it needs
+    the kind, since a smooth locus and isolated points share (mu, beta0) =
+    (0, 1).
     """
 
     mu: int
     beta0: int
-    mu_plus0: int
-    mu_minus0: int
     mu_tilde: int
 
-    @staticmethod
-    def for_empty() -> "MilnorData":
-        return MilnorData(0, 0, 0, 0, 0)
+    @property
+    def mu_plus0(self) -> int:
+        return self.mu + self.beta0
 
-    @staticmethod
-    def for_icis(mu: int) -> "MilnorData":
-        return MilnorData(mu, 1, mu + 1, mu - 1, mu)
-
-    @staticmethod
-    def for_isolated_points() -> "MilnorData":
-        return MilnorData(0, 1, 1, -1, -1)
+    @property
+    def mu_minus0(self) -> int:
+        return self.mu - self.beta0
 
 
 def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
@@ -342,16 +349,3 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         )
     return VarietyClass(ICIS, dim=expected_dim, mu=mu, evidence="le-greuel chain")
 
-
-def milnor_data(
-    ideal: LocalIdeal, expected_dim: int, classification: VarietyClass | None = None
-) -> MilnorData:
-    """MilnorData for a locus already known not to be not_icis."""
-    cls = classification if classification is not None else classify(ideal, expected_dim)
-    if cls.kind == NOT_ICIS:
-        raise NotIcisError(f"milnor_data on a not_icis locus ({cls.evidence})")
-    if cls.kind == EMPTY:
-        return MilnorData.for_empty()
-    if cls.kind == ISOLATED_POINTS:
-        return MilnorData.for_isolated_points()
-    return MilnorData.for_icis(cls.mu or 0)

@@ -26,7 +26,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     InvalidInputError,
     NotAFiniteError,
 )
-from .icis import EMPTY, ISOLATED_POINTS
+from .icis import EMPTY, ISOLATED_POINTS, MilnorData
 from .isotype import IcisDatum, mu_tau
 from .multipoint import GermAnalysis, MultiPointSpace, expected_dim, kappa
 from .symrep import CharacterTable, character_table_symmetric, class_size, partitions
@@ -48,12 +48,12 @@ def _require_a_finite(analysis: GermAnalysis):
         )
 
 
-def _cell_numbers(sp: MultiPointSpace) -> tuple[int, int, int, int, int]:
-    """(mu, beta0, mu_plus0, mu_minus0, mu_tilde) for a classified cell."""
-    if sp.milnor is None:
-        raise NotAFiniteError(f"cell (k={sp.k}, {sp.shape.parts}) is not an ICIS")
+def _cell_milnor(sp: MultiPointSpace) -> MilnorData:
+    """The Milnor data of a classified cell, which must not be not_icis."""
     md = sp.milnor
-    return md.mu, md.beta0, md.mu_plus0, md.mu_minus0, md.mu_tilde
+    if md is None:
+        raise NotAFiniteError(f"cell (k={sp.k}, {sp.shape.parts}) is not an ICIS")
+    return md
 
 
 def mu_alt_formula_a(analysis: GermAnalysis, k: int) -> Fraction:
@@ -61,14 +61,14 @@ def mu_alt_formula_a(analysis: GermAnalysis, k: int) -> Fraction:
     acc = Fraction(0)
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
-        mu, beta0, *_ = _cell_numbers(sp)
+        md = _cell_milnor(sp)
         size = class_size(shape)
         if sp.expected_dim >= 0:
-            acc += size * mu
+            acc += size * md.mu
         else:
             sign = -1 if sp.expected_dim % 2 else 1
-            acc -= size * sign * beta0
-    return acc / Fraction(_factorial(k))
+            acc -= size * sign * md.beta0
+    return acc / factorial(k)
 
 
 def mu_alt_formula_b(analysis: GermAnalysis, k: int) -> Fraction:
@@ -76,20 +76,13 @@ def mu_alt_formula_b(analysis: GermAnalysis, k: int) -> Fraction:
     acc = Fraction(0)
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
-        _, _, mu_plus0, mu_minus0, _ = _cell_numbers(sp)
+        md = _cell_milnor(sp)
         size = class_size(shape)
         if sp.expected_dim >= 0 and sp.expected_dim % 2 == 0:
-            acc += size * mu_plus0
+            acc += size * md.mu_plus0
         elif sp.expected_dim > 0 and sp.expected_dim % 2 == 1:
-            acc += size * mu_minus0
-    return acc / Fraction(_factorial(k))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+            acc += size * md.mu_minus0
+    return acc / factorial(k)
 
 
 def mu_alt_dk(analysis: GermAnalysis, k: int) -> int:
@@ -133,7 +126,7 @@ def mu_k_tau(
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
         dim = 0 if sp.classification.kind in (EMPTY, ISOLATED_POINTS) else sp.expected_dim
-        data[shape.label()] = IcisDatum(dim=dim, mu_tilde=sp.milnor.mu_tilde)
+        data[shape.label()] = IcisDatum(dim=dim, mu_tilde=_cell_milnor(sp).mu_tilde)
     d_k = analysis.full_space(k).expected_dim
     return mu_tau(table, data, tau, d_k)
 
@@ -338,8 +331,6 @@ def check_mu_conservation(
     required when d_kappa = 1 (it cannot be derived from the other inputs;
     refusing is the only honest option).
     """
-    if not 1 <= n < p:
-        raise InvalidInputError(f"need 1 <= n < p, got ({n}, {p})")
     kap = kappa(n, p)
     d2 = expected_dim(n, p, 2)
     integral_ratio = p % (p - n) == 0

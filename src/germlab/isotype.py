@@ -175,14 +175,12 @@ def mu_tau(
     data: Mapping[str, IcisDatum],
     tau: str,
     d: int,
-    allow_nonintegral: bool = False,
 ) -> Fraction:
     """tau-Milnor number from per-class (dimension, extended-mu) data.
 
     mu^tau = (1/|G|) sum size * (-1)^(d - dim) * chi_tau * mu_tilde.  The
     result must be a non-negative integer for honest inputs; violations raise
-    unless allow_nonintegral is set (the exact value rides on the exception
-    either way).
+    InconsistentDataError with the exact value attached.
     """
     _check_classes(table, data)
     identity_label = table.class_labels[table.identity_index]
@@ -191,7 +189,7 @@ def mu_tau(
     i = table.irrep_index(tau)
     values = [_signed(d, data[cls].dim, data[cls].mu_tilde) for cls in table.class_labels]
     value = _class_sum(table, i, values)
-    if not allow_nonintegral and (value.denominator != 1 or value < 0):
+    if value.denominator != 1 or value < 0:
         raise InconsistentDataError(
             f"mu^{tau} is {value}, not a non-negative integer: inconsistent input",
             value=value,

@@ -13,8 +13,12 @@ selection rule; the basis completion is Buchberger's loop over Mora normal
 forms, with the critical pairs in a heap keyed by the local order of their
 lcm.  The Krull dimension of the leading ideal is the number of variables
 minus a minimum hitting set of the leading-monomial supports, found by
-branch and bound.  A hard step budget, charged by reductions, pairs and search nodes
-alike, separates "gave up" from every mathematical verdict.
+branch and bound.  The colength walks the staircase (the monomials outside
+the leading ideal) depth first from 1, raising only variables at or after
+the last one raised, so it visits each standard monomial once and never the
+rest of its bounding box.  A hard step budget, charged by reductions, pairs,
+search nodes and standard monomials alike, separates "gave up" from every
+mathematical verdict.
 
 The normal form is fraction-free: the remainder and its reducers are
 primitive integer term maps, reduced by pseudo-division.  Inside the basis
@@ -339,7 +343,6 @@ class LocalIdeal:
         generators: Iterable[MultiPoly],
         ambient: VarSet,
         budget: int = DEFAULT_STEP_BUDGET,
-        _is_std: bool = False,
     ):
         gens = []
         for g in generators:
@@ -350,20 +353,17 @@ class LocalIdeal:
         self.generators: tuple[MultiPoly, ...] = tuple(gens)
         self.ambient = ambient
         self.budget = budget
-        self._is_std = _is_std
 
     def __repr__(self) -> str:
         return f"LocalIdeal({[format_poly(g) for g in self.generators]})"
 
     @cached_property
     def _std(self) -> list[MultiPoly]:
-        if self._is_std:
-            return list(self.generators)
         return standard_basis(self.generators, self.budget)
 
     def standard_basis(self) -> "LocalIdeal":
-        """The cached standard basis, wrapped as an ideal of its own."""
-        return LocalIdeal(self._std, self.ambient, self.budget, _is_std=True)
+        """The cached standard basis, as the generators of a new ideal."""
+        return LocalIdeal(self._std, self.ambient, self.budget)
 
     @cached_property
     def leading_monomials(self) -> tuple[Exponent, ...]:
@@ -394,33 +394,31 @@ class LocalIdeal:
         )
 
     def quotient_dimension(self) -> int | float:
-        """dim_Q of O/I when finite, else INFINITE (iff Krull dimension > 0)."""
+        """dim_Q of O/I when finite, else INFINITE (iff Krull dimension > 0).
+
+        The finite count walks the staircase, the monomials outside the
+        leading ideal, depth first from 1.  Raising only variables at or
+        after the last one raised reaches a monomial only from the one with
+        its last occurring variable lowered by one, so each standard monomial
+        is visited, and charged one unit, exactly once.
+        """
         if self.contains_unit():
             return 0
         if self.krull_dimension() > 0:
             return INFINITE
         lms = self.leading_monomials
         nvars = len(self.ambient)
-        if nvars == 0:
-            return 1
-        # Krull dimension <= 0 guarantees a pure power of every variable.
-        bounds = []
-        for i in range(nvars):
-            pure = [lm[i] for lm in lms if all(e == 0 for j, e in enumerate(lm) if j != i)]
-            bounds.append(min(pure))
         budget = _Budget(self.budget)
         count = 0
-        boxes: list[tuple[int, ...]] = [()]
-        for i in range(nvars):
-            nxt = []
-            for prefix in boxes:
-                for e in range(bounds[i]):
-                    budget.tick("staircase enumeration")
-                    nxt.append(prefix + (e,))
-            boxes = nxt
-        for mono in boxes:
-            if not any(monomial_divides(lm, mono) for lm in lms):
-                count += 1
+        stack: list[tuple[Exponent, int]] = [((0,) * nvars, 0)]
+        while stack:
+            mono, last = stack.pop()
+            budget.tick("staircase enumeration")
+            count += 1
+            for i in range(last, nvars):
+                up = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                if not any(monomial_divides(lm, up) for lm in lms):
+                    stack.append((up, i))
         return count
 
     def serialize(self) -> str:

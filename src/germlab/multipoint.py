@@ -33,7 +33,6 @@ from .icis import (
     EMPTY,
     ICIS,
     ISOLATED_POINTS,
-    NOT_ICIS,
     SMOOTH,
     DEFAULT_SEED,
     MilnorData,
@@ -220,7 +219,9 @@ def divided_difference_table(g: GermSpec, k: int) -> list[list[MultiPoly]]:
     # The germ's corank variable is last and y1 is the ambient's first corank
     # variable, so lifting y -> y1 pads every exponent with zeros.
     pad = (0,) * (k - 1)
-    current = [MultiPoly(amb, {e + pad: c for e, c in h.terms.items()}) for h in g.components]
+    current = [
+        MultiPoly._trusted(amb, {e + pad: c for e, c in h.terms.items()}) for h in g.components
+    ]
     rows: list[list[MultiPoly]] = []
     for j in range(2, k + 1):
         current = [divided_difference(q, y[j - 2], y[j - 1]) for q in current]
@@ -251,7 +252,7 @@ def _fixed_ideal(
             for e, c in q.terms.items():
                 image = e[:nb] + tuple(sum(e[a:b]) for a, b in blocks)
                 terms[image] = terms.get(image, 0) + c
-            gens.append(MultiPoly(target, terms))
+            gens.append(MultiPoly._trusted(target, terms))
     return LocalIdeal(gens, target, budget=budget)
 
 
@@ -284,11 +285,14 @@ class MultiPointSpace:
     equation_count: int  # before dropping zero generators
     ideal: LocalIdeal
     classification: VarietyClass
-    milnor: MilnorData | None
 
     @property
     def nonempty(self) -> bool:
         return self.classification.nonempty
+
+    @property
+    def milnor(self) -> MilnorData | None:
+        return self.classification.milnor
 
     def as_dict(self) -> dict:
         out = {
@@ -299,13 +303,14 @@ class MultiPointSpace:
             "dim": self.classification.dim,
             "evidence": self.classification.evidence,
         }
-        if self.milnor is not None:
+        md = self.milnor
+        if md is not None:
             out.update(
-                mu=self.milnor.mu,
-                beta0=self.milnor.beta0,
-                mu_plus0=self.milnor.mu_plus0,
-                mu_minus0=self.milnor.mu_minus0,
-                mu_tilde=self.milnor.mu_tilde,
+                mu=md.mu,
+                beta0=md.beta0,
+                mu_plus0=md.mu_plus0,
+                mu_minus0=md.mu_minus0,
+                mu_tilde=md.mu_tilde,
             )
         return out
 
@@ -396,18 +401,13 @@ def analyze_germ(
             else:
                 ideal = _fixed_ideal(g, rows, shape, budget)
             e_dim = expected_dim_sigma(g.n, g.p, k, shape)
-            cls = icis.classify(ideal, e_dim, seed=seed)
-            milnor = None
-            if cls.kind != NOT_ICIS:
-                milnor = icis.milnor_data(ideal, e_dim, classification=cls)
             cells[(k, shape.parts)] = MultiPointSpace(
                 k=k,
                 shape=shape,
                 expected_dim=e_dim,
                 equation_count=raw_count,
                 ideal=ideal,
-                classification=cls,
-                milnor=milnor,
+                classification=icis.classify(ideal, e_dim, seed=seed),
             )
     return GermAnalysis(germ=g, kappa=kap, cells=cells)
 

@@ -9,9 +9,10 @@ Two constructors keep that invariant.  The public ``MultiPoly(vars, terms)``
 checks its input: every exponent must have one entry per variable, and every
 coefficient is coerced to a Fraction (zeros dropped).  The ring operations
 (``+``, ``-``, negation, ``*``, ``**``, ``scale``, ``derivative`` and
-``divided_difference``) build their results through the private
-``MultiPoly._trusted``, which trusts that its terms are already well formed
-and only drops the zero coefficients that cancellation produced.
+``divided_difference``) and the ``zero``, ``constant`` and ``variable``
+constructors build their results through the private ``MultiPoly._trusted``,
+which trusts that its terms are already well formed and only drops the zero
+coefficients that cancellation produced.
 
 The one domain-specific primitive is ``divided_difference``: the exact
 quotient (h[y_old -> y_new] - h) / (y_new - y_old), computed term by term
@@ -33,6 +34,9 @@ ROLE_BASE = "base"
 ROLE_CORANK = "corank"
 ROLE_AUX = "aux"
 _ROLES = (ROLE_BASE, ROLE_CORANK, ROLE_AUX)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class VarSet:
@@ -127,17 +131,17 @@ class MultiPoly:
 
     @staticmethod
     def zero(vars: VarSet) -> "MultiPoly":
-        return MultiPoly(vars, {})
+        return MultiPoly._trusted(vars, {})
 
     @staticmethod
     def constant(vars: VarSet, value) -> "MultiPoly":
-        return MultiPoly(vars, {(0,) * len(vars): Fraction(value)})
+        return MultiPoly._trusted(vars, {(0,) * len(vars): Fraction(value)})
 
     @staticmethod
     def variable(vars: VarSet, name: str) -> "MultiPoly":
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
-        return MultiPoly(vars, {tuple(exp): Fraction(1)})
+        return MultiPoly._trusted(vars, {tuple(exp): _ONE})
 
     # -- structure ---------------------------------------------------------
 
@@ -145,11 +149,11 @@ class MultiPoly:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.terms.get((0,) * len(self.vars), _ZERO)
 
     def linear_part(self) -> list[Fraction]:
         """Coefficient vector of the degree-1 terms, one slot per variable."""
-        out = [Fraction(0)] * len(self.vars)
+        out = [_ZERO] * len(self.vars)
         for exp, c in self.terms.items():
             if sum(exp) == 1:
                 out[exp.index(1)] = c

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from germlab import (
     LocalIdeal,
-    MilnorData,
     NotIcisError,
     ResourceLimitError,
     VarSet,
     classify,
-    milnor_data,
     milnor_hypersurface,
     milnor_icis,
     parse_poly,
@@ -285,28 +283,45 @@ class TestIcisMilnor:
             assert milnor_icis(J, dim) == expected
 
 
+def milnor_fields(md):
+    return md.mu, md.beta0, md.mu_plus0, md.mu_minus0, md.mu_tilde
+
+
 class TestMilnorData:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_curve_data(self, k):
         I = ideal(["x", "y1", "y2"], ["y1 + y2", f"y1^2 + y1*y2 + y2^2 + x^{k + 1}"])
-        md = milnor_data(I, 1)
-        assert md == MilnorData(mu=k, beta0=1, mu_plus0=k + 1, mu_minus0=k - 1, mu_tilde=k)
+        md = classify(I, 1).milnor
+        assert milnor_fields(md) == (k, 1, k + 1, k - 1, k)
 
     def test_empty_is_all_zero(self):
         I = ideal(["x"], ["1 + x"])
-        assert milnor_data(I, 0) == MilnorData(0, 0, 0, 0, 0)
+        assert milnor_fields(classify(I, 0).milnor) == (0, 0, 0, 0, 0)
 
     def test_isolated_points_have_mu_tilde_minus_one(self):
         I = ideal(["x", "y"], ["x", "y^2"])
-        md = milnor_data(I, -1)
+        md = classify(I, -1).milnor
         assert md.mu_tilde == -1 and md.beta0 == 1
 
     def test_zero_dim_point_count_is_mu_plus0(self):
         # Fiber point count of a fat point equals the quotient dimension.
         for k in (1, 2, 3):
             I = ideal(["x", "y1"], ["y1", f"x^{k + 1}"])
-            md = milnor_data(I, 0)
+            md = classify(I, 0).milnor
             assert md.mu_plus0 == I.quotient_dimension() == k + 1
+
+    def test_mu_tilde_needs_the_kind(self):
+        # A smooth locus and isolated points share (mu, beta0) = (0, 1), but
+        # the isotype formulas consume mu~ = 0 for the one and -1 for the other.
+        smooth = classify(ideal(["x", "y"], ["x"]), 1)
+        points = classify(ideal(["x", "y"], ["x", "y"]), -1)
+        assert (smooth.kind, points.kind) == (SMOOTH, ISOLATED_POINTS)
+        assert milnor_fields(smooth.milnor) == (0, 1, 1, -1, 0)
+        assert milnor_fields(points.milnor) == (0, 1, 1, -1, -1)
+
+    def test_not_icis_has_no_milnor_data(self):
+        cls = classify(ideal(["x", "y"], ["x*y"]), 0)
+        assert cls.kind == NOT_ICIS and cls.milnor is None
 
 
 class TestSmoothMuConsistency:

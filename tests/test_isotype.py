@@ -128,9 +128,6 @@ class TestMuTau:
                 with pytest.raises(InconsistentDataError) as err:
                     mu_tau(T2, data, ALT2, 1)
                 assert err.value.value == Fraction(mu + 1, 2)
-                assert mu_tau(T2, data, ALT2, 1, allow_nonintegral=True) == Fraction(
-                    mu + 1, 2
-                )
 
     def test_free_orbit_rule(self):
         # Empty fixed loci for every nonidentity class: mu^tau is
@@ -282,7 +279,6 @@ class TestIntegerClassSums:
             assert tau_characteristic(table, euler, tau) == plain
             assert exact(lambda: tau_betti_single_dim(table, single, tau, d)) == signed
             assert exact(lambda: mu_tau(table, icis, tau, d)) == signed
-            assert mu_tau(table, icis, tau, d, allow_nonintegral=True) == signed
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_integer_data_on_symmetric_tables(self, k):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,10 +28,12 @@ from germlab.localalg import (
     order_key,
     standard_basis,
 )
+from germlab import localalg
 from germlab import multipoint as mp
 from germlab.poly import format_poly
 
 import fraction_mora
+from staircase_box import box_count, box_size
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -184,6 +187,7 @@ class TestStandardBasis:
         I = ideal(["x", "y1", "y2"], ["y1 + y2", "y1^2 + y1*y2 + y2^2 + x^3"])
         std = I.standard_basis()
         again = std.standard_basis()
+        assert again is not std
         assert [str(g) for g in std.generators] == [str(g) for g in again.generators]
 
 
@@ -291,6 +295,10 @@ class TestDimensions:
         vs = VarSet(("x",))
         assert LocalIdeal([], vs).quotient_dimension() == INFINITE
 
+    def test_quotient_dim_no_variables(self):
+        # The zero ideal of the ring of constants: the staircase is {1}.
+        assert LocalIdeal([], VarSet(())).quotient_dimension() == 1
+
     def test_finite_quotient_iff_krull_nonpositive(self):
         cases = [
             ideal(["x", "y"], ["x"]),
@@ -301,6 +309,45 @@ class TestDimensions:
         for I in cases:
             finite = I.quotient_dimension() != INFINITE
             assert finite == (I.krull_dimension() <= 0)
+
+
+# (number of variables <= 4, monomials containing a pure power of each)
+zero_dimensional_monomial_sets = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, 5), min_size=n, max_size=n),
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8),
+    )
+)
+
+
+class TestStaircaseWalk:
+    @given(zero_dimensional_monomial_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_the_box_count(self, drawn):
+        n, powers, extra = drawn
+        pure = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+        lms = pure + [e for e in extra if any(e)]
+        vs = VarSet(tuple(f"x{i}" for i in range(n)))
+        I = LocalIdeal([MultiPoly(vs, {e: 1}) for e in lms], vs)
+        charges = []
+
+        class Recording(_Budget):
+            def tick(self, what: str, cost: int = 1):
+                if what == "staircase enumeration":
+                    charges.append(cost)
+                super().tick(what, cost)
+
+        with mock.patch.object(localalg, "_Budget", Recording):
+            count = I.quotient_dimension()
+        assert count == box_count(lms, n)
+        assert sum(charges) == count <= box_size(lms, n)
+
+    def test_charge_is_one_unit_per_standard_monomial(self):
+        # Staircase {1, x, y, xy} of (x^2, y^2): four units fit a budget of
+        # four (TestBudget shows a budget of three running out).
+        I = ideal(["x", "y"], ["x^2", "y^2"], budget=4)
+        assert I.quotient_dimension() == 4
 
 
 class TestBudget:

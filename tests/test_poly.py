@@ -17,6 +17,9 @@ from germlab import (
     format_poly,
     parse_poly,
 )
+from germlab import multipoint as mp
+from germlab.poly import ROLE_BASE, ROLE_CORANK
+from germlab.symrep import partitions
 
 V5 = VarSet(("x1", "x2", "x3", "x4", "y"))
 V3 = VarSet(("x1", "y1", "y2"))
@@ -193,6 +196,25 @@ def _nonzero_fractions(p: MultiPoly) -> bool:
     return all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
+_GERM_VARS = VarSet(("x1", "y"), (ROLE_BASE, ROLE_CORANK))
+
+
+def _cell_generators(p: MultiPoly, q: MultiPoly) -> list[MultiPoly]:
+    """Every D^k and D^k(f)^sigma generator of the (2, 3) germ (x1, p, q),
+    with y1 read as y and constant terms dropped."""
+    comps = tuple(
+        MultiPoly(_GERM_VARS, {(a, b): c for (a, b, _), c in h.terms.items() if a or b})
+        for h in (p, q)
+    )
+    g = mp.GermSpec(2, 3, ("x1",), "y", comps)
+    gens: list[MultiPoly] = []
+    for k in range(2, mp.kappa(2, 3) + 2):
+        gens += mp.multiple_point_equations(g, k).generators
+        for shape in partitions(k):
+            gens += mp.fixed_locus_equations(g, k, shape).generators
+    return gens
+
+
 @given(_polys, _polys, _coeffs)
 @settings(max_examples=100)
 def test_ring_operations_hold_only_nonzero_fractions(p, q, c):
@@ -202,11 +224,19 @@ def test_ring_operations_hold_only_nonzero_fractions(p, q, c):
         p + q, p - q, q - q, p + (-p), -p, p * q, p * (q - q), p.scale(c), p.scale(0),
         p.scale(int(c)), p.derivative("x1"), p.derivative("y2"),
         divided_difference(p, "y1", "y2"),
+        MultiPoly.zero(V3), MultiPoly.constant(V3, c), MultiPoly.constant(V3, 0),
+        MultiPoly.constant(V3, int(c)), MultiPoly.variable(V3, "y1"),
     ]
     for r in results:
         assert r.vars == V3
         assert _nonzero_fractions(r)
     assert (q - q).is_zero() and (p + (-p)).is_zero() and p.scale(0).is_zero()
+    assert MultiPoly.zero(V3).is_zero() and MultiPoly.constant(V3, 0).is_zero()
+    assert MultiPoly.constant(V3, c).constant_term() == c
+    assert MultiPoly.variable(V3, "y1") == parse_poly("y1", V3)
+    assert type(p.constant_term()) is Fraction
+    for gen in _cell_generators(p, q):
+        assert _nonzero_fractions(gen)
 
 
 def _repeated_product(p: MultiPoly, n: int) -> MultiPoly:
