@@ -22,10 +22,15 @@ first three tests are exact and build no standard basis:
                       smooth, by the implicit function theorem (without the
                       generator count this is unsound: (x, y^2) in C^2 has
                       r = 1 = n - 1 and is a fat point)
-  5. Krull dimension  from the standard basis: isolated_points or not_icis
+  5. first n generators
+                      when e < 0 and there are more than n generators, the
+                      standard basis of J = (g_1..g_n) alone: dimension 0
+                      gives isolated_points, since J <= I <= m (step 2) gives
+                      0 <= dim O/I <= dim O/J; otherwise on to step 6
+  6. Krull dimension  from the standard basis: isolated_points or not_icis
                       when e < 0, not_icis when it differs from e
-  6. r = n - e        smooth, now that the dimension is e
-  7. Milnor number    icis, or not_icis when the chain fails
+  7. r = n - e        smooth, now that the dimension is e
+  8. Milnor number    icis, or not_icis when the chain fails
 
 Milnor numbers: hypersurfaces by the Jacobian-ideal colength, positive
 dimensional complete intersections by the telescoping chain
@@ -64,6 +69,8 @@ NOT_ICIS = "not_icis"
 UNIT_CONSTANT_TERM = "unit constant term"
 FULL_LINEAR_RANK = "linear part of full rank"
 IMPLICIT_FUNCTION = "implicit function theorem"
+# Evidence of isolated points found by a standard basis.
+FINITE_COLENGTH = "finite colength at origin"
 
 
 @dataclass(frozen=True)
@@ -325,10 +332,16 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         # Implicit function theorem: codim generators with independent
         # linear parts cut out a smooth germ of the expected dimension.
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence=IMPLICIT_FUNCTION)
+    if expected_dim < 0 and len(gens) > n_amb:
+        # J = (g_1..g_n) lies in the ideal, which lies in m, so
+        # 0 <= dim O/I <= dim O/J: a zero-dimensional head settles the cell.
+        head = LocalIdeal(gens[:n_amb], ideal.ambient, budget=ideal.budget)
+        if head.krull_dimension() == 0:
+            return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
     actual = ideal.krull_dimension()
     if expected_dim < 0:
         if actual <= 0:
-            return VarietyClass(ISOLATED_POINTS, dim=0, evidence="finite colength at origin")
+            return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
         return VarietyClass(
             NOT_ICIS, dim=actual, evidence=f"dimension {actual} at negative expected dimension"
         )

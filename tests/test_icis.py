@@ -21,6 +21,7 @@ from germlab import (
 from germlab import multipoint as mp
 from germlab.icis import (
     EMPTY,
+    FINITE_COLENGTH,
     FULL_LINEAR_RANK,
     ICIS,
     IMPLICIT_FUNCTION,
@@ -78,6 +79,17 @@ class TestClassify:
         assert classify(I, 1).kind == NOT_ICIS
 
 
+nonzero_small = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+def monomials(n, low, high):
+    """Exponents in n variables of total degree low..high, built directly:
+    draw the degree, then which variable each factor is."""
+    return st.integers(low, high).flatmap(
+        lambda d: st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+    ).map(lambda factors: tuple(factors.count(i) for i in range(n)))
+
+
 @st.composite
 def criterion_ideals(draw):
     """An ideal in at most 4 variables and an expected dimension in -2..n,
@@ -89,18 +101,17 @@ def criterion_ideals(draw):
     and rank below it (dependent linear parts) all occur often."""
     n = draw(st.integers(1, 4))
     vs = VarSet(tuple(f"x{i}" for i in range(n)))
-    small = st.integers(-3, 3).filter(bool)
-    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
-    higher = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 2 <= sum(e) <= 3)
+    rows = draw(st.lists(st.lists(nonzero_small, min_size=n, max_size=n), max_size=n))
+    higher = monomials(n, 2, 3)
     unit = st.sampled_from([False] * 9 + [True])
     gens = []
     for _ in range(draw(st.integers(1, 4))):
-        terms = {e: draw(small) for e in draw(st.lists(higher, min_size=1, max_size=3))}
+        terms = {e: draw(nonzero_small) for e in draw(st.lists(higher, min_size=1, max_size=3))}
         mix = [draw(st.integers(-2, 2)) for _ in rows]
         for i in range(n):
             terms[tuple(int(j == i) for j in range(n))] = sum(m * r[i] for m, r in zip(mix, rows))
         if draw(unit):
-            terms[(0,) * n] = draw(small)
+            terms[(0,) * n] = draw(nonzero_small)
         gens.append(MultiPoly(vs, terms))
     rank = jacobian_rank_at_origin(gens)
     e = draw(st.one_of(st.just(n - rank), st.integers(-2, n)))
@@ -155,6 +166,57 @@ class TestExactCriteria:
                 return
         except ResourceLimitError:
             assume(False)
+
+
+@st.composite
+def overdetermined_ideals(draw):
+    """An ideal with no constant term and more generators than its at most 4
+    variables, and an expected dimension in -3..-1.
+
+    Each generator has one to three terms of degree 1 to 3, so shared
+    factors, and with them positive-dimensional heads and ideals, are
+    common."""
+    n = draw(st.integers(1, 4))
+    vs = VarSet(tuple(f"x{i}" for i in range(n)))
+    gens = []
+    for _ in range(draw(st.integers(n + 1, n + 3))):
+        exps = draw(st.lists(monomials(n, 1, 3), min_size=1, max_size=3))
+        gens.append(MultiPoly(vs, {e: draw(nonzero_small) for e in exps}))
+    return LocalIdeal(gens, vs, budget=20_000), draw(st.integers(-3, -1))
+
+
+class TestFirstGenerators:
+    """At negative expected dimension, the first n generators may decide."""
+
+    def test_head_decides_without_the_full_basis(self):
+        I = ideal(["x", "y"], ["x^2", "y^2", "x*y"])
+        cls = classify(I, -1)
+        assert (cls.kind, cls.dim, cls.evidence) == (ISOLATED_POINTS, 0, FINITE_COLENGTH)
+        assert "_std" not in vars(I)  # the full ideal's basis was never built
+
+    def test_positive_dimensional_head_falls_back_to_the_full_ideal(self):
+        # (x^2, x*y) is the y-axis with an embedded point; y^3 cuts it down.
+        I = ideal(["x", "y"], ["x^2", "x*y", "y^3"])
+        assert ideal(["x", "y"], ["x^2", "x*y"]).krull_dimension() == 1
+        cls = classify(I, -1)
+        assert (cls.kind, cls.dim, cls.evidence) == (ISOLATED_POINTS, 0, FINITE_COLENGTH)
+        assert "_std" in vars(I)
+
+    def test_positive_dimensional_ideal_is_not_icis(self):
+        cls = classify(ideal(["x", "y"], ["x^2", "x*y", "x^3"]), -1)
+        assert (cls.kind, cls.dim) == (NOT_ICIS, 1)
+
+    @given(overdetermined_ideals())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_full_krull_dimension(self, drawn):
+        I, e = drawn
+        try:
+            cls = classify(I, e)
+            actual = LocalIdeal(I.generators, I.ambient, budget=I.budget).krull_dimension()
+        except ResourceLimitError:
+            assume(False)
+        expected = (ISOLATED_POINTS, 0) if actual == 0 else (NOT_ICIS, actual)
+        assert (cls.kind, cls.dim) == expected
 
 
 def _fraction_rank(rows):
