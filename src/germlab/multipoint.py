@@ -40,6 +40,7 @@ from .icis import (
 )
 from .localalg import DEFAULT_STEP_BUDGET, LocalIdeal
 from .poly import (
+    _ONE,
     ROLE_BASE,
     ROLE_CORANK,
     Exponent,
@@ -252,7 +253,7 @@ def _fixed_ideal(
             for e, c in q.terms.items():
                 image = e[:nb] + tuple(sum(e[a:b]) for a, b in blocks)
                 terms[image] = terms.get(image, 0) + c
-            gens.append(MultiPoly._trusted(target, terms))
+            gens.append(MultiPoly._trusted(target, {e: c for e, c in terms.items() if c}))
     return LocalIdeal(gens, target, budget=budget)
 
 
@@ -474,6 +475,10 @@ def generate_sc_germ(
     point level while keeping D^2 nonempty.  The output is re-analyzed and must
     pass the strong-contractibility check; that self-check is part of the
     contract.
+
+    The monomials of a component are distinct and have coefficient 1, so
+    its term map is written directly from exponent tuples, with no ring
+    arithmetic, in the order the sum of its monomials would list them.
     """
     if not sc_dimension_feasible(n, p):
         raise InfeasibleDimensionsError(
@@ -483,42 +488,44 @@ def generate_sc_germ(
     m = p - n + 1
     vs_names = tuple(f"x{i}" for i in range(1, n)) + ("y",)
     vs = VarSet(vs_names, (ROLE_BASE,) * (n - 1) + (ROLE_CORANK,))
-    y = MultiPoly.variable(vs, "y")
 
-    def x(t: int) -> MultiPoly:
-        return MultiPoly.variable(vs, f"x{t}")
+    def mono(y_deg: int, t: int = 0, a: int = 1) -> Exponent:
+        """The exponent of x_t^a * y^y_deg; t = 0 leaves out the x factor."""
+        exp = [0] * n
+        exp[-1] = y_deg
+        if t:
+            exp[t - 1] = a
+        return tuple(exp)
 
-    comps: list[MultiPoly] = []
     if kap == 1:
-        used = [y**2, y**3] + [x(t) * y for t in range(1, n)]
+        used = [mono(2), mono(3)] + [mono(1, t) for t in range(1, n)]
         if n > 1:
             # Cheap pinned padding: x_i^a * y divides out to x_i^a at the
             # double point level, which is already in the ideal.
             a, i = 2, 1
             while len(used) < m:
-                used.append(x(i) ** a * y)
+                used.append(mono(1, i, a))
                 i += 1
                 if i == n:
                     i, a = 1, a + 1
         else:
             power = 4
             while len(used) < m:
-                used.append(y**power)
+                used.append(mono(power))
                 power += 1
         if len(used) != m:
             raise InconsistentDataError("degenerate generator produced a bad component count")
-        comps = used
+        supports = [[e] for e in used]
     else:
+        supports = [
+            [mono(kap + i)]
+            + [mono(j - 1, (i - 1) * (kap - 1) + (j - 1)) for j in range(2, kap + 1)]
+            for i in range(1, m + 1)
+        ]
         scheduled = m * (kap - 1)
-        for i in range(1, m + 1):
-            h = y ** (kap + i)
-            for j in range(2, kap + 1):
-                t = (i - 1) * (kap - 1) + (j - 1)
-                h = h + x(t) * y ** (j - 1)
-            comps.append(h)
         for t in range(scheduled + 1, n):
-            c = t - scheduled - 1  # leftover <= m, by feasibility
-            comps[c] = comps[c] + x(t) * y**kap
+            supports[t - scheduled - 1].append(mono(kap, t))  # leftover <= m, by feasibility
+    comps = [MultiPoly._trusted(vs, dict.fromkeys(exps, _ONE)) for exps in supports]
     spec = GermSpec(n, p, vs_names[:-1], "y", tuple(comps))
     if self_check:
         analysis = analyze_germ(spec, budget=budget, seed=seed)

@@ -7,12 +7,18 @@ term maps are equal.  All arithmetic is exact; nothing here ever rounds.
 
 Two constructors keep that invariant.  The public ``MultiPoly(vars, terms)``
 checks its input: every exponent must have one entry per variable, and every
-coefficient is coerced to a Fraction (zeros dropped).  The ring operations
-(``+``, ``-``, negation, ``*``, ``**``, ``scale``, ``derivative`` and
-``divided_difference``) and the ``zero``, ``constant`` and ``variable``
-constructors build their results through the private ``MultiPoly._trusted``,
-which trusts that its terms are already well formed and only drops the zero
-coefficients that cancellation produced.
+coefficient is coerced to a Fraction (zeros dropped).  The private
+``MultiPoly._trusted`` checks nothing: it takes a term map of Fractions that
+is already well formed and holds no zero, and keeps that very dict.
+
+Every other producer calls ``_trusted`` and so must not hand it a zero.
+Only a sum can cancel, so the zero filter sits where terms are summed:
+``+``, ``-`` and ``*`` (and the collision sum of the fixed-locus map in
+``multipoint``), plus ``scale(0)`` and ``constant(0)``.  The rest map each
+nonzero coefficient to one nonzero coefficient under an injective exponent
+map, so no term collides and none vanishes: negation, ``scale(c)`` for
+c != 0, a monomial's power, ``derivative`` (a factor exp[i] > 0), the
+``variable`` constructor and ``divided_difference`` (below).
 
 The one domain-specific primitive is ``divided_difference``: the exact
 quotient (h[y_old -> y_new] - h) / (y_new - y_old), computed term by term
@@ -116,12 +122,12 @@ class MultiPoly:
 
     @classmethod
     def _trusted(cls, vars: VarSet, terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        """Result of a ring operation: ``terms`` already maps exponent tuples
-        of the right width to Fractions, so only zero coefficients are
-        dropped."""
+        """Wrap ``terms`` without a check: the caller guarantees that it maps
+        exponent tuples of the right width to nonzero Fractions and hands
+        the dict over (nothing else keeps a reference to mutate it)."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vars)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", terms)
         return p
 
     def __setattr__(self, *_):
@@ -135,7 +141,8 @@ class MultiPoly:
 
     @staticmethod
     def constant(vars: VarSet, value) -> "MultiPoly":
-        return MultiPoly._trusted(vars, {(0,) * len(vars): Fraction(value)})
+        c = Fraction(value)
+        return MultiPoly._trusted(vars, {(0,) * len(vars): c} if c else {})
 
     @staticmethod
     def variable(vars: VarSet, name: str) -> "MultiPoly":
@@ -179,14 +186,24 @@ class MultiPoly:
         self._check_vars(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out[exp] + c if exp in out else c
+            if exp not in out:
+                out[exp] = c
+            elif s := out[exp] + c:
+                out[exp] = s
+            else:
+                del out[exp]
         return MultiPoly._trusted(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out[exp] - c if exp in out else -c
+            if exp not in out:
+                out[exp] = -c
+            elif s := out[exp] - c:
+                out[exp] = s
+            else:
+                del out[exp]
         return MultiPoly._trusted(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -199,10 +216,13 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
                 out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
-        return MultiPoly._trusted(self.vars, out)
+        # A term that cancels may be summed into again, so filter at the end.
+        return MultiPoly._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)
+        if not c:
+            return MultiPoly.zero(self.vars)
         return MultiPoly._trusted(self.vars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -240,8 +260,7 @@ class MultiPoly:
             if exp[i]:
                 e = list(exp)
                 e[i] -= 1
-                e = tuple(e)
-                out[e] = out[e] + c * exp[i] if e in out else c * exp[i]
+                out[tuple(e)] = c * exp[i]
         return MultiPoly._trusted(self.vars, out)
 
     def substitute(
@@ -290,25 +309,24 @@ def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
 
     ``y_new`` must not occur in h.  Computed per term: a factor y_old^a maps
     to sum_{i+j=a-1} y_old^i y_new^j, so the quotient is exact by
-    construction and no polynomial division happens.
+    construction and no polynomial division happens.  An output exponent
+    gives back its source term (a = i + j + 1, the other entries unchanged),
+    so every output term receives exactly one nonzero coefficient.
     """
     i = h.vars.index(y_old)
     j = h.vars.index(y_new)
-    if h.involves(y_new):
-        raise VariableMismatchError(f"{y_new!r} already occurs in the polynomial")
     out: dict[Exponent, Fraction] = {}
     for exp, c in h.terms.items():
+        if exp[j]:
+            raise VariableMismatchError(f"{y_new!r} already occurs in the polynomial")
         a = exp[i]
         if a == 0:
             continue
         base = list(exp)
-        base[i] = 0
         for t in range(a):
-            e = list(base)
-            e[i] = t
-            e[j] = a - 1 - t
-            e = tuple(e)
-            out[e] = out[e] + c if e in out else c
+            base[i] = t
+            base[j] = a - 1 - t
+            out[tuple(base)] = c
     return MultiPoly._trusted(h.vars, out)
 
 

@@ -22,8 +22,9 @@ from germlab import (
     nu_image,
 )
 from germlab import multipoint as mp
-from germlab.icis import ICIS
+from germlab.icis import ICIS, ISOLATED_POINTS, _maximal_minors, milnor_hypersurface
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b, mu_k_tau_number
+from germlab.poly import MultiPoly, VarSet
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -182,6 +183,21 @@ class TestImageInvariants:
         assert mu_image(an) == 3
         assert nu_image(an) == -1
 
+    def test_criterion_2_germ_cells_match_the_hand_derivation(self, corpus):
+        # (y^3+x1^2 y, y^4+x2 y, y^5+x3 y): D^2 is the A1 surface
+        # x1^2 + y1^2 + y1 y2 + y2^2, D^2^(2) the A1 curve 3z^2 + x1^2, and
+        # D^3 has colength 12, 2 free S_3-orbits of 6 points, so mu_3^Alt = 2.
+        an = corpus["squared_4_6"]
+        for shape in ((1, 1), (2,)):
+            cls = an.cell(2, shape).classification
+            assert (cls.kind, cls.milnor.mu) == (ICIS, 1), shape
+        d3 = an.full_space(3)
+        assert d3.classification.dim == 0
+        assert d3.ideal.quotient_dimension() == 12
+        for shape in ((3,), (2, 1)):
+            assert an.cell(3, shape).classification.kind == ISOLATED_POINTS, shape
+        assert mu_alt_formula_a(an, 3) == mu_alt_formula_b(an, 3) == 2
+
     def test_zero_mu_image_iff_stable_or_contractible(self, corpus):
         for name, an in corpus.items():
             if not an.verdict.a_finite:
@@ -192,6 +208,42 @@ class TestImageInvariants:
     def test_not_a_finite_refused(self, not_a_finite_analysis):
         with pytest.raises(NotAFiniteError):
             mu_image(not_a_finite_analysis)
+
+
+_UV = VarSet(("u", "v"))
+
+
+def _image_equation(g: mp.GermSpec) -> MultiPoly:
+    """F(u, v) = Res_y(f1(y) - u, f2(y) - v) of a (1, 2) germ, as the one
+    maximal minor of the Sylvester matrix."""
+    zero = MultiPoly.zero(_UV)
+
+    def shifted_rows(f: MultiPoly, var: str, count: int) -> list[list[MultiPoly]]:
+        deg = f.total_degree()
+        coeffs = [MultiPoly.constant(_UV, f.terms.get((d,), 0)) for d in range(deg, -1, -1)]
+        coeffs[-1] = coeffs[-1] - MultiPoly.variable(_UV, var)
+        return [[zero] * i + coeffs + [zero] * (count - 1 - i) for i in range(count)]
+
+    f1, f2 = g.components
+    rows = shifted_rows(f1, "u", f2.total_degree()) + shifted_rows(f2, "v", f1.total_degree())
+    (minor,) = _maximal_minors(rows, _UV)
+    return minor
+
+
+class TestPlaneCurveImages:
+    # The image of a (1, 2) mono-germ is a plane curve with one branch, so
+    # mu(image) = 2 delta (Milnor) and mu_I = delta (Mond): the Jacobian
+    # colength of the resultant checks mu_I without any multiple point space.
+    @pytest.mark.parametrize("f1,f2,mu_i", [
+        ("y^2", "y^3", 1),
+        ("y^2", "y^5", 2),
+        ("y^3", "y^4", 3),
+        ("y^3", "y^5", 4),
+    ])
+    def test_milnor_number_of_the_resultant_is_twice_mu_image(self, f1, f2, mu_i):
+        g = mp.germ(1, 2, [f1, f2])
+        assert mu_image(mp.analyze_germ(g)) == mu_i
+        assert milnor_hypersurface(_image_equation(g)) == 2 * mu_i
 
 
 class TestIcssTable:

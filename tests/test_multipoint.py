@@ -34,6 +34,8 @@ from germlab.icis import EMPTY, NOT_ICIS
 from germlab.multipoint import InfeasibleDimensionsError, divided_difference_table
 from germlab.poly import ROLE_BASE, ROLE_CORANK
 
+from ring_generator import ring_sc_germ
+
 CONTRACTIBLE_5_8 = ["y^3+x1*y", "y^4+x2*y", "y^5+x3*y", "x4*y+x1*y^2"]
 STABLE_3_5 = ["y^3+x1*y", "y^4+x2*y", "x2*y+y^2"]
 
@@ -330,6 +332,20 @@ class TestGenerator:
         for n, p in pairs:
             g = generate_sc_germ(n, p)  # raises unless re-analysis is strongly contractible
             assert (g.n, g.p) == (n, p)
+
+    def test_matches_the_ring_operation_construction(self):
+        # Same term maps in the same dict order, hence the same serialized
+        # germ, for every feasible pair up to (20, 60).
+        pairs = [
+            (n, p) for n in range(1, 21) for p in range(n + 1, 61) if sc_dimension_feasible(n, p)
+        ]
+        for n, p in pairs:
+            got = generate_sc_germ(n, p, self_check=False)
+            want = ring_sc_germ(n, p)
+            assert [list(h.terms.items()) for h in got.components] == [
+                list(h.terms.items()) for h in want.components
+            ], (n, p)
+            assert got.serialize() == want.serialize(), (n, p)
 
     def test_leftover_base_variables_land_on_distinct_components(self):
         # (9, 14): kappa = 2, six components, x1..x6 scheduled, x7 and x8 left over.

@@ -18,8 +18,9 @@ from germlab import (
     parse_poly,
 )
 from germlab import multipoint as mp
+from germlab.localalg import DEFAULT_STEP_BUDGET
 from germlab.poly import ROLE_BASE, ROLE_CORANK
-from germlab.symrep import partitions
+from germlab.symrep import Partition, partitions
 
 V5 = VarSet(("x1", "x2", "x3", "x4", "y"))
 V3 = VarSet(("x1", "y1", "y2"))
@@ -237,6 +238,17 @@ def test_ring_operations_hold_only_nonzero_fractions(p, q, c):
     assert type(p.constant_term()) is Fraction
     for gen in _cell_generators(p, q):
         assert _nonzero_fractions(gen)
+
+
+def test_fixed_locus_map_drops_the_terms_it_cancels():
+    # Under the swap y1, y2 -> z1 the hand-made row (x1 + y1^2 - y2^2, y1 - y2)
+    # sums to (x1, 0): the collision sum must drop what cancels.
+    g = mp.germ(2, 3, ["y^2", "x1*y"])
+    amb = VarSet(("x1", "y1", "y2"), (ROLE_BASE, ROLE_CORANK, ROLE_CORANK))
+    row = [parse_poly("x1 + y1^2 - y2^2", amb), parse_poly("y1 - y2", amb)]
+    ideal = mp._fixed_ideal(g, [row], Partition((2,)), DEFAULT_STEP_BUDGET)
+    assert [gen.terms for gen in ideal.generators] == [{(1, 0): 1}]
+    assert all(_nonzero_fractions(gen) for gen in ideal.generators)
 
 
 def _repeated_product(p: MultiPoly, n: int) -> MultiPoly:
