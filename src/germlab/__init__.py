@@ -69,7 +69,6 @@ from .invariants import (
     mu_alt_dk,
     mu_image,
     mu_k_tau,
-    mu_top_term,
     no_unexpected_deformations,
     nu_image,
 )

@@ -310,7 +310,7 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         raise InconsistentDataError(
             f"expected dimension {expected_dim} exceeds ambient dimension {n_amb}"
         )
-    if ideal.is_zero_ideal():
+    if not ideal.generators:
         if expected_dim == n_amb:
             return VarietyClass(SMOOTH, dim=n_amb, mu=0, evidence="zero ideal")
         return VarietyClass(NOT_ICIS, dim=n_amb, evidence="zero ideal of wrong dimension")

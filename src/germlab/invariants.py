@@ -13,10 +13,13 @@ with sums over group elements, realized class-wise via class sizes.  Their
 agreement is a theorem, so a mismatch is reported as an internal
 inconsistency rather than absorbed.
 
-The image invariants sum the alternating numbers; the E-infinity table
-places each one at column k-1 and row d_k+1 (top term at column d(f),
-row 0), which after the degree shift puts the rank mu_k^Alt into homology
-degree d_k + k - 1 of a stable perturbation's image.
+Every image invariant is read from one dict {k: mu_k^Alt}, k = 2..d(f):
+mu_I is its sum and nu_I its signed sum.  The E-infinity table places
+mu_k^Alt at column k-1 and row d_k+1, which after the degree shift puts it
+into homology degree d_k + k - 1 of a stable perturbation's image; numbers
+that share a degree add up there.  The top cell (column d(f), row 0) holds
+the branch term C(s-1, d(f)) of a multi-germ, which is 0 for the s = 1
+mono-germs analyzed here.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -131,69 +134,41 @@ def mu_k_tau(
     return mu_tau(table, data, tau, d_k)
 
 
-def mu_k_tau_number(
-    analysis: GermAnalysis,
-    k: int,
-    tau: str,
-    branch_count: int = 1,
-) -> Fraction:
-    """Full case split of the k-th tau-Milnor number for s branches.
-
-    k <= d(f): the isotype value; k = d(f)+1 with s > d(f): the binomial
-    C(s-1, d(f)) independently of tau; otherwise 0.
-    """
-    d = analysis.verdict.d_of_f
-    if 2 <= k <= d:
-        return mu_k_tau(analysis, k, tau)
-    if k == d + 1 and branch_count > d:
-        return Fraction(mu_top_term(branch_count, d))
-    return Fraction(0)
-
-
-def mu_top_term(s: int, d: int) -> int:
-    """Contribution of branch combinatorics: C(s-1, d) when s > d, else 0."""
-    if s < 1:
-        raise InvalidInputError("branch count must be >= 1")
-    if d < 0:
-        raise InvalidInputError("d must be >= 0")
-    return comb(s - 1, d) if s > d else 0
-
-
 def is_degenerate(n: int, p: int) -> bool:
     """Degenerate dimension pairs: d_2 < 0, i.e. p > 2n."""
     return expected_dim(n, p, 2) < 0
 
 
-def mu_image(analysis: GermAnalysis) -> int:
-    """Image Milnor number: sum of the alternating numbers plus the top term.
-
-    Degenerate mono-germs (p > 2n) have mu_I = 0 by the degenerate rule.
-    """
+def _alternating_numbers(analysis: GermAnalysis) -> dict[int, int]:
+    """{k: mu_k^Alt} for k = 2..d(f); empty when d(f) = 1, as for p > 2n."""
     _require_a_finite(analysis)
-    g = analysis.germ
-    if is_degenerate(g.n, g.p):
-        return 0
-    d = analysis.verdict.d_of_f
-    total = sum(mu_alt_dk(analysis, k) for k in range(2, d + 1))
-    return total + mu_top_term(1, d)
+    return {k: mu_alt_dk(analysis, k) for k in range(2, analysis.verdict.d_of_f + 1)}
+
+
+def _homology_degree(n: int, p: int, k: int) -> int:
+    """Degree d_k + k - 1 that mu_k^Alt contributes to in the image."""
+    return expected_dim(n, p, k) + k - 1
+
+
+def _degree_sign(n: int, p: int, i: int) -> int:
+    """Sign of homology degree i in nu_I: + in degree d_2 + 1, alternating."""
+    return -1 if (i + expected_dim(n, p, 2) + 1) % 2 else 1
+
+
+def _nu(n: int, p: int, mu_alt: Mapping[int, int]) -> int:
+    return sum(_degree_sign(n, p, _homology_degree(n, p, k)) * v for k, v in mu_alt.items())
+
+
+def mu_image(analysis: GermAnalysis) -> int:
+    """Image Milnor number: the sum of the alternating numbers."""
+    return sum(_alternating_numbers(analysis).values())
 
 
 def nu_image(analysis: GermAnalysis) -> int:
-    """Image vanishing characteristic, with the sign conventions pinned by tests."""
-    _require_a_finite(analysis)
+    """Image vanishing characteristic: the alternating numbers summed with the
+    sign of their homology degree, the sign conventions pinned by tests."""
     g = analysis.germ
-    if is_degenerate(g.n, g.p):
-        return 0
-    d2 = expected_dim(g.n, g.p, 2)
-    d = analysis.verdict.d_of_f
-    lead = -1 if (d2 + 1) % 2 else 1
-    acc = 0
-    for k in range(2, d + 1):
-        d_k = expected_dim(g.n, g.p, k)
-        sign = -1 if (d_k + k - 1) % 2 else 1
-        acc += sign * mu_alt_dk(analysis, k)
-    top_sign = -1 if (d + d2) % 2 else 1
-    return lead * acc + top_sign * mu_top_term(1, d)
+    return _nu(g.n, g.p, _alternating_numbers(analysis))
 
 
 def no_unexpected_deformations(analysis: GermAnalysis) -> bool:
@@ -279,27 +254,24 @@ def icss_table(analysis: GermAnalysis) -> IcssTable:
 
     mu_k^Alt sits at (r, q) = (k-1, d_k+1); the branch top term would sit at
     (d(f), 0) and is zero for mono-germs.  Image Betti numbers follow the
-    degree shift: beta_{d_k+k-1}(image of a stable perturbation) = mu_k^Alt.
+    degree shift: beta_i(image of a stable perturbation) is the sum of the
+    mu_k^Alt with d_k + k - 1 = i.
     """
-    _require_a_finite(analysis)
-    g = analysis.germ
-    kap = analysis.kappa
+    return _icss(analysis, _alternating_numbers(analysis))
+
+
+def _icss(analysis: GermAnalysis, mu_alt: Mapping[int, int]) -> IcssTable:
+    n, p = analysis.germ.n, analysis.germ.p
+    layout = icss_layout(n, p)
     d = analysis.verdict.d_of_f
-    cells = []
+    cells = [replace(c, value=mu_alt.get(c.k, 0)) for c in layout.cells[:-1]]
+    cells.append(IcssCell(d, 0, d + 1, 0))
     betti: dict[int, int] = {}
-    for k in range(2, kap + 1):
-        d_k = expected_dim(g.n, g.p, k)
-        if d_k < 0:
-            continue
-        value = mu_alt_dk(analysis, k) if k <= d else 0
-        cells.append(IcssCell(k - 1, d_k + 1, k, value))
+    for k, value in mu_alt.items():
         if value:
-            betti[d_k + k - 1] = value
-    top = mu_top_term(1, d)
-    cells.append(IcssCell(d, 0, d + 1, top))
-    if top:
-        betti[d - 1] = betti.get(d - 1, 0) + top
-    return IcssTable(g.n, g.p, kap, tuple(cells), betti)
+            i = _homology_degree(n, p, k)
+            betti[i] = betti.get(i, 0) + value
+    return IcssTable(n, p, layout.kappa, tuple(cells), betti)
 
 
 # -- conservation of the image invariants --------------------------------------
@@ -332,17 +304,12 @@ def check_mu_conservation(
     refusing is the only honest option).
     """
     kap = kappa(n, p)
-    d2 = expected_dim(n, p, 2)
     integral_ratio = p % (p - n) == 0
     if any(i <= 0 for i in betti_im_ft):
         raise InvalidInputError("perturbed-image Betti data uses positive degrees only")
     sum_mu_side = sum(v for i, v in betti_im_ft.items() if i != kap)
     beta_kappa = betti_im_ft.get(kap, 0)
-
-    def signed(i: int) -> int:
-        return -1 if (i + d2 + 1) % 2 else 1
-
-    nu_side = sum(signed(i) * v for i, v in betti_im_ft.items() if i != kap)
+    nu_side = sum(_degree_sign(n, p, i) * v for i, v in betti_im_ft.items() if i != kap)
     if integral_ratio:
         mu_rhs = sum_mu_side + sum(local_mu)
         nu_rhs = nu_side + sum(local_nu)
@@ -353,7 +320,7 @@ def check_mu_conservation(
             )
         d = delta if delta is not None else 0
         mu_rhs = sum_mu_side + sum(local_mu) - beta_kappa + d
-        nu_rhs = nu_side + sum(local_nu) - signed(kap) * (beta_kappa - d)
+        nu_rhs = nu_side + sum(local_nu) - _degree_sign(n, p, kap) * (beta_kappa - d)
     mu_res = mu_i - mu_rhs
     nu_res = nu_i - nu_rhs
     return MuConservationVerdict(mu_res == 0 and nu_res == 0, mu_res, nu_res)
@@ -400,7 +367,7 @@ class InvariantReport:
             else {str(k): val for k, val in sorted(self.mu_alt.items())},
             "mu_image": self.mu_i,
             "nu_image": self.nu_i,
-            "mu_top_term": mu_top_term(1, v.d_of_f),
+            "mu_top_term": 0,
             "icss": None if self.icss is None else [c.as_dict() for c in self.icss.cells],
             "image_betti": None
             if self.icss is None or self.icss.image_betti is None
@@ -467,22 +434,21 @@ def build_report(analysis: GermAnalysis, tau: str | None = None) -> InvariantRep
             analysis, None, None, None, degenerate, None,
             no_unexpected_deformations(analysis),
         )
-    d = analysis.verdict.d_of_f
-    mu_alt = {k: mu_alt_dk(analysis, k) for k in range(2, d + 1)}
+    mu_alt = _alternating_numbers(analysis)
     mu_tau_values = None
     if tau is not None:
         mu_tau_values = {}
-        for k in range(2, d + 1):
+        for k in mu_alt:
             table = character_table_symmetric(k)
             if tau in table.irrep_labels:
                 mu_tau_values[k] = mu_k_tau(analysis, k, tau, table=table)
     return InvariantReport(
         analysis,
         mu_alt,
-        mu_image(analysis),
-        nu_image(analysis),
+        sum(mu_alt.values()),
+        _nu(g.n, g.p, mu_alt),
         degenerate,
-        icss_table(analysis),
+        _icss(analysis, mu_alt),
         no_unexpected_deformations(analysis),
         tau=tau,
         mu_tau_values=mu_tau_values,

@@ -114,10 +114,6 @@ def leading_monomial(p: MultiPoly) -> Exponent:
     return _lead(p.terms)[0]
 
 
-def leading_coeff(p: MultiPoly) -> Fraction:
-    return p.terms[leading_monomial(p)]
-
-
 # Inside the normal form a polynomial is an integer term map: exponent tuple
 # to nonzero int, a nonzero rational multiple of the MultiPoly it stands for.
 
@@ -381,9 +377,6 @@ class LocalIdeal:
     def contains_unit(self) -> bool:
         """True iff the ideal is the whole local ring (empty germ)."""
         return any(sum(lm) == 0 for lm in self.leading_monomials)
-
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
 
     def krull_dimension(self) -> int:
         """Dimension of the leading ideal; -1 for the unit ideal."""

@@ -283,7 +283,6 @@ class MultiPointSpace:
     k: int
     shape: Partition
     expected_dim: int
-    equation_count: int  # before dropping zero generators
     ideal: LocalIdeal
     classification: VarietyClass
 
@@ -395,7 +394,6 @@ def analyze_germ(
     for k in range(2, kap + 2):
         shapes = partitions(k) if k <= kap else [Partition((1,) * k)]
         rows = divided_difference_table(g, k)
-        raw_count = sum(len(r) for r in rows)
         for shape in shapes:
             if shape.parts == (1,) * k:
                 ideal = _full_ideal(rows, budget)
@@ -406,7 +404,6 @@ def analyze_germ(
                 k=k,
                 shape=shape,
                 expected_dim=e_dim,
-                equation_count=raw_count,
                 ideal=ideal,
                 classification=icis.classify(ideal, e_dim, seed=seed),
             )

@@ -166,14 +166,6 @@ class MultiPoly:
                 out[exp.index(1)] = c
         return out
 
-    def total_degree(self) -> int:
-        """Max total degree among terms; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def involves(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return any(e[i] for e in self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_vars(self, other: "MultiPoly"):

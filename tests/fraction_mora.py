@@ -17,7 +17,6 @@ from typing import Sequence
 from germlab.localalg import (
     DEFAULT_STEP_BUDGET,
     _Budget,
-    leading_coeff,
     leading_monomial,
     monomial_divides,
     monomial_lcm,
@@ -28,8 +27,13 @@ from germlab.localalg import (
 from germlab.poly import Exponent, MultiPoly
 
 
+def total_degree(p: MultiPoly) -> int:
+    """Max total degree among terms; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def ecart(p: MultiPoly) -> int:
-    return p.total_degree() - sum(leading_monomial(p))
+    return total_degree(p) - sum(leading_monomial(p))
 
 
 def coeff_bits(p: MultiPoly) -> int:
@@ -42,7 +46,7 @@ def coeff_bits(p: MultiPoly) -> int:
 
 
 def monic(p: MultiPoly) -> MultiPoly:
-    c = leading_coeff(p)
+    c = p.terms[leading_monomial(p)]
     return p if c == 1 else p.scale(Fraction(1) / c)
 
 
@@ -85,7 +89,7 @@ def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) 
                     chosen, chosen_lm, chosen_rank = g, lm_g, rank
         if chosen is None:
             return h
-        ecart_h = h.total_degree() - sum(lm_h)
+        ecart_h = total_degree(h) - sum(lm_h)
         if chosen_rank[0] > ecart_h:
             reducers.append((lm_h, ecart_h, h))
         budget.tick("normal form", 1 + (len(h.terms) * bits) // 256)

@@ -17,16 +17,29 @@ from germlab import (
     mu_alt_dk,
     mu_image,
     mu_k_tau,
-    mu_top_term,
     no_unexpected_deformations,
     nu_image,
 )
+from germlab import invariants as inv
 from germlab import multipoint as mp
 from germlab.icis import ICIS, ISOLATED_POINTS, _maximal_minors, milnor_hypersurface
-from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b, mu_k_tau_number
+from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
+from fraction_mora import total_degree
+
 DATA = Path(__file__).resolve().parent / "data"
+MOND_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "mond.txt"
+
+
+def mond_germs() -> list[tuple[str, int, list[str]]]:
+    """(name, A_e-codimension, components) for each line of Mond's list."""
+    out = []
+    for line in MOND_LIST.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, codim, rest = line.split(None, 2)
+            out.append((name, int(codim), [h.strip() for h in rest.split(";")]))
+    return out
 
 
 class TestMuAlt:
@@ -139,23 +152,6 @@ class TestMuTauPipeline:
                 )
                 assert total == an.full_space(k).milnor.mu
 
-    def test_case_split(self, corpus):
-        an = corpus["s2"]
-        assert mu_k_tau_number(an, 2, "(1,1)") == 2
-        assert mu_k_tau_number(an, 3, "(1,1,1)") == 0  # beyond d(f)
-        assert mu_k_tau_number(an, 3, "(1,1,1)", branch_count=5) == mu_top_term(5, 2)
-
-
-class TestTopTerm:
-    def test_mono_germ_vanishes(self):
-        for d in (1, 2, 3):
-            assert mu_top_term(1, d) == 0
-
-    def test_branches_exceed_dimension(self):
-        assert mu_top_term(3, 2) == 1
-        assert mu_top_term(2, 2) == 0
-        assert mu_top_term(4, 2) == 3
-
 
 class TestImageInvariants:
     @pytest.mark.parametrize("name,mu_i,nu_i", [
@@ -210,6 +206,23 @@ class TestImageInvariants:
             mu_image(not_a_finite_analysis)
 
 
+class TestMondList:
+    # Mond's simple germs (C^2, 0) -> (C^3, 0) are quasi-homogeneous, so
+    # mu_I = A_e-codim (Mond, Proc. LMS 50, 1985), and the image of a stable
+    # perturbation is a wedge of mu_I 2-spheres, so nu_I = mu_I.
+    @pytest.mark.parametrize("codim,comps", [
+        pytest.param(codim, comps, id=name) for name, codim, comps in mond_germs()
+    ])
+    def test_image_milnor_number_is_the_codimension(self, codim, comps):
+        rep = build_report(mp.analyze_germ(mp.germ(2, 3, comps)))
+        assert rep.mu_i == codim
+        assert rep.nu_i == rep.mu_i
+        assert rep.icss.image_betti == {2: rep.mu_i}
+
+    def test_list_is_complete(self):
+        assert len(mond_germs()) == 53
+
+
 _UV = VarSet(("u", "v"))
 
 
@@ -219,13 +232,13 @@ def _image_equation(g: mp.GermSpec) -> MultiPoly:
     zero = MultiPoly.zero(_UV)
 
     def shifted_rows(f: MultiPoly, var: str, count: int) -> list[list[MultiPoly]]:
-        deg = f.total_degree()
+        deg = total_degree(f)
         coeffs = [MultiPoly.constant(_UV, f.terms.get((d,), 0)) for d in range(deg, -1, -1)]
         coeffs[-1] = coeffs[-1] - MultiPoly.variable(_UV, var)
         return [[zero] * i + coeffs + [zero] * (count - 1 - i) for i in range(count)]
 
     f1, f2 = g.components
-    rows = shifted_rows(f1, "u", f2.total_degree()) + shifted_rows(f2, "v", f1.total_degree())
+    rows = shifted_rows(f1, "u", total_degree(f2)) + shifted_rows(f2, "v", total_degree(f1))
     (minor,) = _maximal_minors(rows, _UV)
     return minor
 
@@ -275,6 +288,10 @@ class TestIcssTable:
         assert table.image_betti == {3: 1, 2: 2}
         table = icss_table(corpus["s3"])
         assert table.image_betti == {2: 3}
+        # Mond's H_2: mu_2^Alt and mu_3^Alt both land in degree 2 and add up.
+        an = mp.analyze_germ(mp.germ(2, 3, ["y^3", "x1*y + y^5"]))
+        assert build_report(an).mu_alt == {2: 1, 3: 1}
+        assert icss_table(an).image_betti == {2: 2}
 
     def test_renderings(self, corpus):
         table = icss_table(corpus["s2"])
@@ -335,6 +352,21 @@ class TestReport:
             for sp in d["spaces"]
         )
         assert "E-infinity" in rep.to_text() or "e-infinity" in rep.to_text().lower()
+
+    def test_each_alternating_number_is_evaluated_once(self, corpus, monkeypatch):
+        calls = []
+        for name in ("mu_alt_formula_a", "mu_alt_formula_b"):
+            def counted(analysis, k, name=name, real=getattr(inv, name)):
+                calls.append((name, k))
+                return real(analysis, k)
+            monkeypatch.setattr(inv, name, counted)
+        an = corpus["squared_4_6"]  # d(f) = 3
+        rep = build_report(an)
+        assert (rep.mu_alt, rep.mu_i, rep.nu_i) == ({2: 1, 3: 2}, 3, -1)
+        assert sorted(calls) == [
+            ("mu_alt_formula_a", 2), ("mu_alt_formula_a", 3),
+            ("mu_alt_formula_b", 2), ("mu_alt_formula_b", 3),
+        ]
 
     def test_partial_report_for_not_a_finite(self, not_a_finite_analysis):
         rep = build_report(not_a_finite_analysis)
