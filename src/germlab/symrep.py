@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -88,66 +88,63 @@ def sign_of_class(lam: Partition) -> int:
     return -1 if (lam.k - lam.cycle_count) % 2 else 1
 
 
-# -- Murnaghan-Nakayama ------------------------------------------------------
+# -- Murnaghan-Nakayama by columns ---------------------------------------------
 #
-# Rim hooks are manipulated through beta numbers: for a shape with m rows,
-# beta_i = lambda_i + m - i gives m distinct non-negative integers.  Removing
-# a rim hook of length L is replacing some beta by beta - L, provided that
-# value is fresh and non-negative; the hook height is the number of betas
-# strictly between the old and new value.
+# A partition lambda_1 >= ... >= lambda_m is an abacus: the bitmask with one
+# bead at each beta number lambda_i + m - i.  A zero-length row shifts the
+# mask left and sets bit 0, so the canonical mask has no trailing set bits
+# (the empty partition is 0).  Adding a rim hook of length L moves a bead
+# from b to an empty b + L; its height is the number of beads in between.
+#
+# By Murnaghan-Nakayama, chi^lambda(cycles) is the sum of
+# (-1)^height chi^mu(cycles[:-1]) over the hooks of length L = cycles[-1]
+# that grow mu into lambda.  So _column(cycles), every chi^lambda(cycles) at
+# once, extends the column of cycles[:-1] by every such hook, each mask
+# padded with L zero-length rows first.  Prefixes of partitions are
+# partitions: the memo holds one column per partition of m <= MAX_SYMMETRIC_K.
+
+_COLUMNS: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
 
-def _betas(shape: tuple[int, ...]) -> tuple[int, ...]:
-    m = len(shape)
-    return tuple(shape[i] + m - 1 - i for i in range(m))
+def _abacus(parts: tuple[int, ...]) -> int:
+    m = len(parts)
+    return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
 
 
-def _shape_from_betas(betas: list[int]) -> tuple[int, ...]:
-    betas = sorted(betas, reverse=True)
-    m = len(betas)
-    shape = tuple(b - (m - 1 - i) for i, b in enumerate(betas))
-    return tuple(x for x in shape if x > 0)
+def _column(cycles: tuple[int, ...]) -> dict[int, int]:
+    """{abacus mask of lambda: chi^lambda(cycles)} for every lambda of sum(cycles)."""
+    column = _COLUMNS.get(cycles)
+    if column is not None:
+        return column
+    length = cycles[-1]
+    column = {}
+    for mask, value in _column(cycles[:-1]).items():
+        beads = (mask << length) | ((1 << length) - 1)
+        movable = beads & ~(beads >> length)  # beads at b with b + length empty
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            grown = beads ^ bead ^ (bead << length)
+            grown >>= (grown ^ (grown + 1)).bit_length() - 1
+            height = (beads & (bead << length) - (bead << 1)).bit_count()
+            column[grown] = column.get(grown, 0) + (-value if height & 1 else value)
+    _COLUMNS[cycles] = column
+    return column
 
 
-@lru_cache(maxsize=None)
-def _mn_char(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion: character of `shape` at cycle type `cycles`.
-
-    Cycles are consumed largest-first (any fixed order is valid)."""
-    if not cycles:
-        return 1 if not shape else 0
-    length, rest = cycles[0], cycles[1:]
-    betas = _betas(shape)
-    beta_set = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - length
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in betas if nb < other < b)
-        new = [nb if x == b else x for x in betas]
-        total += (-1) ** height * _mn_char(_shape_from_betas(new), rest)
-    return total
-
-
-def character_value(irrep: Partition, cls: Partition) -> int:
-    """chi_irrep(cls) for S_k, by Murnaghan-Nakayama."""
-    if irrep.k != cls.k:
-        raise InvalidInputError("irreducible label and class must partition the same k")
-    return _mn_char(irrep.parts, cls.parts)
-
-
-def _check_rectangular(rows: Sequence[Sequence[Fraction]], width: int):
+def _check_shape(rows: Sequence[Sequence[Fraction]], width: int):
     if any(len(r) != width for r in rows):
         raise InconsistentDataError("ragged character table")
+    if len(rows) != width:
+        raise InconsistentDataError(f"{len(rows)} irreducibles for {width} classes")
 
 
 @dataclass(frozen=True)
 class CharacterTable:
     """Irreducible characters indexed by conjugacy class, all values exact.
 
-    class_sizes sum to group_order; row orthogonality and degree positivity
-    are enforced by validate(), which runs on every load of a generic table.
+    validate() enforces class sizes summing to group_order, one irreducible
+    per class, row orthogonality and positive degrees; every load runs it.
     For symmetric groups the labels are partition strings and the values are
     integers; generic tables admit rational values.  Values are real
     rationals throughout, so character conjugation is the identity here.
@@ -188,7 +185,7 @@ class CharacterTable:
     def validate(self):
         if sum(self.class_sizes) != self.group_order:
             raise InconsistentDataError("class sizes do not sum to the group order")
-        _check_rectangular(self.values, len(self.class_labels))
+        _check_shape(self.values, len(self.class_labels))
         rows = self.integer_rows
         for i, (den_i, ints_i) in enumerate(rows):
             # sum size * row_i * row_j == expected  <=>  the same identity
@@ -228,9 +225,9 @@ def character_table_symmetric(k: int) -> CharacterTable:
     parts = partitions(k)
     labels = tuple(p.label() for p in parts)
     sizes = tuple(class_size(p) for p in parts)
-    values = tuple(
-        tuple(Fraction(character_value(irrep, cls)) for cls in parts) for irrep in parts
-    )
+    columns = [_column(cls.parts) for cls in parts]
+    masks = [_abacus(irrep.parts) for irrep in parts]
+    values = tuple(tuple(Fraction(column.get(mask, 0)) for column in columns) for mask in masks)
     identity_index = next(i for i, p in enumerate(parts) if p.parts == (1,) * k)
     trivial_index = next(i for i, p in enumerate(parts) if p.parts == (k,))
     table = CharacterTable(
@@ -261,8 +258,8 @@ def table_from_text(text: str) -> CharacterTable:
     `irrep <label> <value per class...>` lines.  Blank lines and `#` comments
     are ignored; class labels and irreducible labels must each be unique and
     class sizes positive.  The identity class is the one of size 1 on which
-    every irreducible is positive; orthogonality is validated and
-    inconsistent tables are rejected.
+    every irreducible is positive; the count of irreducibles (one per class)
+    and orthogonality are validated and inconsistent tables are rejected.
     """
     order = None
     class_labels: list[str] = []
@@ -299,7 +296,7 @@ def table_from_text(text: str) -> CharacterTable:
             raise InvalidInputError(f"unknown directive {key!r} in character table")
     if order is None or not class_labels or not irrep_labels:
         raise InvalidInputError("character table needs group_order, classes and irreps")
-    _check_rectangular(rows, len(class_labels))
+    _check_shape(rows, len(class_labels))
     identity_candidates = [
         j for j, size in enumerate(class_sizes) if size == 1 and all(row[j] > 0 for row in rows)
     ]

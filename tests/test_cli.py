@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -331,7 +332,20 @@ class TestScCommands:
         assert "strongly contractible" in err
 
 
+# sha256 of the stdout of `germlab --format F char-table K`, K = 1..12 (outer)
+# and F = text, json, csv (inner), concatenated.
+CHAR_TABLE_DIGEST = "ea9287bbd27a26050a82c15c04f80335273d0a7aa8232cefbaa2327eef1c0e35"
+
+
 class TestTables:
+    def test_char_table_output_bytes_are_pinned(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for k in range(1, 13):
+                for fmt in ("text", "json", "csv"):
+                    assert main(["--format", fmt, "char-table", str(k)]) == EXIT_OK
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CHAR_TABLE_DIGEST
+
     def test_char_table_3(self, capsys):
         code, out, _ = run(capsys, "char-table", "3")
         assert code == EXIT_OK
@@ -397,6 +411,13 @@ class TestIsotypeCommand:
         code, out, err = run(capsys, "isotype", files("t.table", table), files("d.data", data))
         assert (code, out) == (expected, "")
         assert message in err
+
+    def test_table_missing_an_irreducible_is_inconsistent(self, files, capsys):
+        # Exited 0 with {"(3)": "1", "(1,1,1)": "0"}, the (2,1) isotype dropped.
+        table = files("s3.table", S3_TABLE.replace("irrep (2,1) -1 0 2\n", ""))
+        code, out, err = run(capsys, "isotype", table, files("s3.data", S3_DATA[0]))
+        assert (code, out) == (EXIT_INCONSISTENT, "")
+        assert "2 irreducibles for 3 classes" in err
 
     def test_unknown_tau_is_an_input_error(self, files, capsys):
         table = files("s2.table", S2_TABLE)

@@ -11,6 +11,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mn_betas import mn_char
 from strategies import rational_tables
 
 from germlab import (
@@ -172,6 +173,14 @@ class TestCharacterTable:
             for cls, value in chi.items():
                 assert row[Partition(cls).label()] == value
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_the_beta_number_reference(self, k):
+        t = character_table_symmetric(k)
+        parts = partitions(k)
+        assert t.values == tuple(
+            tuple(Fraction(mn_char(irrep.parts, cls.parts)) for cls in parts) for irrep in parts
+        )
+
     def test_supported_bound(self):
         table = character_table_symmetric(12)
         assert len(table.irrep_labels) == 77
@@ -216,6 +225,17 @@ irrep other 1 1
 """
         with pytest.raises(InconsistentDataError):
             table_from_text(bad)
+
+    def test_missing_irreducible_rejected(self):
+        # Accepted before: S_3 without (2,1) passes row orthogonality, and
+        # the isotype of (2,1) was silently dropped.
+        t = character_table_symmetric(3)
+        short = replace(t, irrep_labels=("(3)", "(1,1,1)"), values=(t.values[0], t.values[2]))
+        message = "2 irreducibles for 3 classes"
+        with pytest.raises(InconsistentDataError, match=re.escape(message)):
+            short.validate()
+        with pytest.raises(InconsistentDataError, match=re.escape(message)):
+            table_from_text(short.to_text())
 
     def test_duplicate_class_label_rejected(self):
         # Accepted before: one irreducible was lost and the datum of the
@@ -262,6 +282,8 @@ def fraction_validate(table: CharacterTable):
     if any(len(r) != len(table.class_labels) for r in table.values):
         raise InconsistentDataError("ragged character table")
     n = len(table.irrep_labels)
+    if n != len(table.class_labels):
+        raise InconsistentDataError(f"{n} irreducibles for {len(table.class_labels)} classes")
     for i in range(n):
         for j in range(i, n):
             acc = Fraction(0)
