@@ -38,10 +38,14 @@ dimensional complete intersections by the telescoping chain
     mu(X_i) + mu(X_{i-1}) = dim_Q O / ((g_1..g_{i-1}) + maximal minors of Jac(g_1..g_i))
 
 and zero-dimensional ones by (colength - 1), which counts the generic fiber
-minus the base point.  When a chain step degenerates (infinite intermediate
-colength) the generators are re-mixed by seeded invertible linear
-recombinations and the chain is retried; genericity is what the chain needs,
-and randomization with exact verification is sound.
+minus the base point.  The chain runs on primitive integer term maps: step i
+extends the maximal minors of steps 1..i-1 by the Jacobian row of g_i, one
+multiply-add of integer maps per (column subset, column), charged to the
+ideal's budget, and hands the section to a LocalIdeal as maps.  When a chain
+step degenerates (infinite intermediate colength) the generators are
+re-mixed by seeded invertible linear recombinations and the chain is
+retried; genericity is what the chain needs, and randomization with exact
+verification is sound.
 """
 
 from __future__ import annotations
@@ -50,11 +54,19 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .errors import InconsistentDataError, NotIcisError
-from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal
-from .poly import MultiPoly, VarSet
+from .localalg import (
+    DEFAULT_STEP_BUDGET,
+    INFINITE,
+    LocalIdeal,
+    _Budget,
+    _integer_terms,
+    _primitive,
+)
+from .poly import Exponent, MultiPoly
 
 DEFAULT_SEED = 290797
 CHAIN_RETRIES = 8
@@ -129,20 +141,24 @@ class MilnorData:
 def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
     """Rank over Q of the stacked linear parts, by fraction-free elimination.
 
-    Each nonzero row is scaled to integers (zero rows, most generators of a
-    multiple point space, stay zero and are skipped), then Bareiss
-    elimination keeps every entry an integer: after a pivot step the new
-    entries are 2 x 2 determinants divided exactly by the previous pivot.
+    Each generator's degree-one terms, scaled to integers, give its row
+    (zero rows, most generators of a multiple point space, are skipped),
+    then Bareiss elimination keeps every entry an integer: after a pivot
+    step the new entries are 2 x 2 determinants divided exactly by the
+    previous pivot.
     """
+    ncols = len(generators[0].vars) if generators else 0
     rows = []
     for g in generators:
-        row = g.linear_part()
-        if any(row):
-            den = lcm(*(c.denominator for c in row))
-            rows.append([c.numerator * (den // c.denominator) for c in row])
+        linear = [(e, c) for e, c in g.terms.items() if sum(e) == 1]
+        if linear:
+            den = lcm(*(c.denominator for _, c in linear))
+            row = [0] * ncols
+            for e, c in linear:
+                row[e.index(1)] = c.numerator * (den // c.denominator)
+            rows.append(row)
     rank = 0
     prev = 1
-    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -159,35 +175,51 @@ def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
     return rank
 
 
-def _maximal_minors(rows: list[list[MultiPoly]], ambient: VarSet) -> list[MultiPoly]:
-    """All r x r minors of an r x N polynomial matrix.
+# The chain works on integer term maps (localalg): a generator becomes its
+# primitive map once, and the Jacobian rows and minors are maps built from it.
 
-    Laplace expansion along rows with memoization over column subsets: the
-    minor for (row prefix of length s, column set S) is reused by every
-    superset, so the work is one polynomial multiply-add per (subset, column)
-    rather than a factorial blowup.
+
+def _derivative(h: dict[Exponent, int], i: int) -> dict[Exponent, int]:
+    """The partial derivative of an integer term map in variable i."""
+    out = {}
+    for e, c in h.items():
+        if a := e[i]:
+            out[e[:i] + (a - 1,) + e[i + 1 :]] = a * c
+    return out
+
+
+def _extend_minors(
+    minors: dict[tuple[int, ...], dict[Exponent, int]],
+    row: Sequence[dict[Exponent, int]],
+    budget: _Budget,
+) -> dict[tuple[int, ...], dict[Exponent, int]]:
+    """The maximal minors of a matrix with one more row, from those before it.
+
+    ``minors`` maps each s-subset of columns, in lexicographic order, to the
+    minor of the s rows so far on those columns (the constant map 1 on ()
+    before the first row).  The result maps each (s + 1)-subset to the minor
+    with ``row`` appended, by Laplace expansion along that last row.  The
+    work is one multiply-add of integer maps per (subset, column), and each
+    product of an entry with a minor is charged its term count product.
     """
-    r = len(rows)
-    n = len(rows[0]) if rows else 0
-    zero = MultiPoly.zero(ambient)
-    current: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.constant(ambient, 1)}
-    for s in range(r):
-        row_sign = -1 if s % 2 else 1
-        nxt: dict[tuple[int, ...], MultiPoly] = {}
-        for cols in combinations(range(n), s + 1):
-            acc = zero
-            for idx, col in enumerate(cols):
-                entry = rows[s][col]
-                if entry.is_zero():
-                    continue
-                sub = current[cols[:idx] + cols[idx + 1 :]]
-                if sub.is_zero():
-                    continue
-                term = entry * sub
-                acc = acc + term if (idx % 2 == 0) else acc - term
-            nxt[cols] = acc if row_sign == 1 else -acc
-        current = nxt
-    return [current[cols] for cols in sorted(current)]
+    s = len(next(iter(minors)))
+    out = {}
+    for cols in combinations(range(len(row)), s + 1):
+        acc: dict[Exponent, int] = {}
+        for idx, col in enumerate(cols):
+            entry = row[col]
+            sub = minors[cols[:idx] + cols[idx + 1 :]]
+            if not entry or not sub:
+                continue
+            budget.tick("maximal minors", len(entry) * len(sub))
+            sign = -1 if (s + idx) % 2 else 1
+            for e1, c1 in entry.items():
+                c1 *= sign
+                for e2, c2 in sub.items():
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        out[cols] = {e: c for e, c in acc.items() if c}
+    return out
 
 
 def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
@@ -202,15 +234,22 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
 
 
 def _chain_mu(gens: Sequence[MultiPoly], ideal: LocalIdeal) -> int:
-    """One Le-Greuel telescoping pass along the generators as given."""
+    """One Le-Greuel telescoping pass along the generators as given.
+
+    Step i appends the Jacobian row of g_i to the minors of steps 1..i-1.
+    Each generator is its primitive integer term map, a unit multiple, so
+    every ideal of the chain, and every colength, is that of the MultiPolys.
+    """
     ambient = ideal.ambient
+    nvars = len(ambient)
+    budget = _Budget(ideal.budget)
+    maps = [_integer_terms(g) for g in gens]
+    minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
     mu_prev = 0
-    jac_rows: list[list[MultiPoly]] = []
-    for i, g in enumerate(gens, start=1):
-        jac_rows.append([g.derivative(v) for v in ambient.names])
-        minors = _maximal_minors(jac_rows, ambient)
-        section = list(gens[: i - 1]) + minors
-        q = LocalIdeal(section, ambient, budget=ideal.budget).quotient_dimension()
+    for i, h in enumerate(maps, start=1):
+        minors = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], budget)
+        section = maps[: i - 1] + [_primitive(m) for m in minors.values()]
+        q = LocalIdeal._from_terms(section, ambient, ideal.budget).quotient_dimension()
         if q == INFINITE:
             raise NotIcisError(f"chain step {i} has infinite colength")
         mu_i = int(q) - mu_prev
@@ -315,7 +354,8 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
             return VarietyClass(SMOOTH, dim=n_amb, mu=0, evidence="zero ideal")
         return VarietyClass(NOT_ICIS, dim=n_amb, evidence="zero ideal of wrong dimension")
     gens = ideal.generators
-    if any(g.constant_term() for g in gens):
+    origin = (0,) * n_amb
+    if any(origin in g.terms for g in gens):
         return VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
     # Every generator now vanishes at the origin.
     rank = jacobian_rank_at_origin(gens)

@@ -21,13 +21,16 @@ search nodes and standard monomials alike, separates "gave up" from every
 mathematical verdict.
 
 The normal form is fraction-free: the remainder and its reducers are
-primitive integer term maps, reduced by pseudo-division.  Inside the basis
-completion every element is held as a reducer (leading monomial, ecart,
-integer term map), computed once when it joins, and S-polynomials are formed
-on those maps; only the final minimal basis becomes MultiPolys again.  A
-reduction step is charged 1 + terms * bits // 256 units, where terms is the
-size of the remainder and bits the bit length of its largest integer
-coefficient.
+primitive integer term maps, reduced by pseudo-division.  A LocalIdeal holds
+its generators as such maps too, built once (or handed over as maps by the
+Le-Greuel chain).  Inside the basis completion every element is held as a
+reducer (leading monomial, ecart, integer term map), computed once when it
+joins, and S-polynomials are formed on those maps.  The ideal keeps its
+minimal reducers: the leading ideal, and every fact derived from it, is read
+straight from them, and the basis becomes MultiPolys only when a caller asks
+for it.  A reduction step is charged 1 + terms * bits // 256 units, where
+terms is the size of the remainder and bits the bit length of its largest
+integer coefficient.
 """
 
 from __future__ import annotations
@@ -231,19 +234,21 @@ def _spoly(first: tuple, second: tuple, lcm: Exponent) -> dict[Exponent, int]:
 
 
 def standard_basis(
-    generators: Sequence[MultiPoly], budget_limit: int = DEFAULT_STEP_BUDGET
-) -> list[MultiPoly]:
-    """Compute a minimal monic standard basis of the local ideal.
+    generators: Sequence[dict[Exponent, int]], budget_limit: int = DEFAULT_STEP_BUDGET
+) -> list[tuple[Exponent, int, dict[Exponent, int]]]:
+    """The minimal standard basis of the local ideal, as reducers.
 
-    Deterministic: generators enter in input order and the pair queue is
-    processed by descending lcm in the local order (lowest degree first),
-    with index pairs breaking ties.  Heap entries are
-    (deg lcm, reversed lcm, i, j, lcm), whose ascending order is exactly
-    that processing order.
+    The generators are primitive integer term maps.  Deterministic:
+    generators enter in input order and the pair queue is processed by
+    descending lcm in the local order (lowest degree first), with index
+    pairs breaking ties.  Heap entries are (deg lcm, reversed lcm, i, j,
+    lcm), whose ascending order is exactly that processing order.
 
     The basis is held as reducers (leading monomial, ecart, primitive
-    integer term map), each computed once when its element joins; only the
-    final minimal basis becomes MultiPolys.
+    integer term map), each computed once when its element joins.  The
+    minimal ones are returned most leading first, each map scaled to a
+    positive leading coefficient, so that it is the integer term map of the
+    monic basis element (``monic_basis``).
     """
     budget = _Budget(budget_limit)
     basis: list[tuple] = []
@@ -260,11 +265,9 @@ def standard_basis(
         basis.append(entry)
 
     for g in generators:
-        if g.is_zero():
-            continue
         # Interreduce on intake: redundant generators vanish before they can
         # spawn quadratically many pairs.
-        h = _reduce(_integer_terms(g), basis, budget)
+        h = _reduce(g, basis, budget)
         if h:
             add(h)
 
@@ -276,12 +279,17 @@ def standard_basis(
             h = _reduce(_primitive(h), basis, budget)
             if h:
                 add(h)
-    if not basis:
-        return []
-    vars = generators[0].vars
+    return [
+        (lm, ecart, h if h[lm] > 0 else {e: -c for e, c in h.items()})
+        for lm, ecart, h in _minimalize(basis)
+    ]
+
+
+def monic_basis(reducers: Iterable[tuple], vars: VarSet) -> list[MultiPoly]:
+    """The monic MultiPolys of a standard basis held as reducers."""
     return [
         MultiPoly._trusted(vars, {e: Fraction(c, h[lm]) for e, c in h.items()})
-        for lm, _, h in _minimalize(basis)
+        for lm, _, h in reducers
     ]
 
 
@@ -328,10 +336,11 @@ def _monomial_ideal_dimension(lms: Sequence[Exponent], nvars: int, budget: _Budg
 class LocalIdeal:
     """An ideal in the local ring at the origin, with cached derived facts.
 
-    Zero generators are dropped at construction.  The standard basis and the
-    facts computed from its leading ideal (unit containment, Krull dimension,
-    quotient dimension) are cached on first use; instances are immutable
-    afterwards, so sharing across threads or workers is safe.
+    Zero generators are dropped at construction.  The generators' primitive
+    integer term maps, the minimal reducers of the standard basis and the
+    facts computed from its leading ideal (unit containment, Krull
+    dimension, quotient dimension) are cached on first use; instances are
+    immutable afterwards, so sharing across threads or workers is safe.
     """
 
     def __init__(
@@ -350,26 +359,57 @@ class LocalIdeal:
         self.ambient = ambient
         self.budget = budget
 
+    @classmethod
+    def _from_terms(
+        cls, maps: Iterable[dict[Exponent, int]], ambient: VarSet, budget: int
+    ) -> "LocalIdeal":
+        """The ideal of primitive integer term maps over ``ambient``, empty
+        ones dropped; its MultiPoly generators are built only if asked for."""
+        ideal = cls.__new__(cls)
+        ideal._terms = tuple(h for h in maps if h)
+        ideal.ambient = ambient
+        ideal.budget = budget
+        return ideal
+
+    # An ideal built by __init__ sets `generators` and derives `_terms`;
+    # one built by _from_terms the other way round.
+    @cached_property
+    def _terms(self) -> tuple[dict[Exponent, int], ...]:
+        return tuple(map(_integer_terms, self.generators))
+
+    @cached_property
+    def generators(self) -> tuple[MultiPoly, ...]:
+        return tuple(
+            MultiPoly._trusted(self.ambient, {e: Fraction(c) for e, c in h.items()})
+            for h in self._terms
+        )
+
     def __repr__(self) -> str:
         return f"LocalIdeal({[format_poly(g) for g in self.generators]})"
 
     @cached_property
-    def _std(self) -> list[MultiPoly]:
-        return standard_basis(self.generators, self.budget)
+    def _reducers(self) -> list[tuple[Exponent, int, dict[Exponent, int]]]:
+        return standard_basis(self._terms, self.budget)
 
     def standard_basis(self) -> "LocalIdeal":
-        """The cached standard basis, as the generators of a new ideal."""
-        return LocalIdeal(self._std, self.ambient, self.budget)
+        """The cached standard basis, monic, as the generators of a new ideal."""
+        return LocalIdeal(monic_basis(self._reducers, self.ambient), self.ambient, self.budget)
 
     @cached_property
     def leading_monomials(self) -> tuple[Exponent, ...]:
-        return tuple(leading_monomial(g) for g in self._std)
+        return tuple(lm for lm, _, _ in self._reducers)
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
-        """Mora normal form against the standard basis; 0 iff p is a member."""
+        """Mora normal form against the standard basis; 0 iff p is a member.
+
+        The same remainder as ``mora_normal_form`` against the monic basis,
+        whose integer term maps the reducers are.
+        """
         if p.vars != self.ambient:
             raise VariableMismatchError("polynomial does not live over the ambient VarSet")
-        return mora_normal_form(p, self._std, _Budget(self.budget))
+        if p.is_zero():
+            return p
+        return MultiPoly(p.vars, _reduce(_integer_terms(p), self._reducers, _Budget(self.budget)))
 
     def contains(self, p: MultiPoly) -> bool:
         return self.normal_form(p).is_zero()

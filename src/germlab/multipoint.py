@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, pairwise
 from math import floor
 from typing import Sequence
@@ -74,13 +75,14 @@ class GermSpec:
             raise InvalidInputError("base variable count must be n - 1")
         _check_component_count(len(self.components), self.n, self.p)
         vs = self.varset
+        origin = (0,) * len(vs)
         for h in self.components:
             if h.vars != vs:
                 raise InvalidInputError("component does not live over the germ variables")
-            if h.constant_term():
+            if origin in h.terms:
                 raise InvalidInputError("components must vanish at the origin")
 
-    @property
+    @cached_property
     def varset(self) -> VarSet:
         return VarSet(
             self.base_names + (self.corank_name,),

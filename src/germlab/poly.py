@@ -158,14 +158,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), _ZERO)
 
-    def linear_part(self) -> list[Fraction]:
-        """Coefficient vector of the degree-1 terms, one slot per variable."""
-        out = [_ZERO] * len(self.vars)
-        for exp, c in self.terms.items():
-            if sum(exp) == 1:
-                out[exp.index(1)] = c
-        return out
-
     # -- ring operations ---------------------------------------------------
 
     def _check_vars(self, other: "MultiPoly"):

@@ -63,6 +63,16 @@ component y^2
 component y^3 + x1^3*y
 """
 
+# Mond's H_5: its double point curve's Le-Greuel chain charges 473 units
+# to the maximal minors, and no standard basis of the analysis needs more
+# than 39 (see tests/test_icis.py::TestChainMinors).
+H5_GERM = """\
+n 2
+p 3
+component y^3
+component x1*y + y^14
+"""
+
 NOT_A_FINITE_GERM = """\
 n 3
 p 4
@@ -204,6 +214,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "--budget-steps", "1", "analyze", path)
         assert code == EXIT_RESOURCE
         assert "budget" in err
+
+    def test_budget_exit_in_the_chain_minors(self, files, capsys):
+        path = files("g.germ", H5_GERM)
+        assert run(capsys, "--budget-steps", "473", "analyze", path)[0] == EXIT_OK
+        code, _, err = run(capsys, "--budget-steps", "100", "analyze", path)
+        assert code == EXIT_RESOURCE
+        assert "maximal minors" in err
 
     def test_parse_error_exit(self, files, capsys):
         path = files("g.germ", "n 2\np 3\ncomponent y^^2\ncomponent x1*y\n")

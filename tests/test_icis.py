@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,11 +31,15 @@ from germlab.icis import (
     NOT_ICIS,
     SMOOTH,
     UNIT_CONSTANT_TERM,
+    _extend_minors,
     _random_recombination,
     jacobian_rank_at_origin,
 )
+from germlab.localalg import _Budget
 from germlab.poly import MultiPoly
 import random
+
+from fraction_minors import maximal_minors
 
 
 def ideal(var_names, gens, **kw):
@@ -142,7 +148,7 @@ class TestExactCriteria:
         I = ideal(["x", "y"], gens)
         cls = classify(I, e)
         assert (cls.kind, cls.dim) == (kind, dim) and evidence in cls.evidence
-        assert "_std" not in vars(I)  # the cached basis was never built
+        assert "_reducers" not in vars(I)  # the cached basis was never built
 
     @given(criterion_ideals())
     @settings(max_examples=300, deadline=None)
@@ -192,7 +198,7 @@ class TestFirstGenerators:
         I = ideal(["x", "y"], ["x^2", "y^2", "x*y"])
         cls = classify(I, -1)
         assert (cls.kind, cls.dim, cls.evidence) == (ISOLATED_POINTS, 0, FINITE_COLENGTH)
-        assert "_std" not in vars(I)  # the full ideal's basis was never built
+        assert "_reducers" not in vars(I)  # the full ideal's basis was never built
 
     def test_positive_dimensional_head_falls_back_to_the_full_ideal(self):
         # (x^2, x*y) is the y-axis with an embedded point; y^3 cuts it down.
@@ -200,7 +206,7 @@ class TestFirstGenerators:
         assert ideal(["x", "y"], ["x^2", "x*y"]).krull_dimension() == 1
         cls = classify(I, -1)
         assert (cls.kind, cls.dim, cls.evidence) == (ISOLATED_POINTS, 0, FINITE_COLENGTH)
-        assert "_std" in vars(I)
+        assert "_reducers" in vars(I)
 
     def test_positive_dimensional_ideal_is_not_icis(self):
         cls = classify(ideal(["x", "y"], ["x^2", "x*y", "x^3"]), -1)
@@ -343,6 +349,59 @@ class TestIcisMilnor:
             mixed = _random_recombination(list(I.generators), rng)
             J = LocalIdeal(mixed, I.ambient)
             assert milnor_icis(J, dim) == expected
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """r <= 3 rows over N <= 4 variables (r <= N) of polynomials with up to
+    three terms of degree <= 2 and small rational coefficients; an entry with
+    no terms, the zero polynomial, is drawn often."""
+    n = draw(st.integers(1, 4))
+    vs = VarSet(tuple(f"x{i}" for i in range(n)))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+    entries = st.dictionaries(monomials(n, 0, 2), coeffs, max_size=3).map(lambda d: MultiPoly(vs, d))
+    r = draw(st.integers(1, min(3, n)))
+    return vs, draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+
+
+def is_rational_multiple(h: dict, p: MultiPoly) -> bool:
+    """Whether the integer term map h is a nonzero rational multiple of p
+    (both empty when p is zero)."""
+    if h.keys() != p.terms.keys():
+        return False
+    return len({Fraction(c) / p.terms[e] for e, c in h.items()}) <= 1
+
+
+class TestChainMinors:
+    """The chain's integer minors, extended row by row."""
+
+    @given(polynomial_matrices(), st.lists(st.integers(-3, 3).filter(bool), min_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_minors_match_the_fraction_expansion_after_every_row(self, drawn, units):
+        # Each row enters as integers times a row-wide nonzero factor, as a
+        # Jacobian row of a generator's integer term map does.
+        vs, rows = drawn
+        n = len(vs)
+        minors = {(): {(0,) * n: 1}}
+        for s, (row, unit) in enumerate(zip(rows, units), start=1):
+            den = lcm(*(c.denominator for p in row for c in p.terms.values()))
+            scaled = [{e: int(c * den * unit) for e, c in p.terms.items()} for p in row]
+            minors = _extend_minors(minors, scaled, _Budget(10**6))
+            assert list(minors) == list(combinations(range(n), s))
+            reference = maximal_minors(rows[:s], vs)
+            for h, p in zip(minors.values(), reference, strict=True):
+                assert is_rational_multiple(h, p)
+
+    def test_minor_expansion_is_charged_to_the_budget(self):
+        # Mond's H_5 (x, y^3, x*y + y^14), double point curve: the chain in
+        # generator order fails at step 1, and the recombined pass that
+        # computes mu charges 473 units to its minors, while no standard
+        # basis of either pass needs more than 26.
+        g = mp.germ(2, 3, ["y^3", "x1*y + y^14"])
+        assert milnor_icis(mp.multiple_point_equations(g, 2), 1) == 1
+        I = mp.multiple_point_equations(g, 2, budget=100)
+        with pytest.raises(ResourceLimitError, match="maximal minors"):
+            milnor_icis(I, 1)
 
 
 def milnor_fields(md):

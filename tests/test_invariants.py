@@ -22,10 +22,11 @@ from germlab import (
 )
 from germlab import invariants as inv
 from germlab import multipoint as mp
-from germlab.icis import ICIS, ISOLATED_POINTS, _maximal_minors, milnor_hypersurface
+from germlab.icis import ICIS, ISOLATED_POINTS, milnor_hypersurface
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
+from fraction_minors import maximal_minors
 from fraction_mora import total_degree
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -222,6 +223,18 @@ class TestMondList:
     def test_list_is_complete(self):
         assert len(mond_germs()) == 53
 
+    def test_every_cell_keeps_its_milnor_number(self):
+        # The sums above would not see a chain step that moved mu between
+        # cells; the pinned table holds every cell's kind and mu.
+        got = []
+        for name, _, comps in mond_germs():
+            for (k, parts), cell in mp.analyze_germ(mp.germ(2, 3, comps)).cells.items():
+                mu = cell.classification.mu
+                got.append(f"{name} {k} {','.join(map(str, parts))} "
+                           f"{cell.classification.kind} {'-' if mu is None else mu}")
+        pinned = (DATA / "mond_cell_mu.txt").read_text().splitlines()
+        assert got == [line for line in pinned if not line.startswith("#")]
+
 
 _UV = VarSet(("u", "v"))
 
@@ -239,7 +252,7 @@ def _image_equation(g: mp.GermSpec) -> MultiPoly:
 
     f1, f2 = g.components
     rows = shifted_rows(f1, "u", total_degree(f2)) + shifted_rows(f2, "v", total_degree(f1))
-    (minor,) = _maximal_minors(rows, _UV)
+    (minor,) = maximal_minors(rows, _UV)
     return minor
 
 
