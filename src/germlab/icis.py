@@ -38,10 +38,10 @@ dimensional complete intersections by the telescoping chain
     mu(X_i) + mu(X_{i-1}) = dim_Q O / ((g_1..g_{i-1}) + maximal minors of Jac(g_1..g_i))
 
 and zero-dimensional ones by (colength - 1), which counts the generic fiber
-minus the base point.  The chain runs on primitive integer term maps: step i
-extends the maximal minors of steps 1..i-1 by the Jacobian row of g_i, one
-multiply-add of integer maps per (column subset, column), charged to the
-ideal's budget, and hands the section to a LocalIdeal as maps.  When a chain
+minus the base point.  The sections come from localalg.le_greuel_sections,
+which runs on primitive integer term maps: step i extends the maximal minors
+of steps 1..i-1 by the Jacobian row of g_i, one multiply-add of integer maps
+per (column subset, column), charged to the ideal's budget.  When a chain
 step degenerates (infinite intermediate colength) the generators are
 re-mixed by seeded invertible linear recombinations and the chain is
 retried; genericity is what the chain needs, and randomization with exact
@@ -52,21 +52,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import lcm
-from operator import add
 from typing import Sequence
 
 from .errors import InconsistentDataError, NotIcisError
-from .localalg import (
-    DEFAULT_STEP_BUDGET,
-    INFINITE,
-    LocalIdeal,
-    _Budget,
-    _integer_terms,
-    _primitive,
-)
-from .poly import Exponent, MultiPoly
+from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, le_greuel_sections
+from .poly import MultiPoly
 
 DEFAULT_SEED = 290797
 CHAIN_RETRIES = 8
@@ -175,53 +166,6 @@ def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
     return rank
 
 
-# The chain works on integer term maps (localalg): a generator becomes its
-# primitive map once, and the Jacobian rows and minors are maps built from it.
-
-
-def _derivative(h: dict[Exponent, int], i: int) -> dict[Exponent, int]:
-    """The partial derivative of an integer term map in variable i."""
-    out = {}
-    for e, c in h.items():
-        if a := e[i]:
-            out[e[:i] + (a - 1,) + e[i + 1 :]] = a * c
-    return out
-
-
-def _extend_minors(
-    minors: dict[tuple[int, ...], dict[Exponent, int]],
-    row: Sequence[dict[Exponent, int]],
-    budget: _Budget,
-) -> dict[tuple[int, ...], dict[Exponent, int]]:
-    """The maximal minors of a matrix with one more row, from those before it.
-
-    ``minors`` maps each s-subset of columns, in lexicographic order, to the
-    minor of the s rows so far on those columns (the constant map 1 on ()
-    before the first row).  The result maps each (s + 1)-subset to the minor
-    with ``row`` appended, by Laplace expansion along that last row.  The
-    work is one multiply-add of integer maps per (subset, column), and each
-    product of an entry with a minor is charged its term count product.
-    """
-    s = len(next(iter(minors)))
-    out = {}
-    for cols in combinations(range(len(row)), s + 1):
-        acc: dict[Exponent, int] = {}
-        for idx, col in enumerate(cols):
-            entry = row[col]
-            sub = minors[cols[:idx] + cols[idx + 1 :]]
-            if not entry or not sub:
-                continue
-            budget.tick("maximal minors", len(entry) * len(sub))
-            sign = -1 if (s + idx) % 2 else 1
-            for e1, c1 in entry.items():
-                c1 *= sign
-                for e2, c2 in sub.items():
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        out[cols] = {e: c for e, c in acc.items() if c}
-    return out
-
-
 def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """mu of an isolated hypersurface singularity: colength of the Jacobian ideal."""
     if g.constant_term():
@@ -234,22 +178,11 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
 
 
 def _chain_mu(gens: Sequence[MultiPoly], ideal: LocalIdeal) -> int:
-    """One Le-Greuel telescoping pass along the generators as given.
-
-    Step i appends the Jacobian row of g_i to the minors of steps 1..i-1.
-    Each generator is its primitive integer term map, a unit multiple, so
-    every ideal of the chain, and every colength, is that of the MultiPolys.
-    """
-    ambient = ideal.ambient
-    nvars = len(ambient)
-    budget = _Budget(ideal.budget)
-    maps = [_integer_terms(g) for g in gens]
-    minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
+    """One Le-Greuel telescoping pass along the generators as given."""
+    sections = le_greuel_sections(gens, ideal.ambient, ideal.budget)
     mu_prev = 0
-    for i, h in enumerate(maps, start=1):
-        minors = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], budget)
-        section = maps[: i - 1] + [_primitive(m) for m in minors.values()]
-        q = LocalIdeal._from_terms(section, ambient, ideal.budget).quotient_dimension()
+    for i, section in enumerate(sections, start=1):
+        q = section.quotient_dimension()
         if q == INFINITE:
             raise NotIcisError(f"chain step {i} has infinite colength")
         mu_i = int(q) - mu_prev

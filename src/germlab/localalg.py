@@ -31,6 +31,11 @@ straight from them, and the basis becomes MultiPolys only when a caller asks
 for it.  A reduction step is charged 1 + terms * bits // 256 units, where
 terms is the size of the remainder and bits the bit length of its largest
 integer coefficient.
+
+The sections of the Le-Greuel chain are built here too, on the same maps:
+``le_greuel_sections`` extends the maximal minors of the Jacobian matrix by
+one row per generator, one multiply-add of integer maps per (column subset,
+column), and charges each term product to the pass's budget.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd, lcm as _int_lcm
 from operator import add, itemgetter, le, sub
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError, VariableMismatchError
 from .poly import Exponent, MultiPoly, VarSet, format_poly, parse_poly
@@ -158,6 +163,47 @@ def _subtract_multiple(
     return h
 
 
+def _derivative(h: dict[Exponent, int], i: int) -> dict[Exponent, int]:
+    """The partial derivative of an integer term map in variable i."""
+    out = {}
+    for e, c in h.items():
+        if a := e[i]:
+            out[e[:i] + (a - 1,) + e[i + 1 :]] = a * c
+    return out
+
+
+def _extend_minors(
+    minors: dict[tuple[int, ...], dict[Exponent, int]],
+    row: Sequence[dict[Exponent, int]],
+    budget: _Budget,
+) -> dict[tuple[int, ...], dict[Exponent, int]]:
+    """The maximal minors of a matrix with one more row, from those before it.
+
+    ``minors`` maps each s-subset of columns, in lexicographic order, to the
+    minor of the s rows so far on those columns (the constant map 1 on ()
+    before the first row).  The result maps each (s + 1)-subset to the minor
+    with ``row`` appended, by Laplace expansion along that last row.  The
+    work is one multiply-add of integer maps per (subset, column), and each
+    product of an entry with a minor is charged its term count product.
+    """
+    s = len(next(iter(minors)))
+    out = {}
+    for cols in combinations(range(len(row)), s + 1):
+        acc: dict[Exponent, int] = {}
+        for idx, col in enumerate(cols):
+            entry = row[col]
+            sub = minors[cols[:idx] + cols[idx + 1 :]]
+            if not entry or not sub:
+                continue
+            budget.tick("maximal minors", len(entry) * len(sub))
+            # acc += (-1)^(s + idx) * entry * sub, as a subtraction.
+            sign = 1 if (s + idx) % 2 else -1
+            for e, c in entry.items():
+                _subtract_multiple(acc, sign * c, sub, e)
+        out[cols] = acc
+    return out
+
+
 def _entry(h: dict[Exponent, int]) -> tuple[Exponent, int, dict[Exponent, int]]:
     """A reducer: the leading monomial, ecart and primitive integer term map h."""
     return (*_lead(h), h)
@@ -207,17 +253,17 @@ def _reduce(
     return h
 
 
-def mora_normal_form(p: MultiPoly, basis: Sequence[MultiPoly], budget: _Budget) -> MultiPoly:
-    """Weak normal form of p against basis (Mora's algorithm).
+def mora_normal_form(p: MultiPoly, reducers: Sequence[tuple], budget: _Budget) -> MultiPoly:
+    """Weak normal form of p against reducers (Mora's algorithm).
 
-    Returns 0 iff p is in the local ideal generated by a *standard* basis.
-    Fraction-free: p and the basis elements become primitive integer term
-    maps, so the remainder returned is the one over Q times a nonzero
-    rational, with integer coefficients.
+    The reducers are (leading monomial, ecart, primitive integer term map)
+    triples, as ``standard_basis`` returns them.  Returns 0 iff p is in the
+    local ideal when they are a *standard* basis.  Fraction-free: p becomes
+    a primitive integer term map, so the remainder returned is the one over
+    Q times a nonzero rational, with integer coefficients.
     """
     if p.is_zero():
         return p
-    reducers = [_entry(_integer_terms(g)) for g in basis]
     return MultiPoly(p.vars, _reduce(_integer_terms(p), reducers, budget))
 
 
@@ -400,16 +446,10 @@ class LocalIdeal:
         return tuple(lm for lm, _, _ in self._reducers)
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
-        """Mora normal form against the standard basis; 0 iff p is a member.
-
-        The same remainder as ``mora_normal_form`` against the monic basis,
-        whose integer term maps the reducers are.
-        """
+        """Mora normal form against the standard basis; 0 iff p is a member."""
         if p.vars != self.ambient:
             raise VariableMismatchError("polynomial does not live over the ambient VarSet")
-        if p.is_zero():
-            return p
-        return MultiPoly(p.vars, _reduce(_integer_terms(p), self._reducers, _Budget(self.budget)))
+        return mora_normal_form(p, self._reducers, _Budget(self.budget))
 
     def contains(self, p: MultiPoly) -> bool:
         return self.normal_form(p).is_zero()
@@ -458,6 +498,28 @@ class LocalIdeal:
         """One generator per line, in the polynomial text grammar."""
         header = "vars " + " ".join(self.ambient.names)
         return "\n".join([header] + [format_poly(g) for g in self.generators]) + "\n"
+
+
+def le_greuel_sections(
+    generators: Sequence[MultiPoly], ambient: VarSet, budget: int
+) -> Iterator[LocalIdeal]:
+    """The ideals (g_1..g_{i-1}) + maximal minors of Jac(g_1..g_i), i = 1, 2, ...
+
+    Built lazily, so a caller that stops at a failed step computes no later
+    minors.  Each generator becomes its primitive integer term map once, a
+    unit multiple, so every section is the ideal of the MultiPolys; step i
+    extends the minors of steps 1..i-1 by the Jacobian row of g_i.  The
+    minor expansion of the whole pass is charged to one budget of
+    ``budget`` units, and every section runs under a budget of its own.
+    """
+    nvars = len(ambient)
+    steps = _Budget(budget)
+    maps = [_integer_terms(g) for g in generators]
+    minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
+    for i, h in enumerate(maps):
+        minors = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], steps)
+        section = maps[:i] + [_primitive(m) for m in minors.values()]
+        yield LocalIdeal._from_terms(section, ambient, budget)
 
 
 def ideal_from_text(text: str, budget: int = DEFAULT_STEP_BUDGET) -> LocalIdeal:

@@ -1,10 +1,10 @@
 """The Fraction maximal minors of a polynomial matrix.
 
-This is the expansion the Le-Greuel chain in ``germlab.icis`` used before it
-extended integer-map minors row by row, kept as the reference the tests
-compare it against, and as the determinant of the Sylvester-resultant route
-to plane-curve images: every prefix of rows is rebuilt from MultiPoly
-products and sums.
+This is the expansion the Le-Greuel chain in ``germlab.icis`` used before
+``germlab.localalg.le_greuel_sections`` extended integer-map minors row by
+row, kept as the reference the tests compare it against, and as the
+determinant of the Sylvester-resultant route to plane-curve images: every
+prefix of rows is rebuilt from MultiPoly products and sums.
 """
 
 from __future__ import annotations

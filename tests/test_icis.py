@@ -31,11 +31,10 @@ from germlab.icis import (
     NOT_ICIS,
     SMOOTH,
     UNIT_CONSTANT_TERM,
-    _extend_minors,
     _random_recombination,
     jacobian_rank_at_origin,
 )
-from germlab.localalg import _Budget
+from germlab.localalg import _Budget, _extend_minors
 from germlab.poly import MultiPoly
 import random
 

@@ -87,6 +87,11 @@ def reference(compute, *args):
         assume(False)
 
 
+def reducers(basis):
+    """MultiPolys as the reducers mora_normal_form takes."""
+    return [localalg._entry(_integer_terms(g)) for g in basis]
+
+
 def monic_standard_basis(gens, budget=DEFAULT_STEP_BUDGET):
     """standard_basis of MultiPoly generators, as monic MultiPolys."""
     return monic_basis(standard_basis(list(map(_integer_terms, gens)), budget), gens[0].vars)
@@ -215,16 +220,22 @@ class TestFractionReference:
     @settings(max_examples=200, deadline=None)
     def test_normal_forms_match(self, drawn):
         # Against the raw generators (recruitment at work) and against the
-        # standard basis (membership): the same verdict, and a remainder that
-        # is the reference's times a nonzero rational, with integer coefficients.
+        # standard basis (membership), the latter both as given and as the
+        # ideal's own reducers: the same verdict, and a remainder that is the
+        # reference's times a nonzero rational, with integer coefficients.
         gens, p = drawn
         std = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
-        for basis in (gens, std):
+        I = LocalIdeal(gens, gens[0].vars, budget=KERNEL_BUDGET)
+        for basis, normal_form in (
+            (gens, lambda q: mora_normal_form(q, reducers(gens), _Budget(KERNEL_BUDGET))),
+            (std, lambda q: mora_normal_form(q, reducers(std), _Budget(KERNEL_BUDGET))),
+            (std, I.normal_form),
+        ):
             for q in (p, *gens):
                 expected = reference(
                     fraction_mora.mora_normal_form, q, basis, _Budget(REFERENCE_BUDGET)
                 )
-                got = mora_normal_form(q, basis, _Budget(KERNEL_BUDGET))
+                got = normal_form(q)
                 assert got.is_zero() == expected.is_zero()
                 if not got.is_zero():
                     assert fraction_mora.monic(got) == fraction_mora.monic(expected)
@@ -235,7 +246,7 @@ class TestFractionReference:
         # instead would return 12*y^2 - 2*z^2.
         vs = VarSet(("x", "y", "z"))
         nf = mora_normal_form(
-            parse_poly("2*x + 3*y^2", vs), [parse_poly("4*x + z^2", vs)], _Budget(100)
+            parse_poly("2*x + 3*y^2", vs), reducers([parse_poly("4*x + z^2", vs)]), _Budget(100)
         )
         assert nf == parse_poly("6*y^2 - z^2", vs)
 
