@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 from .errors import InconsistentDataError, NotIcisError
-from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, le_greuel_sections
-from .poly import MultiPoly
+from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, _integer_terms, le_greuel_sections
+from .poly import Exponent, MultiPoly
 
 DEFAULT_SEED = 290797
 CHAIN_RETRIES = 8
@@ -129,28 +128,20 @@ class MilnorData:
         return self.mu - self.beta0
 
 
-def jacobian_rank_at_origin(generators: Sequence[MultiPoly]) -> int:
-    """Rank over Q of the stacked linear parts, by fraction-free elimination.
+def jacobian_rank_at_origin(maps: Sequence[dict[Exponent, int]], nvars: int) -> int:
+    """Rank over Q of the linear parts of integer term maps, by fraction-free elimination.
 
-    Each generator's degree-one terms, scaled to integers, give its row
-    (zero rows, most generators of a multiple point space, are skipped),
-    then Bareiss elimination keeps every entry an integer: after a pivot
-    step the new entries are 2 x 2 determinants divided exactly by the
+    The row of a map is its coefficients at the nvars unit exponents, looked
+    up directly (zero rows, most generators of a multiple point space, are
+    skipped), then Bareiss elimination keeps every entry an integer: after a
+    pivot step the new entries are 2 x 2 determinants divided exactly by the
     previous pivot.
     """
-    ncols = len(generators[0].vars) if generators else 0
-    rows = []
-    for g in generators:
-        linear = [(e, c) for e, c in g.terms.items() if sum(e) == 1]
-        if linear:
-            den = lcm(*(c.denominator for _, c in linear))
-            row = [0] * ncols
-            for e, c in linear:
-                row[e.index(1)] = c.numerator * (den // c.denominator)
-            rows.append(row)
+    units = [(0,) * i + (1,) + (0,) * (nvars - 1 - i) for i in range(nvars)]
+    rows = [[h.get(u, 0) for u in units] for h in maps if not h.keys().isdisjoint(units)]
     rank = 0
     prev = 1
-    for col in range(ncols):
+    for col in range(nvars):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -177,9 +168,9 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     return int(q)
 
 
-def _chain_mu(gens: Sequence[MultiPoly], ideal: LocalIdeal) -> int:
+def _chain_mu(maps: Sequence[dict[Exponent, int]], ideal: LocalIdeal) -> int:
     """One Le-Greuel telescoping pass along the generators as given."""
-    sections = le_greuel_sections(gens, ideal.ambient, ideal.budget)
+    sections = le_greuel_sections(maps, ideal.ambient, ideal.budget)
     mu_prev = 0
     for i, section in enumerate(sections, start=1):
         q = section.quotient_dimension()
@@ -196,9 +187,10 @@ def milnor_icis(ideal: LocalIdeal, dim: int, seed: int = DEFAULT_SEED) -> int:
     """Milnor number of an ICIS of the stated dimension.
 
     dim == 0 reduces to colength minus one (fiber point count minus the base
-    point).  dim > 0 runs the Le-Greuel chain in generator order, retrying
-    with up to CHAIN_RETRIES seeded invertible recombinations on failure.
-    Every ideal of the chain runs under the budget of ``ideal``.
+    point).  dim > 0 runs the Le-Greuel chain along the integer term maps in
+    generator order, retrying with up to CHAIN_RETRIES seeded invertible
+    recombinations of the polynomials on failure.  Every ideal of the chain
+    runs under the budget of ``ideal``.
     """
     if dim < 0:
         raise InconsistentDataError("milnor_icis needs a non-negative dimension")
@@ -209,24 +201,24 @@ def milnor_icis(ideal: LocalIdeal, dim: int, seed: int = DEFAULT_SEED) -> int:
         if q == INFINITE:
             raise NotIcisError("expected dimension 0 but colength is infinite")
         return int(q) - 1
-    gens = list(ideal.generators)
+    maps, gens = ideal._terms, None
     codim = len(ideal.ambient) - dim
-    if len(gens) != codim:
-        gens = _recombine_to_codim(gens, codim, ideal, random.Random(seed))
+    if len(maps) != codim:
+        gens = _recombine_to_codim(list(ideal.generators), codim, ideal, random.Random(seed))
+        maps = list(map(_integer_terms, gens))
     try:
-        return _chain_mu(gens, ideal)
+        return _chain_mu(maps, ideal)
     except NotIcisError:
         pass
+    gens = gens or list(ideal.generators)
     rng = random.Random(seed)
     for _ in range(CHAIN_RETRIES):
         mixed = _random_recombination(gens, rng)
         try:
-            return _chain_mu(mixed, ideal)
+            return _chain_mu(list(map(_integer_terms, mixed)), ideal)
         except NotIcisError:
             continue
-    raise NotIcisError(
-        f"Le-Greuel chain failed after {CHAIN_RETRIES} randomized retries"
-    )
+    raise NotIcisError(f"Le-Greuel chain failed after {CHAIN_RETRIES} randomized retries")
 
 
 def _random_recombination(gens: list[MultiPoly], rng: random.Random) -> list[MultiPoly]:
@@ -282,16 +274,16 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         raise InconsistentDataError(
             f"expected dimension {expected_dim} exceeds ambient dimension {n_amb}"
         )
-    if not ideal.generators:
+    maps = ideal._terms
+    if not maps:
         if expected_dim == n_amb:
             return VarietyClass(SMOOTH, dim=n_amb, mu=0, evidence="zero ideal")
         return VarietyClass(NOT_ICIS, dim=n_amb, evidence="zero ideal of wrong dimension")
-    gens = ideal.generators
     origin = (0,) * n_amb
-    if any(origin in g.terms for g in gens):
+    if any(origin in h for h in maps):
         return VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
     # Every generator now vanishes at the origin.
-    rank = jacobian_rank_at_origin(gens)
+    rank = jacobian_rank_at_origin(maps, n_amb)
     if rank == n_amb:
         # The linear parts span m/m^2, so the ideal is m (Nakayama): the
         # reduced point, of dimension 0.
@@ -301,14 +293,14 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
             return VarietyClass(SMOOTH, dim=0, mu=0, evidence=FULL_LINEAR_RANK)
         evidence = f"dimension 0 != expected {expected_dim} ({FULL_LINEAR_RANK})"
         return VarietyClass(NOT_ICIS, dim=0, evidence=evidence)
-    if rank == n_amb - expected_dim == len(gens):
+    if rank == n_amb - expected_dim == len(maps):
         # Implicit function theorem: codim generators with independent
         # linear parts cut out a smooth germ of the expected dimension.
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence=IMPLICIT_FUNCTION)
-    if expected_dim < 0 and len(gens) > n_amb:
+    if expected_dim < 0 and len(maps) > n_amb:
         # J = (g_1..g_n) lies in the ideal, which lies in m, so
         # 0 <= dim O/I <= dim O/J: a zero-dimensional head settles the cell.
-        head = LocalIdeal(gens[:n_amb], ideal.ambient, budget=ideal.budget)
+        head = LocalIdeal._from_terms(maps[:n_amb], ideal.ambient, ideal.budget)
         if head.krull_dimension() == 0:
             return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
     actual = ideal.krull_dimension()

@@ -22,15 +22,16 @@ mathematical verdict.
 
 The normal form is fraction-free: the remainder and its reducers are
 primitive integer term maps, reduced by pseudo-division.  A LocalIdeal holds
-its generators as such maps too, built once (or handed over as maps by the
-Le-Greuel chain).  Inside the basis completion every element is held as a
-reducer (leading monomial, ecart, integer term map), computed once when it
-joins, and S-polynomials are formed on those maps.  The ideal keeps its
-minimal reducers: the leading ideal, and every fact derived from it, is read
-straight from them, and the basis becomes MultiPolys only when a caller asks
-for it.  A reduction step is charged 1 + terms * bits // 256 units, where
-terms is the size of the remainder and bits the bit length of its largest
-integer coefficient.
+its generators as such maps too, built once, or handed over with one
+denominator each by ``multipoint`` and the Le-Greuel chain, whose MultiPolys
+are then built only when asked for.  Inside the basis completion every
+element is held as a reducer (leading monomial, ecart, integer term map),
+computed once when it joins, and S-polynomials are formed on those maps.
+The ideal keeps its minimal reducers: the leading ideal, and every fact
+derived from it, is read straight from them, and the basis becomes
+MultiPolys only when a caller asks for it.  A reduction step is charged
+1 + terms * bits // 256 units, where terms is the size of the remainder and
+bits the bit length of its largest integer coefficient.
 
 The sections of the Le-Greuel chain are built here too, on the same maps:
 ``le_greuel_sections`` extends the maximal minors of the Jacobian matrix by
@@ -43,7 +44,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from math import gcd, lcm as _int_lcm
 from operator import add, itemgetter, le, sub
 from typing import Collection, Iterable, Iterator, Sequence
@@ -116,10 +117,6 @@ def _lead(terms: Collection[Exponent]) -> tuple[Exponent, int]:
     low = min(degs)
     lm = min(compress(terms, map(low.__eq__, degs)), key=_reversed)
     return lm, max(degs) - low
-
-
-def leading_monomial(p: MultiPoly) -> Exponent:
-    return _lead(p.terms)[0]
 
 
 # Inside the normal form a polynomial is an integer term map: exponent tuple
@@ -406,28 +403,32 @@ class LocalIdeal:
         self.budget = budget
 
     @classmethod
-    def _from_terms(
-        cls, maps: Iterable[dict[Exponent, int]], ambient: VarSet, budget: int
-    ) -> "LocalIdeal":
-        """The ideal of primitive integer term maps over ``ambient``, empty
-        ones dropped; its MultiPoly generators are built only if asked for."""
+    def _from_terms(cls, maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int,
+                    dens: Sequence[int] | None = None) -> "LocalIdeal":
+        """The ideal of the polynomials h / d over ``ambient``, for integer
+        term maps h and positive integers d (all 1 when ``dens`` is None),
+        empty maps dropped.  Its ``_terms`` are the maps' primitive parts;
+        its MultiPoly generators are built only if asked for."""
         ideal = cls.__new__(cls)
-        ideal._terms = tuple(h for h in maps if h)
+        ideal._scaled = maps, dens
+        ideal._terms = tuple(_primitive(h) for h in maps if h)
         ideal.ambient = ambient
         ideal.budget = budget
         return ideal
 
     # An ideal built by __init__ sets `generators` and derives `_terms`;
-    # one built by _from_terms the other way round.
+    # one built by _from_terms sets `_terms` and derives `generators`.
     @cached_property
     def _terms(self) -> tuple[dict[Exponent, int], ...]:
         return tuple(map(_integer_terms, self.generators))
 
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:
+        maps, dens = self._scaled
         return tuple(
-            MultiPoly._trusted(self.ambient, {e: Fraction(c) for e, c in h.items()})
-            for h in self._terms
+            MultiPoly._trusted(self.ambient, {e: Fraction(c, d) for e, c in h.items()})
+            for h, d in zip(maps, dens or repeat(1))
+            if h
         )
 
     def __repr__(self) -> str:
@@ -501,25 +502,22 @@ class LocalIdeal:
 
 
 def le_greuel_sections(
-    generators: Sequence[MultiPoly], ambient: VarSet, budget: int
+    maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int
 ) -> Iterator[LocalIdeal]:
     """The ideals (g_1..g_{i-1}) + maximal minors of Jac(g_1..g_i), i = 1, 2, ...
 
-    Built lazily, so a caller that stops at a failed step computes no later
-    minors.  Each generator becomes its primitive integer term map once, a
-    unit multiple, so every section is the ideal of the MultiPolys; step i
+    The generators g_i come as primitive integer term maps.  Built lazily, so
+    a caller that stops at a failed step computes no later minors.  Step i
     extends the minors of steps 1..i-1 by the Jacobian row of g_i.  The
     minor expansion of the whole pass is charged to one budget of
     ``budget`` units, and every section runs under a budget of its own.
     """
     nvars = len(ambient)
     steps = _Budget(budget)
-    maps = [_integer_terms(g) for g in generators]
     minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
     for i, h in enumerate(maps):
         minors = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], steps)
-        section = maps[:i] + [_primitive(m) for m in minors.values()]
-        yield LocalIdeal._from_terms(section, ambient, budget)
+        yield LocalIdeal._from_terms([*maps[:i], *minors.values()], ambient, budget)
 
 
 def ideal_from_text(text: str, budget: int = DEFAULT_STEP_BUDGET) -> LocalIdeal:

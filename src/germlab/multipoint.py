@@ -4,8 +4,9 @@ A germ is stored in the normal form (x, h_1(x,y), ..., h_m(x,y)) with
 m = p - n + 1.  The k-th multiple point space lives in (x, y_1..y_k) and is
 cut out by the iterated divided differences of the components: level j
 contributes the divided difference of level j-1 in a fresh variable y_j, for
-j = 2..k.  One table of these differences is built per k, and every cell of
-that k is read off it.  The fixed locus of a cycle shape is the image of the
+j = 2..k.  One table of these differences, integer term maps of components
+scaled once to integer coefficients, is built per k, and every cell of that
+k is read off it.  The fixed locus of a cycle shape is the image of the
 table under the monomial map y_i -> z_{cycle(i)} for the canonical
 permutation, whose cycles occupy consecutive positions in decreasing length
 order (all choices give isomorphic loci): each cycle's block of y-exponents
@@ -22,10 +23,9 @@ as max{k <= kappa : D^k nonempty}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise
-from math import floor
+from math import floor, lcm
 from typing import Sequence
 
 from . import icis
@@ -47,7 +47,8 @@ from .poly import (
     Exponent,
     MultiPoly,
     VarSet,
-    divided_difference,
+    _divided_difference_terms,
+    divided_difference,  # not called here; perfbench/tracer.py patches this name
     format_poly,
     parse_integer,
     parse_poly,
@@ -104,7 +105,11 @@ class GermSpec:
 
 def germ(n: int, p: int, components: Sequence[str], base: Sequence[str] | None = None,
          corank: str = "y") -> GermSpec:
-    """Convenience constructor parsing component polynomials from text."""
+    """Convenience constructor parsing component polynomials from text; it
+    refuses what analyze_germ would before building the n - 1 base names."""
+    _check_dims(n, p)
+    _check_component_count(len(components), n, p)
+    _check_multiplicity_bound(n, p)
     base_names = tuple(base) if base is not None else tuple(f"x{i}" for i in range(1, n))
     vs = VarSet(base_names + (corank,), (ROLE_BASE,) * len(base_names) + (ROLE_CORANK,))
     comps = tuple(parse_poly(text, vs) for text in components)
@@ -139,11 +144,6 @@ def germ_from_text(text: str) -> GermSpec:
         raise InvalidInputError("germ file must declare n and p")
     if not comp_texts:
         raise InvalidInputError("germ file declares no components")
-    # Every germ file is read to be analyzed: refuse what analyze_germ would
-    # before building n - 1 base names.
-    _check_dims(n, p)
-    _check_component_count(len(comp_texts), n, p)
-    _check_multiplicity_bound(n, p)
     return germ(n, p, comp_texts, base=base, corank=corank)
 
 
@@ -204,12 +204,16 @@ def _ambient(g: GermSpec, corank_names: Sequence[str]) -> VarSet:
     )
 
 
-def divided_difference_table(g: GermSpec, k: int) -> list[list[MultiPoly]]:
-    """Rows are levels j = 2..k; row entries are the m iterated differences.
+def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], list[list[dict]]]:
+    """The ambient (x, y_1..y_k), the component scales and the rows of levels
+    j = 2..k, whose entries are the m iterated differences as integer term maps.
 
     Level 2 is (h_i(y_2) - h_i(y_1)) / (y_2 - y_1); level j divides out
-    (y_j - y_{j-1}) from the previous level.  Entries can be the zero
-    polynomial (components of low y-degree exhaust).
+    (y_j - y_{j-1}) from the previous level.  Each component h_i is scaled
+    to integers once, by the lcm d_i of its coefficient denominators, and a
+    divided difference copies coefficients, so entry i of every row is d_i
+    times the difference of h_i.  Entries can be empty (components of low
+    y-degree exhaust).
     """
     if k < 2:
         raise InvalidInputError("multiple point spaces start at k = 2")
@@ -217,46 +221,49 @@ def divided_difference_table(g: GermSpec, k: int) -> list[list[MultiPoly]]:
         raise InvalidInputError(
             f"k = {k} exceeds the practical bound kappa + 1 = {kappa(g.n, g.p) + 1}"
         )
-    y = [f"{g.corank_name}{i}" for i in range(1, k + 1)]
-    amb = _ambient(g, y)
+    amb = _ambient(g, [f"{g.corank_name}{i}" for i in range(1, k + 1)])
+    scales = [lcm(*(c.denominator for c in h.terms.values())) for h in g.components]
     # The germ's corank variable is last and y1 is the ambient's first corank
     # variable, so lifting y -> y1 pads every exponent with zeros.
     pad = (0,) * (k - 1)
     current = [
-        MultiPoly._trusted(amb, {e + pad: c for e, c in h.terms.items()}) for h in g.components
+        {e + pad: c.numerator * (d // c.denominator) for e, c in h.terms.items()}
+        for h, d in zip(g.components, scales)
     ]
-    rows: list[list[MultiPoly]] = []
-    for j in range(2, k + 1):
-        current = [divided_difference(q, y[j - 2], y[j - 1]) for q in current]
+    rows = []
+    for i in range(len(g.base_names), len(amb) - 1):
+        current = [_divided_difference_terms(q, i, i + 1) for q in current]
         rows.append(current)
-    return rows
+    return amb, scales, rows
 
 
-def _full_ideal(rows: list[list[MultiPoly]], budget: int) -> LocalIdeal:
+def _full_ideal(table, budget: int) -> LocalIdeal:
     """D^k(f) in (x, y_1..y_k) from the table of k."""
-    return LocalIdeal([q for row in rows for q in row], rows[0][0].vars, budget=budget)
+    amb, scales, rows = table
+    maps = [q for row in rows for q in row]
+    return LocalIdeal._from_terms(maps, amb, budget, scales * len(rows))
 
 
-def _fixed_ideal(
-    g: GermSpec, rows: list[list[MultiPoly]], shape: Partition, budget: int
-) -> LocalIdeal:
+def _fixed_ideal(g: GermSpec, table, shape: Partition, budget: int) -> LocalIdeal:
     """D^k(f)^sigma in (x, z_1..z_c) from the table of k, for the canonical sigma.
 
     Its cycles occupy consecutive y positions, so y_i -> z_{cycle(i)} sums
-    each cycle's block of y-exponents; coefficients add where images collide.
+    each cycle's block of y-exponents; integer coefficients add where images
+    collide, and every equation keeps its component's scale.
     """
+    _, scales, rows = table
     target = _ambient(g, [f"z{i}" for i in range(1, shape.cycle_count + 1)])
     nb = len(g.base_names)
-    blocks = list(pairwise(accumulate(shape.parts, initial=nb)))
-    gens = []
+    blocks = [slice(a, b) for a, b in pairwise(accumulate(shape.parts, initial=nb))]
+    maps = []
     for row in rows:
         for q in row:
-            terms: dict[Exponent, Fraction] = {}
-            for e, c in q.terms.items():
-                image = e[:nb] + tuple(sum(e[a:b]) for a, b in blocks)
+            terms: dict[Exponent, int] = {}
+            for e, c in q.items():
+                image = e[:nb] + tuple(map(sum, map(e.__getitem__, blocks)))
                 terms[image] = terms.get(image, 0) + c
-            gens.append(MultiPoly._trusted(target, {e: c for e, c in terms.items() if c}))
-    return LocalIdeal(gens, target, budget=budget)
+            maps.append({e: c for e, c in terms.items() if c})
+    return LocalIdeal._from_terms(maps, target, budget, scales * len(rows))
 
 
 def multiple_point_equations(
@@ -395,12 +402,12 @@ def analyze_germ(
     cells: dict[tuple[int, tuple[int, ...]], MultiPointSpace] = {}
     for k in range(2, kap + 2):
         shapes = partitions(k) if k <= kap else [Partition((1,) * k)]
-        rows = divided_difference_table(g, k)
+        table = divided_difference_table(g, k)
         for shape in shapes:
             if shape.parts == (1,) * k:
-                ideal = _full_ideal(rows, budget)
+                ideal = _full_ideal(table, budget)
             else:
-                ideal = _fixed_ideal(g, rows, shape, budget)
+                ideal = _fixed_ideal(g, table, shape, budget)
             e_dim = expected_dim_sigma(g.n, g.p, k, shape)
             cells[(k, shape.parts)] = MultiPointSpace(
                 k=k,

@@ -13,8 +13,7 @@ is already well formed and holds no zero, and keeps that very dict.
 
 Every other producer calls ``_trusted`` and so must not hand it a zero.
 Only a sum can cancel, so the zero filter sits where terms are summed:
-``+``, ``-`` and ``*`` (and the collision sum of the fixed-locus map in
-``multipoint``), plus ``scale(0)`` and ``constant(0)``.  The rest map each
+``+``, ``-`` and ``*``, plus ``scale(0)`` and ``constant(0)``.  The rest map each
 nonzero coefficient to one nonzero coefficient under an injective exponent
 map, so no term collides and none vanishes: negation, ``scale(c)`` for
 c != 0, a monomial's power, ``derivative`` (a factor exp[i] > 0), the
@@ -22,8 +21,8 @@ c != 0, a monomial's power, ``derivative`` (a factor exp[i] > 0), the
 
 The one domain-specific primitive is ``divided_difference``: the exact
 quotient (h[y_old -> y_new] - h) / (y_new - y_old), computed term by term
-(never by polynomial division), which is the building block of multiple
-point space equations.
+(never by polynomial division); its term-map kernel builds the equations of
+the multiple point spaces.
 """
 
 from __future__ import annotations
@@ -289,29 +288,32 @@ class MultiPoly:
 
 
 def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
-    """Exact divided difference (h[y_old -> y_new] - h) / (y_new - y_old).
+    """Exact (h[y_old -> y_new] - h) / (y_new - y_old); ``y_new`` must not occur in h."""
+    i, j = h.vars.index(y_old), h.vars.index(y_new)
+    return MultiPoly._trusted(h.vars, _divided_difference_terms(h.terms, i, j))
 
-    ``y_new`` must not occur in h.  Computed per term: a factor y_old^a maps
-    to sum_{i+j=a-1} y_old^i y_new^j, so the quotient is exact by
-    construction and no polynomial division happens.  An output exponent
-    gives back its source term (a = i + j + 1, the other entries unchanged),
-    so every output term receives exactly one nonzero coefficient.
+
+def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, j: int) -> dict:
+    """The divided difference of a term map from variable i to variable j.
+
+    Computed per term: a factor x_i^a maps to sum_{s+t=a-1} x_i^s x_j^t, so
+    the quotient is exact by construction and no polynomial division
+    happens.  An output exponent gives back its source term (a = s + t + 1,
+    the other entries unchanged), so every output term receives exactly one
+    coefficient, copied from its source: the kernel works on Fraction and
+    integer coefficients alike, and scaling the input scales the output.
     """
-    i = h.vars.index(y_old)
-    j = h.vars.index(y_new)
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in h.terms.items():
+    out = {}
+    for exp, c in terms.items():
         if exp[j]:
-            raise VariableMismatchError(f"{y_new!r} already occurs in the polynomial")
-        a = exp[i]
-        if a == 0:
-            continue
-        base = list(exp)
-        for t in range(a):
-            base[i] = t
-            base[j] = a - 1 - t
-            out[tuple(base)] = c
-    return MultiPoly._trusted(h.vars, out)
+            raise VariableMismatchError(f"variable {j} already occurs in the polynomial")
+        if a := exp[i]:
+            base = list(exp)
+            for t in range(a):
+                base[i] = t
+                base[j] = a - 1 - t
+                out[tuple(base)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Sequence
 from germlab.localalg import (
     DEFAULT_STEP_BUDGET,
     _Budget,
-    leading_monomial,
+    _lead,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -25,6 +25,11 @@ from germlab.localalg import (
     order_key,
 )
 from germlab.poly import Exponent, MultiPoly
+
+
+def leading_monomial(p: MultiPoly) -> Exponent:
+    """The leading monomial of p in the local order."""
+    return _lead(p.terms)[0]
 
 
 def total_degree(p: MultiPoly) -> int:

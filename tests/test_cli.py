@@ -190,13 +190,18 @@ class TestAnalyze:
         pythonpath = os.pathsep.join(
             filter(None, [str(Path(germlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
         )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
+        # The child writes no bytecode cache into the source tree when this
+        # run writes none.
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         outs = []
         for seed in ("101", "202"):
             proc = subprocess.run(
                 [sys.executable, "-m", "germlab.cli", "analyze", path],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+                env={**env, "PYTHONHASHSEED": seed},
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)

@@ -34,7 +34,7 @@ from germlab.icis import (
     _random_recombination,
     jacobian_rank_at_origin,
 )
-from germlab.localalg import _Budget, _extend_minors
+from germlab.localalg import _Budget, _extend_minors, _integer_terms
 from germlab.poly import MultiPoly
 import random
 
@@ -118,7 +118,7 @@ def criterion_ideals(draw):
         if draw(unit):
             terms[(0,) * n] = draw(nonzero_small)
         gens.append(MultiPoly(vs, terms))
-    rank = jacobian_rank_at_origin(gens)
+    rank = jacobian_rank_at_origin(list(map(_integer_terms, gens)), n)
     e = draw(st.one_of(st.just(n - rank), st.integers(-2, n)))
     return LocalIdeal(gens, vs, budget=20_000), e
 
@@ -262,14 +262,14 @@ class TestJacobianRank:
         # rank must ignore.
         other = {(0,) * n: 1, (2,) + (0,) * (n - 1): 1}
         gens = [MultiPoly(vs, {**dict(zip(eye, row)), **other}) for row in rows]
-        assert jacobian_rank_at_origin(gens) == _fraction_rank(rows)
+        assert jacobian_rank_at_origin(list(map(_integer_terms, gens)), n) == _fraction_rank(rows)
 
     def test_rank_deficient_column_and_rational_row(self):
         # The second column has no pivot after the first step, and the third
         # row is scaled to integers first: rank 2 over Q.
         vs = VarSet(("x", "y", "z"))
         gens = [parse_poly(t, vs) for t in ("2*x + 3*y + z", "4*x + 6*y + 5*z", "2/3*x + y + 4*z")]
-        assert jacobian_rank_at_origin(gens) == 2
+        assert jacobian_rank_at_origin(list(map(_integer_terms, gens)), 3) == 2
 
 
 class TestHypersurfaceMilnor:

@@ -10,6 +10,7 @@ import pytest
 from germlab import (
     IncompleteDataError,
     NotAFiniteError,
+    NotIcisError,
     build_report,
     check_mu_conservation,
     icss_layout,
@@ -22,10 +23,11 @@ from germlab import (
 )
 from germlab import invariants as inv
 from germlab import multipoint as mp
-from germlab.icis import ICIS, ISOLATED_POINTS, milnor_hypersurface
+from germlab.icis import ICIS, ISOLATED_POINTS, _chain_mu, milnor_hypersurface
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
+from conftest import CORPUS_SPECS, NOT_A_FINITE_SPEC
 from fraction_minors import maximal_minors
 from fraction_mora import total_degree
 
@@ -234,6 +236,40 @@ class TestMondList:
                            f"{cell.classification.kind} {'-' if mu is None else mu}")
         pinned = (DATA / "mond_cell_mu.txt").read_text().splitlines()
         assert got == [line for line in pinned if not line.startswith("#")]
+
+
+def _first_chain_pass_fails(cell) -> bool:
+    """Whether milnor_icis had to recombine the cell's polynomials: its
+    generator count is not the codimension, or the chain along its integer
+    term maps fails."""
+    ideal = cell.ideal
+    if len(ideal._terms) != len(ideal.ambient) - cell.expected_dim:
+        return True
+    try:
+        _chain_mu(ideal._terms, ideal)
+    except NotIcisError:
+        return True
+    return False
+
+
+class TestLazyGenerators:
+    def test_only_a_chain_retry_builds_the_fraction_polynomials(self):
+        # Cells keep their equations as integer term maps; a cell's Fraction
+        # MultiPolys are built only when the chain retries on recombinations
+        # of them.  Fresh analyses, so that no other test has asked for them.
+        specs = [*CORPUS_SPECS.values(), NOT_A_FINITE_SPEC]
+        specs += [(2, 3, comps) for _, _, comps in mond_germs()]
+        germs = [mp.germ(n, p, comps) for n, p, comps in specs]
+        germs += [mp.generate_sc_germ(n, p, self_check=False) for n, p in [(6, 10), (7, 11)]]
+        built = 0
+        for g in germs:
+            analysis = mp.analyze_germ(g)
+            build_report(analysis, tau="(1,1)")
+            for cell in analysis.cells.values():
+                if "generators" in vars(cell.ideal):
+                    built += 1
+                    assert _first_chain_pass_fails(cell)
+        assert 0 < built < 20
 
 
 _UV = VarSet(("u", "v"))

@@ -24,7 +24,6 @@ from germlab.localalg import (
     _Budget,
     _integer_terms,
     _monomial_ideal_dimension,
-    leading_monomial,
     monic_basis,
     monomial_mul,
     mora_normal_form,
@@ -36,6 +35,7 @@ from germlab import multipoint as mp
 from germlab.poly import format_poly
 
 import fraction_mora
+from fraction_mora import leading_monomial
 from staircase_box import box_count, box_size
 
 DATA = Path(__file__).resolve().parent / "data"

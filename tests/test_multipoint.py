@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -31,9 +33,11 @@ from germlab import (
 )
 from germlab import multipoint as mp
 from germlab.icis import EMPTY, NOT_ICIS
+from germlab.localalg import _integer_terms
 from germlab.multipoint import InfeasibleDimensionsError, divided_difference_table
 from germlab.poly import ROLE_BASE, ROLE_CORANK
 
+from fraction_table import fixed_generators, full_generators
 from ring_generator import ring_sc_germ
 
 CONTRACTIBLE_5_8 = ["y^3+x1*y", "y^4+x2*y", "y^5+x3*y", "x4*y+x1*y^2"]
@@ -111,7 +115,7 @@ class TestEquations:
         for n, p, comps in [(5, 8, CONTRACTIBLE_5_8), (3, 5, STABLE_3_5)]:
             g = germ(n, p, comps)
             for k in (2, 3):
-                rows = divided_difference_table(g, k)
+                _, _, rows = divided_difference_table(g, k)
                 assert sum(len(r) for r in rows) == (p - n + 1) * (k - 1)
 
     def test_practical_bound(self):
@@ -177,8 +181,10 @@ def _term_maps(gens):
 
 
 @st.composite
-def small_germs(draw):
-    """Germs with n <= 4, p <= 7 and components of degree <= 5."""
+def small_germs(draw, coefficients=st.integers(-3, 3), scales=st.just(1)):
+    """Germs with n <= 4, p <= 7 and components of degree <= 5, each
+    component's coefficients drawn from ``coefficients`` and then multiplied
+    by one factor drawn from ``scales``."""
     n = draw(st.integers(1, 4))
     p = draw(st.integers(n + 1, 7))
     base = tuple(f"x{i}" for i in range(1, n))
@@ -196,8 +202,16 @@ def small_germs(draw):
     comps = []
     for _ in range(p - n + 1):
         size = draw(st.integers(0, 4))
-        comps.append(MultiPoly(vs, {monomial(): draw(st.integers(-3, 3)) for _ in range(size)}))
+        scale = draw(scales)
+        comps.append(MultiPoly(vs, {monomial(): scale * draw(coefficients) for _ in range(size)}))
     return mp.GermSpec(n, p, base, "y", tuple(comps))
+
+
+# Rational coefficients, and components whose coefficients share a factor.
+rational_germs = small_germs(
+    st.fractions(-3, 3, max_denominator=4),
+    st.sampled_from([1, 2, 6, Fraction(1, 3), Fraction(5, 4), Fraction(-7, 2)]),
+)
 
 
 class TestEquationsAgainstSubstitution:
@@ -224,6 +238,60 @@ class TestEquationsAgainstSubstitution:
                 gens, target = _reference_fixed_locus(g, k, Partition(parts))
             assert cell.ideal.ambient == target
             assert _term_maps(cell.ideal.generators) == _term_maps(gens)
+
+
+def assert_matches_fraction_table(ideal, target, gens):
+    """The cell's integer term maps and its generators against the Fraction
+    reference, dict order included."""
+    assert ideal.ambient == target
+    assert [list(h.items()) for h in ideal._terms] == [
+        list(_integer_terms(q).items()) for q in gens
+    ]
+    assert [list(q.terms.items()) for q in ideal.generators] == [
+        list(q.terms.items()) for q in gens
+    ]
+
+
+class TestIntegerTable:
+    """The integer divided-difference table against the Fraction one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_germs)
+    def test_cells_and_builders_match_the_fraction_table(self, g):
+        kap = kappa(g.n, g.p)
+        verdict = VarietyClass(NOT_ICIS)
+        with mock.patch.object(mp.icis, "classify", lambda ideal, e_dim, seed: verdict):
+            an = mp.analyze_germ(g)
+        for (k, parts), cell in an.cells.items():
+            if parts == (1,) * k:
+                assert_matches_fraction_table(cell.ideal, *full_generators(g, k))
+            else:
+                assert_matches_fraction_table(
+                    cell.ideal, *fixed_generators(g, k, Partition(parts))
+                )
+        for k in range(2, kap + 2):
+            assert_matches_fraction_table(
+                multiple_point_equations(g, k), *full_generators(g, k)
+            )
+            for shape in partitions(k):
+                assert_matches_fraction_table(
+                    fixed_locus_equations(g, k, shape), *fixed_generators(g, k, shape)
+                )
+
+    def test_entries_keep_their_component_scale(self):
+        # 1/2*y^2 has scale 2 and 2*y^3 + 4*x1^2*y scale 1; the level-2 maps
+        # are y1 + y2 and 2*y1^2 + 2*y1*y2 + 2*y2^2 + 4*x1^2, whose
+        # primitive part halves the second.
+        g = germ(2, 3, ["1/2*y^2", "2*y^3 + 4*x1^2*y"])
+        amb, scales, rows = divided_difference_table(g, 2)
+        assert scales == [2, 1]
+        assert rows == [[{(0, 1, 0): 1, (0, 0, 1): 1},
+                         {(0, 0, 2): 2, (0, 1, 1): 2, (0, 2, 0): 2, (2, 0, 0): 4}]]
+        I = multiple_point_equations(g, 2)
+        assert I._terms[1] == {(0, 0, 2): 1, (0, 1, 1): 1, (0, 2, 0): 1, (2, 0, 0): 2}
+        assert list(I.generators) == [
+            parse_poly(t, amb) for t in ("1/2*y1 + 1/2*y2", "2*y1^2 + 2*y1*y2 + 2*y2^2 + 4*x1^2")
+        ]
 
 
 class TestAnalyze:
@@ -376,6 +444,14 @@ class TestGermFiles:
     def test_component_count_enforced(self):
         with pytest.raises(InvalidInputError):
             germ(2, 3, ["y^2"])
+
+    def test_unanalyzable_dimensions_refused_before_names_are_built(self):
+        # kappa + 1 = 3 * 10^6 + 2 is far beyond the supported multiplicity
+        # bound; building the 3 * 10^6 - 1 base names would take seconds.
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="multiplicity bound"):
+            germ(3 * 10**6, 3 * 10**6 + 1, ["y^2", "y^3"])
+        assert time.perf_counter() - start < 0.5
 
     def test_origin_condition_enforced(self):
         with pytest.raises(InvalidInputError):

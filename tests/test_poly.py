@@ -246,7 +246,8 @@ def test_fixed_locus_map_drops_the_terms_it_cancels():
     g = mp.germ(2, 3, ["y^2", "x1*y"])
     amb = VarSet(("x1", "y1", "y2"), (ROLE_BASE, ROLE_CORANK, ROLE_CORANK))
     row = [parse_poly("x1 + y1^2 - y2^2", amb), parse_poly("y1 - y2", amb)]
-    ideal = mp._fixed_ideal(g, [row], Partition((2,)), DEFAULT_STEP_BUDGET)
+    table = (amb, [1, 1], [[{e: int(c) for e, c in p.terms.items()} for p in row]])
+    ideal = mp._fixed_ideal(g, table, Partition((2,)), DEFAULT_STEP_BUDGET)
     assert [gen.terms for gen in ideal.generators] == [{(1, 0): 1}]
     assert all(_nonzero_fractions(gen) for gen in ideal.generators)
 
