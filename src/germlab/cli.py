@@ -15,6 +15,7 @@ incomplete checker data (e.g. a missing correction term).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -286,48 +287,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant report for a germ file")
     p.add_argument("germ")
     p.add_argument("--tau", help="also report the isotype numbers of one irreducible")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sc-feasible", help="strong-contractibility dimension test")
     p.add_argument("n", type=int)
     p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_sc_feasible)
 
     p = sub.add_parser("sc-generate", help="emit a strongly contractible germ file")
     p.add_argument("n", type=int)
     p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_sc_generate)
 
     p = sub.add_parser("char-table", help="character table of a symmetric group")
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_char_table)
 
     p = sub.add_parser("isotype", help="isotype values from a table and fixed-point data")
     p.add_argument("table")
     p.add_argument("data")
     p.add_argument("--tau", help="restrict to one irreducible label")
-    p.set_defaults(func=cmd_isotype)
 
     p = sub.add_parser("milnor", help="Milnor number of an ideal file")
     p.add_argument("ideal")
-    p.set_defaults(func=cmd_milnor)
 
     p = sub.add_parser("icss", help="E-infinity table for a germ file")
     p.add_argument("germ")
-    p.set_defaults(func=cmd_icss)
 
     p = sub.add_parser("conservation-check", help="verify a conservation identity from data")
     p.add_argument("data")
-    p.set_defaults(func=cmd_conservation_check)
 
     return parser
 
 
+# Built on the first call of main and kept: parsing leaves a parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Command "sc-feasible" runs cmd_sc_feasible, looked up at each call.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except GermlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

@@ -11,10 +11,19 @@ A locus handed to this module comes as a LocalIdeal plus the dimension it is
 
 classify decides in this order, with e the expected dimension, n the number
 of ambient variables and r the rank of the generators' linear parts; the
-first three tests are exact and build no standard basis:
+split and steps 1 to 4 are exact and build no standard basis:
 
   1. zero ideal       smooth when e = n, else not_icis
   2. constant term    a generator with a nonzero constant term is a unit: empty
+     split            every lone-variable generator c*x_j comes off: since
+                      (x_j) + J = (x_j) + J|_{x_j=0}, O/I is O'/I' for O' the
+                      local ring of the other coordinates and I' the other
+                      generators with x_j := 0, repeated until no lone
+                      generator is left.  With s variables split off,
+                      r = s + the rank of I'.  Steps 5, 6 and 8 read I' in
+                      its n - s variables (I itself when s = 0); steps 3, 4
+                      and 7 compare r with the cell's own n and generator
+                      count
   3. r = n            the linear parts span m/m^2, so the ideal is the maximal
                       ideal (Nakayama): isolated_points when e < 0, smooth
                       when e = 0, not_icis (dimension 0) when e > 0
@@ -22,15 +31,18 @@ first three tests are exact and build no standard basis:
                       smooth, by the implicit function theorem (without the
                       generator count this is unsound: (x, y^2) in C^2 has
                       r = 1 = n - 1 and is a fat point)
-  5. first n generators
-                      when e < 0 and there are more than n generators, the
-                      standard basis of J = (g_1..g_n) alone: dimension 0
-                      gives isolated_points, since J <= I <= m (step 2) gives
-                      0 <= dim O/I <= dim O/J; otherwise on to step 6
-  6. Krull dimension  from the standard basis: isolated_points or not_icis
-                      when e < 0, not_icis when it differs from e
+  5. first n' generators
+                      when e < 0 and I' has more generators than its
+                      n' = n - s variables, the standard basis of
+                      J = (g_1..g_n') of I' alone: dimension 0 gives
+                      isolated_points, since J <= I' <= m' (step 2) gives
+                      0 <= dim O'/I' <= dim O'/J; otherwise on to step 6
+  6. Krull dimension  from the standard basis of I', equal to that of I:
+                      isolated_points or not_icis when e < 0, not_icis when
+                      it differs from e
   7. r = n - e        smooth, now that the dimension is e
-  8. Milnor number    icis, or not_icis when the chain fails
+  8. Milnor number    of I', the same germ: icis, or not_icis when the chain
+                      fails
 
 Milnor numbers: hypersurfaces by the Jacobian-ideal colength, positive
 dimensional complete intersections by the telescoping chain
@@ -52,11 +64,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
+from math import gcd
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .errors import InconsistentDataError, NotIcisError
 from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, _integer_terms, le_greuel_sections
-from .poly import Exponent, MultiPoly
+from .poly import Exponent, MultiPoly, VarSet
 
 DEFAULT_SEED = 290797
 CHAIN_RETRIES = 8
@@ -133,14 +148,14 @@ def jacobian_rank_at_origin(maps: Sequence[dict[Exponent, int]], nvars: int) -> 
 
     The row of a map is its coefficients at the nvars unit exponents, looked
     up directly (zero rows, most generators of a multiple point space, are
-    skipped), then Bareiss elimination keeps every entry an integer: after a
-    pivot step the new entries are 2 x 2 determinants divided exactly by the
-    previous pivot.
+    skipped).  A pivot step rebuilds only the rows below the pivot with a
+    nonzero entry f in its column, as p * row - f * pivot row divided by its
+    content, so every entry stays an integer of the size of the input; a row
+    with a zero there already has the shape the step makes and is left alone.
     """
     units = [(0,) * i + (1,) + (0,) * (nvars - 1 - i) for i in range(nvars)]
     rows = [[h.get(u, 0) for u in units] for h in maps if not h.keys().isdisjoint(units)]
     rank = 0
-    prev = 1
     for col in range(nvars):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -149,12 +164,54 @@ def jacobian_rank_at_origin(maps: Sequence[dict[Exponent, int]], nvars: int) -> 
         pr = rows[rank]
         p = pr[col]
         for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            f = row[col]
-            rows[r] = [(p * a - f * b) // prev for a, b in zip(row, pr)]
-        prev = p
+            if f := rows[r][col]:
+                row = [p * a - f * b for a, b in zip(rows[r], pr)]
+                g = gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
     return rank
+
+
+def _split_lone_variables(ideal: LocalIdeal) -> tuple[LocalIdeal, int]:
+    """I' and s: the ideal I with the s variables of its lone-variable
+    generators split off.
+
+    A lone-variable generator is one term c * x_j of degree 1.  It puts x_j
+    in I, and (x_j) + J = (x_j) + J|_{x_j=0}, so O/I is O'/I' for O' the
+    local ring of the other coordinates and I' the other generators with
+    x_j := 0: the same Krull dimension and Milnor number, and a Jacobian
+    rank s lower.  A substitution can leave a new lone generator (x1 + x2*x3
+    beside x2), so the split repeats until none is left; the generators it
+    empties are dropped.  Without a lone generator the ideal itself comes
+    back, with s = 0.
+    """
+    maps = ideal._terms
+    coords = range(len(ideal.ambient))  # the kept coordinates, as indices of the ambient
+    while lone := {e.index(1) for h in maps if len(h) == 1 for e in h if sum(e) == 1}:
+        keep = [i for i in range(len(coords)) if i not in lone]
+        project = itemgetter(*keep) if len(keep) > 1 else lambda e: tuple(e[i] for i in keep)
+        # x_j := 0 for the lone j, over the kept coordinates: a term survives
+        # iff its projection keeps its degree.  One-term maps, most of a
+        # multiple point space, skip the iterator chain.
+        rest = []
+        for h in maps:
+            if len(h) == 1:
+                ((e, c),) = h.items()
+                if sum(k := project(e)) == sum(e):
+                    rest.append({k: c})
+            else:
+                keys = list(map(project, h))
+                h = dict(compress(zip(keys, h.values()), map(eq, map(sum, keys), map(sum, h))))
+                if h:
+                    rest.append(h)
+        maps = rest
+        coords = [coords[i] for i in keep]
+    split = len(ideal.ambient) - len(coords)
+    if not split:
+        return ideal, 0
+    names, roles = ideal.ambient.names, ideal.ambient.roles
+    ambient = VarSet([names[i] for i in coords], [roles[i] for i in coords])
+    return LocalIdeal._from_terms(maps, ambient, ideal.budget), split
 
 
 def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
@@ -282,8 +339,12 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
     origin = (0,) * n_amb
     if any(origin in h for h in maps):
         return VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
-    # Every generator now vanishes at the origin.
-    rank = jacobian_rank_at_origin(maps, n_amb)
+    # Every generator now vanishes at the origin.  Steps 5, 6 and 8 run on
+    # the ideal with its lone-variable generators split off; steps 3, 4 and 7
+    # compare against the cell's own n and generator count.
+    reduced, split = _split_lone_variables(ideal)
+    n_red, rest = len(reduced.ambient), reduced._terms
+    rank = split + jacobian_rank_at_origin(rest, n_red)
     if rank == n_amb:
         # The linear parts span m/m^2, so the ideal is m (Nakayama): the
         # reduced point, of dimension 0.
@@ -297,13 +358,13 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
         # Implicit function theorem: codim generators with independent
         # linear parts cut out a smooth germ of the expected dimension.
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence=IMPLICIT_FUNCTION)
-    if expected_dim < 0 and len(maps) > n_amb:
+    if expected_dim < 0 and len(rest) > n_red:
         # J = (g_1..g_n) lies in the ideal, which lies in m, so
         # 0 <= dim O/I <= dim O/J: a zero-dimensional head settles the cell.
-        head = LocalIdeal._from_terms(maps[:n_amb], ideal.ambient, ideal.budget)
+        head = LocalIdeal._from_terms(rest[:n_red], reduced.ambient, reduced.budget)
         if head.krull_dimension() == 0:
             return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
-    actual = ideal.krull_dimension()
+    actual = reduced.krull_dimension()
     if expected_dim < 0:
         if actual <= 0:
             return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
@@ -317,7 +378,7 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
     if rank == n_amb - expected_dim:
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence="jacobian rank at origin")
     try:
-        mu = milnor_icis(ideal, expected_dim, seed=seed)
+        mu = milnor_icis(reduced, expected_dim, seed=seed)
     except NotIcisError as exc:
         return VarietyClass(NOT_ICIS, dim=actual, evidence=str(exc))
     if mu == 0:

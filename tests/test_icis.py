@@ -32,6 +32,7 @@ from germlab.icis import (
     SMOOTH,
     UNIT_CONSTANT_TERM,
     _random_recombination,
+    _split_lone_variables,
     jacobian_rank_at_origin,
 )
 from germlab.localalg import _Budget, _extend_minors, _integer_terms
@@ -174,6 +175,88 @@ class TestExactCriteria:
 
 
 @st.composite
+def with_a_fresh_variable(draw):
+    """An ideal of criterion_ideals with its expected dimension, and the same
+    germ cut out one dimension up: a fresh variable z at a drawn position,
+    the generator c * z at a drawn place among the others, and each other
+    generator plus z times up to two drawn terms of degree 0 to 2."""
+    I, e = draw(criterion_ideals())
+    n = len(I.ambient)
+    at = draw(st.integers(0, n))
+    vs = VarSet(I.ambient.names[:at] + ("z",) + I.ambient.names[at:])
+    gens = []
+    for g in I.generators:
+        terms = {exp[:at] + (0,) + exp[at:]: c for exp, c in g.terms.items()}
+        for exp in draw(st.lists(monomials(n + 1, 0, 2), max_size=2)):
+            exp = exp[:at] + (exp[at] + 1,) + exp[at + 1 :]
+            terms[exp] = terms.get(exp, 0) + draw(nonzero_small)
+        gens.append(MultiPoly(vs, terms))
+    z = MultiPoly(vs, {tuple(int(i == at) for i in range(n + 1)): draw(nonzero_small)})
+    gens.insert(draw(st.integers(0, len(gens))), z)
+    return I, LocalIdeal(gens, vs, budget=I.budget), e
+
+
+class TestLoneVariableSplit:
+    """classify splits off lone-variable generators c * x_j before any basis."""
+
+    @given(with_a_fresh_variable())
+    @settings(max_examples=200, deadline=None)
+    def test_a_fresh_split_variable_changes_no_verdict(self, drawn):
+        I, J, e = drawn
+        try:
+            expected = classify(I, e)
+        except ResourceLimitError:
+            assume(False)
+        assert classify(J, e) == expected
+
+    @pytest.mark.parametrize(
+        "gens, e, names, split, rest, verdict",
+        [
+            # a coefficient other than 1
+            (["3*x2", "x1^2 + x2*x3 + x3^3"], 1, ["x1", "x3"], 1, ["x1^2 + x3^3"], (ICIS, 1, 2)),
+            (["1/2*x2", "x1^2 + x2*x3 + x3^3"], 1, ["x1", "x3"], 1, ["x1^2 + x3^3"], (ICIS, 1, 2)),
+            # a repeated lone variable, split once
+            (["x2", "x1^2 + x3^2 + x1*x2", "-2*x2"], 1, ["x1", "x3"], 1, ["x1^2 + x3^2"],
+             (ICIS, 1, 1)),
+            # x2 := 0 leaves the new lone generator x1
+            (["x1 + x2*x3", "x2", "x1^2 + x3^3"], 0, ["x3"], 2, ["x3^3"], (ICIS, 0, 2)),
+            # x2 := 0 empties a generator
+            (["x2", "x2*x3 + x2^2", "x1^2 + x3^2"], 1, ["x1", "x3"], 1, ["x1^2 + x3^2"],
+             (ICIS, 1, 1)),
+            # every variable split off, the last after a substitution
+            (["x1", "x3 + x2^2", "x2"], -1, [], 3, [], (ISOLATED_POINTS, 0, None)),
+        ],
+        ids=["coefficient-3", "coefficient-1/2", "repeated", "new-lone", "emptied", "all-split"],
+    )
+    def test_edge_cases(self, gens, e, names, split, rest, verdict):
+        I = ideal(["x1", "x2", "x3"], gens)
+        reduced, s = _split_lone_variables(I)
+        assert (s, reduced.ambient) == (split, VarSet(tuple(names)))
+        assert reduced._terms == ideal(names, rest)._terms
+        cls = classify(I, e)
+        assert (cls.kind, cls.dim, cls.mu) == verdict
+        # The ideal itself, all generators in all variables, agrees.
+        assert I.krull_dimension() == cls.dim
+        if cls.kind == ICIS:
+            assert milnor_icis(I, e) == cls.mu
+
+    def test_without_a_lone_generator_the_ideal_is_its_own(self):
+        I = ideal(["x", "y"], ["x + y^2", "x*y"])
+        assert _split_lone_variables(I) == (I, 0)
+
+    def test_sc_double_point_cell_builds_no_basis_of_its_own(self):
+        # At kappa = 1 the D^2 cell is x_1..x_4 (lone), the divided
+        # differences of y^2 and y^3, and padding x_i^a that x_i := 0
+        # empties: its bases are those of two generators in (y1, y2).
+        cell = mp.analyze_germ(mp.generate_sc_germ(5, 12, self_check=False)).cells[(2, (1, 1))]
+        verdict = cell.classification
+        assert (verdict.kind, verdict.evidence) == (ISOLATED_POINTS, FINITE_COLENGTH)
+        assert "_reducers" not in vars(cell.ideal)
+        reduced, s = _split_lone_variables(cell.ideal)
+        assert (s, len(reduced.ambient), len(reduced._terms)) == (4, 2, 2)
+
+
+@st.composite
 def overdetermined_ideals(draw):
     """An ideal with no constant term and more generators than its at most 4
     variables, and an expected dimension in -3..-1.
@@ -263,6 +346,30 @@ class TestJacobianRank:
         other = {(0,) * n: 1, (2,) + (0,) * (n - 1): 1}
         gens = [MultiPoly(vs, {**dict(zip(eye, row)), **other}) for row in rows]
         assert jacobian_rank_at_origin(list(map(_integer_terms, gens)), n) == _fraction_rank(rows)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=n, max_size=n),
+                max_size=7,
+            ).map(lambda rows: (n, rows))
+        )
+    )
+    @settings(max_examples=300)
+    def test_sparse_rows_match_fraction_gaussian_elimination(self, n_rows):
+        # Mostly zero entries, so that many rows have a zero under a pivot.
+        n, rows = n_rows
+        eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        maps = [{u: a for u, a in zip(eye, row) if a} for row in rows]
+        assert jacobian_rank_at_origin(maps, n) == _fraction_rank(rows)
+
+    def test_zero_entries_under_a_pivot(self):
+        # The second and fourth rows have a zero under the first pivot and
+        # are left alone by its step; the fourth is twice the second, and
+        # the third is independent only through its z entry: rank 3.
+        vs = VarSet(("x", "y", "z"))
+        gens = [parse_poly(t, vs) for t in ("2*x + y", "3*y + z", "4*x + 2*y + 5*z", "6*y + 2*z")]
+        assert jacobian_rank_at_origin(list(map(_integer_terms, gens)), 3) == 3
 
     def test_rank_deficient_column_and_rational_row(self):
         # The second column has no pivot after the first step, and the third

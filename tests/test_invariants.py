@@ -433,3 +433,19 @@ class TestReport:
         lines = (DATA / "corpus_report_digests.txt").read_text().splitlines()
         golden = dict(line.split() for line in lines if line and not line.startswith("#"))
         assert got == golden
+
+    def test_sc_reports_match_their_golden_digests(self):
+        # One sha256 per report, JSON and text, for every feasible (n, p)
+        # with n <= 10 and n < p <= 60: the germs of the sc_sweep benchmark.
+        def digest(text: str) -> str:
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        got = []
+        for n in range(1, 11):
+            for p in range(n + 1, 61):
+                if mp.sc_dimension_feasible(n, p):
+                    g = mp.generate_sc_germ(n, p, self_check=False)
+                    report = build_report(mp.analyze_germ(g))
+                    got.append(f"{n} {p} {digest(report.to_json())} {digest(report.to_text())}")
+        lines = (DATA / "sc_report_digests.txt").read_text().splitlines()
+        assert got == [line for line in lines if line and not line.startswith("#")]
