@@ -2,9 +2,8 @@
 
 Commands: analyze, sc-feasible, sc-generate, char-table, isotype, milnor,
 icss, conservation-check.  Reports are machine-readable first (JSON), with
-text and CSV renderings behind --format.  Runs are reproducible: the random
-seed for chain recombination defaults to a fixed constant and all algorithms
-are deterministic.
+text and CSV renderings behind --format.  Runs are reproducible: every
+algorithm is deterministic.
 
 Exit codes: 0 success; 1 input or parse error; 2 resource limit exceeded;
 3 germ not A-finite (a partial report is still emitted); 4 sc-generate on
@@ -29,7 +28,6 @@ from .errors import (
     NotAFiniteError,
     ResourceLimitError,
 )
-from .icis import DEFAULT_SEED
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
 from .poly import parse_integer, parse_rational
@@ -76,7 +74,7 @@ def _frac_str(v: Fraction) -> str:
 
 def cmd_analyze(args) -> int:
     g = multipoint.germ_from_text(_read(args.germ))
-    analysis = multipoint.analyze_germ(g, budget=args.budget_steps, seed=args.seed)
+    analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     report = invariants.build_report(analysis, tau=args.tau)
     _emit(report.to_json() if args.format == "json" else report.to_text(), args.output)
     return EXIT_OK if analysis.verdict.a_finite else EXIT_NOT_A_FINITE
@@ -96,7 +94,7 @@ def cmd_sc_feasible(args) -> int:
 
 
 def cmd_sc_generate(args) -> int:
-    g = multipoint.generate_sc_germ(args.n, args.p, budget=args.budget_steps, seed=args.seed)
+    g = multipoint.generate_sc_germ(args.n, args.p, budget=args.budget_steps)
     _emit(g.serialize(), args.output)
     return EXIT_OK
 
@@ -154,13 +152,10 @@ def cmd_isotype(args) -> int:
 
 def cmd_milnor(args) -> int:
     ideal = ideal_from_text(_read(args.ideal), budget=args.budget_steps)
-    if len(ideal.generators) == 1:
-        mu = icis.milnor_hypersurface(ideal.generators[0], budget=args.budget_steps)
-    else:
-        dim = len(ideal.ambient) - len(ideal.generators)
-        if dim < 0:
-            raise InvalidInputError("more generators than ambient variables")
-        mu = icis.milnor_icis(ideal, dim, seed=args.seed)
+    dim = len(ideal.ambient) - len(ideal.generators)
+    if dim < 0:
+        raise InvalidInputError("more generators than ambient variables")
+    mu = icis.milnor_icis(ideal, dim)
     if args.format == "json":
         _emit(json.dumps({"mu": mu}) + "\n", args.output)
     else:
@@ -170,7 +165,7 @@ def cmd_milnor(args) -> int:
 
 def cmd_icss(args) -> int:
     g = multipoint.germ_from_text(_read(args.germ))
-    analysis = multipoint.analyze_germ(g, budget=args.budget_steps, seed=args.seed)
+    analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     table = invariants.icss_table(analysis)
     if args.format == "json":
         payload = {
@@ -265,8 +260,17 @@ def cmd_conservation_check(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every other input
+    error, instead of argparse's 2, which is the exhausted-budget code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="germlab",
         description="Analyze corank-one map germs through their multiple point spaces.",
     )
@@ -278,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STEP_BUDGET,
         help="work budget for each standard basis, Krull-dimension search, staircase "
         "count and normal form; the ideals of a Milnor chain inherit it",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for chain recombination retries"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -321,11 +322,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    # Command "sc-feasible" runs cmd_sc_feasible, looked up at each call.
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        args = _parser().parse_args(argv)
+        # Command "sc-feasible" runs cmd_sc_feasible, looked up at each call.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GermlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

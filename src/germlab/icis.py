@@ -44,25 +44,26 @@ split and steps 1 to 4 are exact and build no standard basis:
   8. Milnor number    of I', the same germ: icis, or not_icis when the chain
                       fails
 
-Milnor numbers: hypersurfaces by the Jacobian-ideal colength, positive
-dimensional complete intersections by the telescoping chain
+Milnor numbers: positive dimensional complete intersections by the
+telescoping chain
 
     mu(X_i) + mu(X_{i-1}) = dim_Q O / ((g_1..g_{i-1}) + maximal minors of Jac(g_1..g_i))
 
 and zero-dimensional ones by (colength - 1), which counts the generic fiber
-minus the base point.  The sections come from localalg.le_greuel_sections,
-which runs on primitive integer term maps: step i extends the maximal minors
-of steps 1..i-1 by the Jacobian row of g_i, one multiply-add of integer maps
-per (column subset, column), charged to the ideal's budget.  When a chain
-step degenerates (infinite intermediate colength) the generators are
-re-mixed by seeded invertible linear recombinations and the chain is
-retried; genericity is what the chain needs, and randomization with exact
-verification is sound.
+minus the base point.  For a hypersurface the chain is its one step, the
+Jacobian-ideal colength.  The chain runs on the primitive integer term maps
+of an irredundant generating set: every generator in the ideal of the
+others is dropped first, and a complete intersection keeps exactly codim of
+them (Nakayama).  Step i extends the maximal minors of steps 1..i-1 by the
+Jacobian row of the first remaining generator whose section has finite
+colength, so the generators keep their given order whenever that order
+works; one multiply-add of integer maps per (column subset, column),
+charged to the ideal's budget.  When no remaining generator gives a finite
+colength the chain fails at that step.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -70,11 +71,17 @@ from operator import eq, itemgetter
 from typing import Sequence
 
 from .errors import InconsistentDataError, NotIcisError
-from .localalg import DEFAULT_STEP_BUDGET, INFINITE, LocalIdeal, _integer_terms, le_greuel_sections
+from .localalg import (
+    DEFAULT_STEP_BUDGET,
+    INFINITE,
+    LocalIdeal,
+    _Budget,
+    _derivative,
+    _extend_minors,
+    _reduce,
+    standard_basis,
+)
 from .poly import Exponent, MultiPoly, VarSet
-
-DEFAULT_SEED = 290797
-CHAIN_RETRIES = 8
 
 EMPTY = "empty"
 SMOOTH = "smooth"
@@ -225,29 +232,37 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     return int(q)
 
 
-def _chain_mu(maps: Sequence[dict[Exponent, int]], ideal: LocalIdeal) -> int:
-    """One Le-Greuel telescoping pass along the generators as given."""
-    sections = le_greuel_sections(maps, ideal.ambient, ideal.budget)
-    mu_prev = 0
-    for i, section in enumerate(sections, start=1):
-        q = section.quotient_dimension()
-        if q == INFINITE:
-            raise NotIcisError(f"chain step {i} has infinite colength")
-        mu_i = int(q) - mu_prev
-        if mu_i < 0:
-            raise NotIcisError(f"chain step {i} produced a negative Milnor number")
-        mu_prev = mu_i
-    return mu_prev
+def _irredundant(maps: Sequence[dict[Exponent, int]], budget: int) -> list[dict[Exponent, int]]:
+    """The generators left after dropping, in order, each that lies in the
+    ideal of the others kept so far and of all after it.
+
+    Membership is a zero remainder of ``_reduce`` against the standard basis
+    of those others.  Each generator kept is outside the ideal of the rest,
+    so the set is irredundant, and in a local ring an irredundant generating
+    set is minimal (Nakayama): it has mu(I) elements, which is the
+    codimension exactly when the ideal is a complete intersection.
+    """
+    kept, i = list(maps), 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if _reduce(kept[i], standard_basis(others, budget), _Budget(budget)):
+            i += 1
+        else:
+            kept = others
+    return kept
 
 
-def milnor_icis(ideal: LocalIdeal, dim: int, seed: int = DEFAULT_SEED) -> int:
+def milnor_icis(ideal: LocalIdeal, dim: int) -> int:
     """Milnor number of an ICIS of the stated dimension.
 
     dim == 0 reduces to colength minus one (fiber point count minus the base
-    point).  dim > 0 runs the Le-Greuel chain along the integer term maps in
-    generator order, retrying with up to CHAIN_RETRIES seeded invertible
-    recombinations of the polynomials on failure.  Every ideal of the chain
-    runs under the budget of ``ideal``.
+    point).  dim > 0 runs the Le-Greuel chain on the integer term maps of an
+    irredundant generating set, which must have codim elements.  Step i
+    extends the maximal minors of steps 1..i-1 by the Jacobian row of the
+    first remaining generator whose section has finite colength; when no
+    remaining generator has one, the chain fails at step i.  The minor
+    expansion of every candidate is charged to one budget of ``ideal.budget``
+    units, and every section runs under a budget of its own.
     """
     if dim < 0:
         raise InconsistentDataError("milnor_icis needs a non-negative dimension")
@@ -258,73 +273,38 @@ def milnor_icis(ideal: LocalIdeal, dim: int, seed: int = DEFAULT_SEED) -> int:
         if q == INFINITE:
             raise NotIcisError("expected dimension 0 but colength is infinite")
         return int(q) - 1
-    maps, gens = ideal._terms, None
-    codim = len(ideal.ambient) - dim
-    if len(maps) != codim:
-        gens = _recombine_to_codim(list(ideal.generators), codim, ideal, random.Random(seed))
-        maps = list(map(_integer_terms, gens))
-    try:
-        return _chain_mu(maps, ideal)
-    except NotIcisError:
-        pass
-    gens = gens or list(ideal.generators)
-    rng = random.Random(seed)
-    for _ in range(CHAIN_RETRIES):
-        mixed = _random_recombination(gens, rng)
-        try:
-            return _chain_mu(list(map(_integer_terms, mixed)), ideal)
-        except NotIcisError:
-            continue
-    raise NotIcisError(f"Le-Greuel chain failed after {CHAIN_RETRIES} randomized retries")
-
-
-def _random_recombination(gens: list[MultiPoly], rng: random.Random) -> list[MultiPoly]:
-    """Apply a random invertible (unit lower-triangular after shuffle) mix."""
-    order = list(range(len(gens)))
-    rng.shuffle(order)
-    shuffled = [gens[i] for i in order]
-    mixed = []
-    for i, g in enumerate(shuffled):
-        acc = g
-        for j in range(i):
-            c = rng.randint(-3, 3)
-            if c:
-                acc = acc + shuffled[j].scale(c)
-        mixed.append(acc)
-    return mixed
-
-
-def _recombine_to_codim(
-    gens: list[MultiPoly], codim: int, ideal: LocalIdeal, rng: random.Random
-) -> list[MultiPoly]:
-    """Reduce an oversized generating set to codim generic combinations.
-
-    A complete intersection ideal is generated by codim elements; generic
-    combinations of any generating set work.  The candidate set is verified
-    to generate the same ideal by mutual normal-form reduction before use.
-    """
-    if len(gens) < codim:
+    ambient, budget = ideal.ambient, ideal.budget
+    nvars = len(ambient)
+    codim = nvars - dim
+    rest = list(ideal._terms)
+    if len(rest) > codim:
+        rest = _irredundant(rest, budget)
+    if len(rest) != codim:
         raise NotIcisError(
-            f"{len(gens)} generators cannot cut a codimension {codim} complete intersection"
+            f"{len(rest)} generators cannot cut a codimension {codim} complete intersection"
         )
-    for _ in range(CHAIN_RETRIES):
-        candidate = []
-        for _i in range(codim):
-            acc = MultiPoly.zero(ideal.ambient)
-            for g in gens:
-                c = rng.randint(-4, 4)
-                if c:
-                    acc = acc + g.scale(c)
-            candidate.append(acc)
-        cand_ideal = LocalIdeal(candidate, ideal.ambient, budget=ideal.budget)
-        if all(cand_ideal.contains(g) for g in gens) and all(
-            ideal.contains(c) for c in candidate
-        ):
-            return candidate
-    raise NotIcisError("could not reduce the generating set to codimension size")
+    steps = _Budget(budget)
+    minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
+    chain: list[dict[Exponent, int]] = []
+    mu = 0
+    for i in range(1, codim + 1):
+        for j, h in enumerate(rest):
+            extended = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], steps)
+            section = LocalIdeal._from_terms([*chain, *extended.values()], ambient, budget)
+            q = section.quotient_dimension()
+            if q != INFINITE:
+                break
+        else:
+            raise NotIcisError(f"chain step {i} has infinite colength")
+        chain.append(rest.pop(j))
+        minors = extended
+        mu = int(q) - mu
+        if mu < 0:
+            raise NotIcisError(f"chain step {i} produced a negative Milnor number")
+    return mu
 
 
-def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> VarietyClass:
+def classify(ideal: LocalIdeal, expected_dim: int) -> VarietyClass:
     """Marar-Mond style verdict for one locus against its expected dimension."""
     n_amb = len(ideal.ambient)
     if expected_dim > n_amb:
@@ -378,7 +358,7 @@ def classify(ideal: LocalIdeal, expected_dim: int, seed: int = DEFAULT_SEED) -> 
     if rank == n_amb - expected_dim:
         return VarietyClass(SMOOTH, dim=expected_dim, mu=0, evidence="jacobian rank at origin")
     try:
-        mu = milnor_icis(reduced, expected_dim, seed=seed)
+        mu = milnor_icis(reduced, expected_dim)
     except NotIcisError as exc:
         return VarietyClass(NOT_ICIS, dim=actual, evidence=str(exc))
     if mu == 0:

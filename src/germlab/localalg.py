@@ -33,10 +33,10 @@ MultiPolys only when a caller asks for it.  A reduction step is charged
 1 + terms * bits // 256 units, where terms is the size of the remainder and
 bits the bit length of its largest integer coefficient.
 
-The sections of the Le-Greuel chain are built here too, on the same maps:
-``le_greuel_sections`` extends the maximal minors of the Jacobian matrix by
-one row per generator, one multiply-add of integer maps per (column subset,
-column), and charges each term product to the pass's budget.
+The maximal minors of the Le-Greuel chain's Jacobian matrices are built here
+too, on the same maps: ``_extend_minors`` extends them by one row, one
+multiply-add of integer maps per (column subset, column), and charges each
+term product to the chain's budget.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import cached_property
 from itertools import combinations, compress, repeat
 from math import gcd, lcm as _int_lcm
 from operator import add, itemgetter, le, sub
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError, VariableMismatchError
 from .poly import Exponent, MultiPoly, VarSet, format_poly, parse_poly
@@ -499,25 +499,6 @@ class LocalIdeal:
         """One generator per line, in the polynomial text grammar."""
         header = "vars " + " ".join(self.ambient.names)
         return "\n".join([header] + [format_poly(g) for g in self.generators]) + "\n"
-
-
-def le_greuel_sections(
-    maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int
-) -> Iterator[LocalIdeal]:
-    """The ideals (g_1..g_{i-1}) + maximal minors of Jac(g_1..g_i), i = 1, 2, ...
-
-    The generators g_i come as primitive integer term maps.  Built lazily, so
-    a caller that stops at a failed step computes no later minors.  Step i
-    extends the minors of steps 1..i-1 by the Jacobian row of g_i.  The
-    minor expansion of the whole pass is charged to one budget of
-    ``budget`` units, and every section runs under a budget of its own.
-    """
-    nvars = len(ambient)
-    steps = _Budget(budget)
-    minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
-    for i, h in enumerate(maps):
-        minors = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], steps)
-        yield LocalIdeal._from_terms([*maps[:i], *minors.values()], ambient, budget)
 
 
 def ideal_from_text(text: str, budget: int = DEFAULT_STEP_BUDGET) -> LocalIdeal:

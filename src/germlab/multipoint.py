@@ -35,7 +35,6 @@ from .icis import (
     ICIS,
     ISOLATED_POINTS,
     SMOOTH,
-    DEFAULT_SEED,
     MilnorData,
     VarietyClass,
 )
@@ -392,11 +391,7 @@ class GermAnalysis:
         return GermVerdict(stable, a_finite, strongly_contractible, d_of_f, kap)
 
 
-def analyze_germ(
-    g: GermSpec,
-    budget: int = DEFAULT_STEP_BUDGET,
-    seed: int = DEFAULT_SEED,
-) -> GermAnalysis:
+def analyze_germ(g: GermSpec, budget: int = DEFAULT_STEP_BUDGET) -> GermAnalysis:
     """Classify every D^k(f)^sigma for k = 2..kappa and D^{kappa+1}(f)."""
     kap = _check_multiplicity_bound(g.n, g.p)
     cells: dict[tuple[int, tuple[int, ...]], MultiPointSpace] = {}
@@ -414,7 +409,7 @@ def analyze_germ(
                 shape=shape,
                 expected_dim=e_dim,
                 ideal=ideal,
-                classification=icis.classify(ideal, e_dim, seed=seed),
+                classification=icis.classify(ideal, e_dim),
             )
     return GermAnalysis(germ=g, kappa=kap, cells=cells)
 
@@ -467,7 +462,6 @@ def generate_sc_germ(
     n: int,
     p: int,
     budget: int = DEFAULT_STEP_BUDGET,
-    seed: int = DEFAULT_SEED,
     self_check: bool = True,
 ) -> GermSpec:
     """Emit a strongly contractible germ in feasible dimensions.
@@ -534,7 +528,7 @@ def generate_sc_germ(
     comps = [MultiPoly._trusted(vs, dict.fromkeys(exps, _ONE)) for exps in supports]
     spec = GermSpec(n, p, vs_names[:-1], "y", tuple(comps))
     if self_check:
-        analysis = analyze_germ(spec, budget=budget, seed=seed)
+        analysis = analyze_germ(spec, budget=budget)
         if not analysis.verdict.strongly_contractible:
             raise InconsistentDataError(
                 f"generated germ for ({n}, {p}) failed its strong-contractibility self-check"

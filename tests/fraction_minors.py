@@ -1,8 +1,8 @@
 """The Fraction maximal minors of a polynomial matrix.
 
 This is the expansion the Le-Greuel chain in ``germlab.icis`` used before
-``germlab.localalg.le_greuel_sections`` extended integer-map minors row by
-row, kept as the reference the tests compare it against, and as the
+``germlab.localalg._extend_minors`` extended integer-map minors row by row,
+kept as the reference the tests compare it against, and as the
 determinant of the Sylvester-resultant route to plane-curve images: every
 prefix of rows is rebuilt from MultiPoly products and sums.
 """

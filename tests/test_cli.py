@@ -63,7 +63,7 @@ component y^2
 component y^3 + x1^3*y
 """
 
-# Mond's H_5: its double point curve's Le-Greuel chain charges 473 units
+# Mond's H_5: its double point curve's Le-Greuel chain charges 87 units
 # to the maximal minors, and no standard basis of the analysis needs more
 # than 39 (see tests/test_icis.py::TestChainMinors).
 H5_GERM = """\
@@ -222,8 +222,8 @@ class TestAnalyze:
 
     def test_budget_exit_in_the_chain_minors(self, files, capsys):
         path = files("g.germ", H5_GERM)
-        assert run(capsys, "--budget-steps", "473", "analyze", path)[0] == EXIT_OK
-        code, _, err = run(capsys, "--budget-steps", "100", "analyze", path)
+        assert run(capsys, "--budget-steps", "87", "analyze", path)[0] == EXIT_OK
+        code, _, err = run(capsys, "--budget-steps", "50", "analyze", path)
         assert code == EXIT_RESOURCE
         assert "maximal minors" in err
 
@@ -727,3 +727,14 @@ class TestExitCodes:
             code, _, err = run(capsys, "sc-feasible", "5", "8")
             assert (cls, code) == (cls, self.DOCUMENTED[cls])
             assert f"injected {cls.__name__}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bogus", "char-table", "3"], "unrecognized arguments: --bogus"),
+        (["--seed", "x", "char-table", "3"], "invalid choice: 'x'"),
+    ], ids=["unknown-option", "retired-seed-option"])
+    def test_usage_errors_exit_as_input_errors(self, capsys, argv, message):
+        # Exit 2 means an exhausted step budget, so a usage error must not
+        # leave through argparse's own exit 2.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert message in err and err.startswith("usage: germlab")

@@ -18,6 +18,7 @@ from germlab import (
     classify,
     milnor_hypersurface,
     milnor_icis,
+    mu_image,
     parse_poly,
 )
 from germlab import multipoint as mp
@@ -31,7 +32,6 @@ from germlab.icis import (
     NOT_ICIS,
     SMOOTH,
     UNIT_CONSTANT_TERM,
-    _random_recombination,
     _split_lone_variables,
     jacobian_rank_at_origin,
 )
@@ -40,6 +40,8 @@ from germlab.poly import MultiPoly
 import random
 
 from fraction_minors import maximal_minors
+from recombination import _random_recombination
+from sections_mu import sections_mu
 
 
 def ideal(var_names, gens, **kw):
@@ -417,9 +419,8 @@ class TestIcisMilnor:
         assert milnor_icis(I, 2) == 0
 
     def test_chain_failure_after_retries_reports_not_icis(self):
-        # Every linear recombination of (xy, xz) keeps the common factor x,
-        # so every chain start has infinite colength and the retries must
-        # exhaust and fail.
+        # Both generators share the factor x, so the section of either at
+        # step 1 has infinite colength and the chain fails there.
         I = ideal(["x", "y", "z"], ["x*y", "x*z"])
         with pytest.raises(NotIcisError):
             milnor_icis(I, 1)
@@ -430,6 +431,43 @@ class TestIcisMilnor:
         # defect across the branches), r = 4, so mu = 2*delta - r + 1 = 5.
         I = ideal(["x", "y", "z"], ["x^2 + y^2 + z^2", "x*y"])
         assert milnor_icis(I, 1) == 5
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+    def test_chain_starts_with_the_first_generator_that_works(self, order):
+        # Four lines through the origin: (0, +-i, 1) in x = 0, (1, 0, 0) and
+        # (1, 0, -1) in y = 0, so mu = 5.  Step 1 on xy has infinite colength
+        # (its critical locus is the z-axis), so in either order the chain
+        # starts with the quadric.  Every coordinate plane holds a branch, so
+        # no coordinate section reaches this mu.
+        I = ideal(["x", "y", "z"], ["x*y", "y^2 + z^2 + x*z"][::order])
+        assert milnor_icis(I, 1) == 5
+        verdict = classify(I, 1)
+        assert (verdict.kind, verdict.dim, verdict.mu) == (ICIS, 1, 5)
+        assert sections_mu(list(I.generators), I.ambient, 1) is None
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+    def test_redundant_generator_is_dropped(self, order):
+        # The first generator is a multiple of the cusp y^2 - x^3 (mu 2).
+        I = ideal(["x", "y"], ["(y^2 - x^3)*(y - x^5)", "y^2 - x^3"][::order])
+        assert milnor_icis(I, 1) == 2
+
+    def test_more_minimal_generators_than_the_codimension(self):
+        # The three coordinate axes: a curve whose ideal needs three
+        # generators, so not a complete intersection.
+        I = ideal(["x", "y", "z"], ["x*y", "x*z", "y*z"])
+        assert I.krull_dimension() == 1
+        with pytest.raises(NotIcisError, match="3 generators cannot cut a codimension 2"):
+            milnor_icis(I, 1)
+
+    def test_quartic_quintic_germ(self):
+        # (y^4 + x1*y + x2*y^2, y^5 + x3*y): in generator order, chain step 4
+        # of its D^4 (1,1,1,1) curve has infinite colength, and the next
+        # remaining generator gives a finite one.
+        g = mp.germ(4, 5, ["y^4 + x1*y + x2*y^2", "y^5 + x3*y"])
+        analysis = mp.analyze_germ(g)
+        verdict = analysis.cells[(4, (1, 1, 1, 1))].classification
+        assert (verdict.kind, verdict.dim, verdict.mu) == (ICIS, 1, 13)
+        assert mu_image(analysis) == 6
 
     def test_chain_runs_under_the_ideal_budget(self):
         # The same curve computes mu = 3 under the default budget (see the
@@ -499,13 +537,14 @@ class TestChainMinors:
                 assert is_rational_multiple(h, p)
 
     def test_minor_expansion_is_charged_to_the_budget(self):
-        # Mond's H_5 (x, y^3, x*y + y^14), double point curve: the chain in
-        # generator order fails at step 1, and the recombined pass that
-        # computes mu charges 473 units to its minors, while no standard
-        # basis of either pass needs more than 26.
+        # Mond's H_5 (x, y^3, x*y + y^14), double point curve: the first
+        # generator's section has infinite colength, so step 1 takes the
+        # second.  The chain that computes mu charges 87 units to the minors
+        # of both candidates and both steps, while no standard basis needs
+        # more than 26.
         g = mp.germ(2, 3, ["y^3", "x1*y + y^14"])
-        assert milnor_icis(mp.multiple_point_equations(g, 2), 1) == 1
-        I = mp.multiple_point_equations(g, 2, budget=100)
+        assert milnor_icis(mp.multiple_point_equations(g, 2, budget=87), 1) == 1
+        I = mp.multiple_point_equations(g, 2, budget=50)
         with pytest.raises(ResourceLimitError, match="maximal minors"):
             milnor_icis(I, 1)
 

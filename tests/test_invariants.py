@@ -10,7 +10,6 @@ import pytest
 from germlab import (
     IncompleteDataError,
     NotAFiniteError,
-    NotIcisError,
     build_report,
     check_mu_conservation,
     icss_layout,
@@ -23,16 +22,18 @@ from germlab import (
 )
 from germlab import invariants as inv
 from germlab import multipoint as mp
-from germlab.icis import ICIS, ISOLATED_POINTS, _chain_mu, milnor_hypersurface
+from germlab.icis import ICIS, ISOLATED_POINTS, milnor_hypersurface
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
 from conftest import CORPUS_SPECS, NOT_A_FINITE_SPEC
 from fraction_minors import maximal_minors
 from fraction_mora import total_degree
+from sections_mu import sections_mu
 
 DATA = Path(__file__).resolve().parent / "data"
 MOND_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "mond.txt"
+LADDER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
 
 
 def mond_germs() -> list[tuple[str, int, list[str]]]:
@@ -238,25 +239,32 @@ class TestMondList:
         assert got == [line for line in pinned if not line.startswith("#")]
 
 
-def _first_chain_pass_fails(cell) -> bool:
-    """Whether milnor_icis had to recombine the cell's polynomials: its
-    generator count is not the codimension, or the chain along its integer
-    term maps fails."""
-    ideal = cell.ideal
-    if len(ideal._terms) != len(ideal.ambient) - cell.expected_dim:
-        return True
-    try:
-        _chain_mu(ideal._terms, ideal)
-    except NotIcisError:
-        return True
-    return False
+class TestSectionsRoute:
+    def test_coordinate_sections_match_the_chain(self, corpus, not_a_finite_analysis):
+        # Every positive dimensional ICIS cell of the corpus, Mond's list,
+        # the kappa-3 ladder and a (4, 5) germ: mu by coordinate hyperplane
+        # sections, which forms no chain along the generators, equals the
+        # Le-Greuel chain's.
+        germs = [mp.germ(2, 3, comps) for _, _, comps in mond_germs()]
+        germs += [mp.germ_from_text(path.read_text()) for path in sorted(LADDER.glob("*.germ"))]
+        germs.append(mp.germ(4, 5, ["y^4 + x1*y + x2*y^2", "y^5 + x3*y"]))
+        analyses = [*corpus.values(), not_a_finite_analysis, *map(mp.analyze_germ, germs)]
+        checked = 0
+        for analysis in analyses:
+            for cell in analysis.cells.values():
+                verdict = cell.classification
+                if verdict.kind == ICIS and verdict.dim > 0:
+                    gens, ambient = list(cell.ideal.generators), cell.ideal.ambient
+                    assert sections_mu(gens, ambient, verdict.dim) == verdict.mu
+                    checked += 1
+        assert checked == 62
 
 
 class TestLazyGenerators:
-    def test_only_a_chain_retry_builds_the_fraction_polynomials(self):
-        # Cells keep their equations as integer term maps; a cell's Fraction
-        # MultiPolys are built only when the chain retries on recombinations
-        # of them.  Fresh analyses, so that no other test has asked for them.
+    def test_no_analysis_builds_the_fraction_polynomials(self):
+        # Cells keep their equations as integer term maps from the table to
+        # the Le-Greuel chain, so no cell's Fraction MultiPolys are built.
+        # Fresh analyses, so that no other test has asked for them.
         specs = [*CORPUS_SPECS.values(), NOT_A_FINITE_SPEC]
         specs += [(2, 3, comps) for _, _, comps in mond_germs()]
         germs = [mp.germ(n, p, comps) for n, p, comps in specs]
@@ -265,11 +273,8 @@ class TestLazyGenerators:
         for g in germs:
             analysis = mp.analyze_germ(g)
             build_report(analysis, tau="(1,1)")
-            for cell in analysis.cells.values():
-                if "generators" in vars(cell.ideal):
-                    built += 1
-                    assert _first_chain_pass_fails(cell)
-        assert 0 < built < 20
+            built += sum("generators" in vars(cell.ideal) for cell in analysis.cells.values())
+        assert built == 0
 
 
 _UV = VarSet(("u", "v"))

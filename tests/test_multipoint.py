@@ -227,7 +227,7 @@ class TestEquationsAgainstSubstitution:
                 assert _term_maps(I.generators) == _term_maps(gens)
         # Only the cell ideals are under test here, so classification is stubbed.
         verdict = VarietyClass(NOT_ICIS)
-        with mock.patch.object(mp.icis, "classify", lambda ideal, e_dim, seed: verdict):
+        with mock.patch.object(mp.icis, "classify", lambda ideal, e_dim: verdict):
             an = mp.analyze_germ(g)
         assert len(an.cells) == sum(len(partitions(k)) for k in range(2, kap + 1)) + 1
         for (k, parts), cell in an.cells.items():
@@ -260,7 +260,7 @@ class TestIntegerTable:
     def test_cells_and_builders_match_the_fraction_table(self, g):
         kap = kappa(g.n, g.p)
         verdict = VarietyClass(NOT_ICIS)
-        with mock.patch.object(mp.icis, "classify", lambda ideal, e_dim, seed: verdict):
+        with mock.patch.object(mp.icis, "classify", lambda ideal, e_dim: verdict):
             an = mp.analyze_germ(g)
         for (k, parts), cell in an.cells.items():
             if parts == (1,) * k:
