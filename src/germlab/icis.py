@@ -20,10 +20,10 @@ split and steps 1 to 4 are exact and build no standard basis:
                       local ring of the other coordinates and I' the other
                       generators with x_j := 0, repeated until no lone
                       generator is left.  With s variables split off,
-                      r = s + the rank of I'.  Steps 5, 6 and 8 read I' in
-                      its n - s variables (I itself when s = 0); steps 3, 4
-                      and 7 compare r with the cell's own n and generator
-                      count
+                      r = s + the rank of I'.  Step 5 and the elimination
+                      read I' in its n' = n - s variables (I itself when
+                      s = 0); steps 3, 4 and 7 compare r with the cell's own
+                      n and generator count
   3. r = n            the linear parts span m/m^2, so the ideal is the maximal
                       ideal (Nakayama): isolated_points when e < 0, smooth
                       when e = 0, not_icis (dimension 0) when e > 0
@@ -33,15 +33,22 @@ split and steps 1 to 4 are exact and build no standard basis:
                       r = 1 = n - 1 and is a fat point)
   5. first n' generators
                       when e < 0 and I' has more generators than its
-                      n' = n - s variables, the standard basis of
-                      J = (g_1..g_n') of I' alone: dimension 0 gives
-                      isolated_points, since J <= I' <= m' (step 2) gives
-                      0 <= dim O'/I' <= dim O'/J; otherwise on to step 6
-  6. Krull dimension  from the standard basis of I', equal to that of I:
+                      n' variables, the standard basis of J = (g_1..g_n') of
+                      I' alone: dimension 0 gives isolated_points, since
+                      J <= I' <= m' (step 2) gives 0 <= dim O'/I' <= dim O'/J;
+                      otherwise on to the elimination
+     elimination      every generator g = c*x_j + r of I' with x_j in no term
+                      of r comes off: since (g) + J = (g) + J|_{x_j := -r/c},
+                      O'/I' is O''/I'' for O'' the local ring of the other
+                      coordinates and I'' the other generators with x_j
+                      substituted, repeated until no such generator is left;
+                      the split is its case r = 0.  Its substitutions are
+                      charged to the budget.  Steps 6 and 8 read I''
+  6. Krull dimension  from the standard basis of I'', equal to that of I:
                       isolated_points or not_icis when e < 0, not_icis when
                       it differs from e
   7. r = n - e        smooth, now that the dimension is e
-  8. Milnor number    of I', the same germ: icis, or not_icis when the chain
+  8. Milnor number    of I'', the same germ: icis, or not_icis when the chain
                       fails
 
 Milnor numbers: positive dimensional complete intersections by the
@@ -78,7 +85,9 @@ from .localalg import (
     _Budget,
     _derivative,
     _extend_minors,
+    _primitive,
     _reduce,
+    _subtract_multiple,
     standard_basis,
 )
 from .poly import Exponent, MultiPoly, VarSet
@@ -221,6 +230,76 @@ def _split_lone_variables(ideal: LocalIdeal) -> tuple[LocalIdeal, int]:
     return LocalIdeal._from_terms(maps, ambient, ideal.budget), split
 
 
+def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
+    """I' over fewer coordinates: every generator g = c * x_j + r, with x_j
+    in no term of r, taken off the ideal I.
+
+    Since (g) + J = (g) + J|_{x_j := -r/c}, O/I is O'/I' for O' the local
+    ring of the other coordinates: the same Krull dimension and Milnor
+    number.  Each round takes the first such g of fewest terms (its first
+    such x_j), drops it and substitutes into the others on integer term
+    maps: a map h of x_j-degree D becomes c^D * h(x_j := -r/c), the sum of
+    c^(D - a) * h_a * (-r)^a over its x_j-degree parts h_a.  Generators the
+    substitution empties are dropped.  Every term product is charged to one
+    budget of ``ideal.budget`` units.  The maps are projected to the kept
+    coordinates once, at the end; without such a generator the ideal itself
+    comes back.
+    """
+    maps = list(ideal._terms)
+    nvars = len(ideal.ambient)
+    budget = _Budget(ideal.budget)
+    gone = []
+    while True:
+        pick = None
+        for i, h in enumerate(maps):
+            if pick is None or len(h) < len(maps[pick[0]]):
+                for e in h:
+                    if sum(e) == 1 and sum(f[e.index(1)] for f in h) == 1:
+                        pick = i, e.index(1)
+                        break
+        if pick is None:
+            break
+        i, j = pick
+        g = maps.pop(i)
+        unit = (0,) * j + (1,) + (0,) * (nvars - 1 - j)
+        c = g[unit]
+        r = {e: a for e, a in g.items() if e != unit}
+        powers = [{(0,) * nvars: 1}]  # (-r)^a
+        rest = []
+        for h in maps:
+            if not any(e[j] for e in h):
+                rest.append(h)
+                continue
+            parts: dict[int, dict[Exponent, int]] = {}
+            for e, a in h.items():
+                parts.setdefault(e[j], {})[e[:j] + (0,) + e[j + 1 :]] = a
+            top = max(parts)
+            while len(powers) <= top:
+                budget.tick("linear elimination", len(powers[-1]) * len(r))
+                power: dict[Exponent, int] = {}
+                for e, a in powers[-1].items():
+                    _subtract_multiple(power, a, r, e)
+                powers.append(power)
+            acc: dict[Exponent, int] = {}
+            for a, part in parts.items():
+                budget.tick("linear elimination", len(part) * len(powers[a]))
+                scale = c ** (top - a)
+                for e, b in part.items():
+                    _subtract_multiple(acc, -scale * b, powers[a], e)
+            if acc:
+                rest.append(_primitive(acc))
+        maps = rest
+        gone.append(j)
+    if not gone:
+        return ideal
+    keep = [k for k in range(nvars) if k not in gone]
+    project = itemgetter(*keep) if len(keep) > 1 else lambda e: tuple(e[k] for k in keep)
+    names, roles = ideal.ambient.names, ideal.ambient.roles
+    ambient = VarSet([names[k] for k in keep], [roles[k] for k in keep])
+    maps = [dict(zip(map(project, h), h.values())) for h in maps]
+    return LocalIdeal._from_terms(maps, ambient, ideal.budget)
+
+
 def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """mu of an isolated hypersurface singularity: colength of the Jacobian ideal."""
     if g.constant_term():
@@ -319,9 +398,10 @@ def classify(ideal: LocalIdeal, expected_dim: int) -> VarietyClass:
     origin = (0,) * n_amb
     if any(origin in h for h in maps):
         return VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
-    # Every generator now vanishes at the origin.  Steps 5, 6 and 8 run on
-    # the ideal with its lone-variable generators split off; steps 3, 4 and 7
-    # compare against the cell's own n and generator count.
+    # Every generator now vanishes at the origin.  Step 5 runs on the ideal
+    # with its lone-variable generators split off, steps 6 and 8 on that
+    # ideal with its linear variables eliminated; steps 3, 4 and 7 compare
+    # against the cell's own n and generator count.
     reduced, split = _split_lone_variables(ideal)
     n_red, rest = len(reduced.ambient), reduced._terms
     rank = split + jacobian_rank_at_origin(rest, n_red)
@@ -344,6 +424,7 @@ def classify(ideal: LocalIdeal, expected_dim: int) -> VarietyClass:
         head = LocalIdeal._from_terms(rest[:n_red], reduced.ambient, reduced.budget)
         if head.krull_dimension() == 0:
             return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
+    reduced = _eliminate_linear(reduced)
     actual = reduced.krull_dimension()
     if expected_dim < 0:
         if actual <= 0:

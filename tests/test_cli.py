@@ -63,14 +63,15 @@ component y^2
 component y^3 + x1^3*y
 """
 
-# Mond's H_5: its double point curve's Le-Greuel chain charges 87 units
-# to the maximal minors, and no standard basis of the analysis needs more
-# than 39 (see tests/test_icis.py::TestChainMinors).
-H5_GERM = """\
-n 2
-p 3
-component y^3
-component x1*y + y^14
+# The (4, 5) germ: after linear elimination its D^4 (1,1,1,1) curve is a
+# two-generator Le-Greuel chain in 3 variables, whose maximal minors
+# exhaust every budget from 69 to 125 units; the whole analysis, linear
+# eliminations included, needs 281.
+QUARTIC_QUINTIC_GERM = """\
+n 4
+p 5
+component y^4 + x1*y + x2*y^2
+component y^5 + x3*y
 """
 
 NOT_A_FINITE_GERM = """\
@@ -221,9 +222,9 @@ class TestAnalyze:
         assert "budget" in err
 
     def test_budget_exit_in_the_chain_minors(self, files, capsys):
-        path = files("g.germ", H5_GERM)
-        assert run(capsys, "--budget-steps", "87", "analyze", path)[0] == EXIT_OK
-        code, _, err = run(capsys, "--budget-steps", "50", "analyze", path)
+        path = files("g.germ", QUARTIC_QUINTIC_GERM)
+        assert run(capsys, "--budget-steps", "300", "analyze", path)[0] == EXIT_OK
+        code, _, err = run(capsys, "--budget-steps", "100", "analyze", path)
         assert code == EXIT_RESOURCE
         assert "maximal minors" in err
 

@@ -32,6 +32,7 @@ from germlab.icis import (
     NOT_ICIS,
     SMOOTH,
     UNIT_CONSTANT_TERM,
+    _eliminate_linear,
     _split_lone_variables,
     jacobian_rank_at_origin,
 )
@@ -256,6 +257,104 @@ class TestLoneVariableSplit:
         assert "_reducers" not in vars(cell.ideal)
         reduced, s = _split_lone_variables(cell.ideal)
         assert (s, len(reduced.ambient), len(reduced._terms)) == (4, 2, 2)
+
+
+@st.composite
+def with_an_eliminable_variable(draw):
+    """An ideal of criterion_ideals with its expected dimension, and the same
+    germ over one more coordinate: a fresh variable z at a drawn position,
+    the generator g = c * z + r at a drawn place among the others, for r one
+    to three drawn terms of degree 1 to 3 without z, and each other
+    generator plus g times up to two drawn terms of degree 0 to 2 in all
+    n + 1 variables, so z enters them too."""
+    I, e = draw(criterion_ideals())
+    n = len(I.ambient)
+    at = draw(st.integers(0, n))
+    vs = VarSet(I.ambient.names[:at] + ("z",) + I.ambient.names[at:])
+
+    def lift(exp):
+        return exp[:at] + (0,) + exp[at:]
+
+    exps = draw(st.lists(monomials(n, 1, 3), min_size=1, max_size=3))
+    terms = {lift(exp): draw(nonzero_small) for exp in exps}
+    terms[tuple(int(i == at) for i in range(n + 1))] = draw(nonzero_small)
+    g = MultiPoly(vs, terms)
+    gens = []
+    for h in I.generators:
+        exps = draw(st.lists(monomials(n + 1, 0, 2), max_size=2))
+        m = MultiPoly(vs, {exp: draw(nonzero_small) for exp in exps})
+        gens.append(MultiPoly(vs, {lift(exp): c for exp, c in h.terms.items()}) + m * g)
+    gens.insert(draw(st.integers(0, len(gens))), g)
+    return I, LocalIdeal(gens, vs, budget=I.budget), e
+
+
+class TestLinearElimination:
+    """classify eliminates every generator c * x_j + r, x_j in no term of r,
+    before the Krull dimension and the Milnor chain."""
+
+    @given(with_an_eliminable_variable())
+    @settings(max_examples=200, deadline=None)
+    def test_an_eliminable_fresh_variable_changes_no_verdict(self, drawn):
+        I, J, e = drawn
+        try:
+            expected = classify(I, e)
+            got = classify(J, e)
+        except ResourceLimitError:
+            assume(False)
+        assert (got.kind, got.dim, got.mu) == (expected.kind, expected.dim, expected.mu)
+
+    @pytest.mark.parametrize(
+        "names, gens, e, kept, rest, verdict",
+        [
+            # y1 := -(y2 + y3 + y4)
+            (["y1", "y2", "y3", "y4"], ["y1 + y2 + y3 + y4", "y1*y2 + y3*y4"], 2,
+             ["y2", "y3", "y4"], ["-y2^2 - y2*y3 - y2*y4 + y3*y4"], (ICIS, 2, 1)),
+            # x := -y^2/3 into a map of x-degree 2, scaled by 3^2
+            (["x", "y", "z"], ["3*x + y^2", "x^2 + x*y + z^3"], 1,
+             ["y", "z"], ["y^4 - 3*y^3 + 9*z^3"], (ICIS, 1, 4)),
+            # x*z + y^2*z is z times the eliminated generator
+            (["x", "y", "z"], ["x + y^2", "x*z + y^2*z", "z^2 + y^3"], 1,
+             ["y", "z"], ["z^2 + y^3"], (ICIS, 1, 2)),
+            # x := -y^2 leaves z + w^2, which takes z off next
+            (["x", "y", "z", "w"], ["x + y^2", "z + x*z + y^2*z + w^2", "z^2 + w^3 + y^3"], 1,
+             ["y", "w"], ["w^4 + w^3 + y^3"], (ICIS, 1, 4)),
+        ],
+        ids=["multi-term-r", "coefficient-3", "emptied", "two-rounds"],
+    )
+    def test_edge_cases(self, names, gens, e, kept, rest, verdict):
+        I = ideal(names, gens)
+        reduced = _eliminate_linear(I)
+        assert reduced.ambient == VarSet(tuple(kept))
+        assert reduced._terms == ideal(kept, rest)._terms
+        cls = classify(I, e)
+        assert (cls.kind, cls.dim, cls.mu) == verdict
+        # The ideal itself, all generators in all variables, agrees.
+        assert I.krull_dimension() == cls.dim
+        assert milnor_icis(I, e) == cls.mu
+
+    def test_without_an_eliminable_generator_the_ideal_is_its_own(self):
+        I = ideal(["x", "y"], ["x + x*y + y^2", "x^2 + y^3"])
+        assert _eliminate_linear(I) is I
+
+    def test_substitution_is_charged_to_the_budget(self):
+        I = ideal(["x", "y", "z"], ["3*x + y^2", "x^2 + x*y + z^3"], budget=1)
+        with pytest.raises(ResourceLimitError, match="linear elimination"):
+            _eliminate_linear(I)
+        with pytest.raises(ResourceLimitError, match="linear elimination"):
+            classify(I, 1)
+
+    def test_mond_double_point_curve_is_a_plane_curve(self):
+        # H_5 = (x, y^3, x*y + y^14): D^2 is (y1^2 + y1*y2 + y2^2,
+        # x1 + h_13(y1, y2)) in 3 variables; x1 occurs once, so the chain
+        # runs on the plane curve, and the cell's own ideal builds no basis.
+        g = mp.germ(2, 3, ["y^3", "x1*y + y^14"])
+        cell = mp.analyze_germ(g).cells[(2, (1, 1))]
+        verdict = cell.classification
+        assert (verdict.kind, verdict.dim, verdict.mu) == (ICIS, 1, 1)
+        assert "_reducers" not in vars(cell.ideal)
+        reduced = _eliminate_linear(cell.ideal)
+        assert reduced.ambient.names == ("y1", "y2")
+        assert reduced._terms == ideal(["y1", "y2"], ["y1^2 + y1*y2 + y2^2"])._terms
 
 
 @st.composite

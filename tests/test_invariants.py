@@ -205,6 +205,25 @@ class TestImageInvariants:
             v = an.verdict
             assert (mu_image(an) == 0) == (v.stable or v.strongly_contractible), name
 
+    @pytest.mark.parametrize(
+        "n, p, comps, stable, mu_i",
+        [
+            # versal unfoldings of the cusp and of (y^2, y^5): stable
+            (2, 3, ["y^2", "y^3 + x1*y"], True, 0),
+            (3, 4, ["y^2", "y^5 + x1*y + x2*y^3"], True, 0),
+            # their A-finite parents
+            (1, 2, ["y^2", "y^3"], False, 1),
+            (1, 2, ["y^2", "y^5"], False, 2),
+            # Mond's B_2, an unfolding of (y^2, y^5) that is not versal
+            (2, 3, ["y^2", "y^5 + x1^2*y"], False, 2),
+        ],
+        ids=["cusp-versal", "y5-versal", "cusp", "y5", "b2-not-versal"],
+    )
+    def test_versal_unfoldings_are_stable(self, n, p, comps, stable, mu_i):
+        an = mp.analyze_germ(mp.germ(n, p, comps))
+        assert an.verdict.a_finite
+        assert (an.verdict.stable, mu_image(an)) == (stable, mu_i)
+
     def test_not_a_finite_refused(self, not_a_finite_analysis):
         with pytest.raises(NotAFiniteError):
             mu_image(not_a_finite_analysis)

@@ -263,7 +263,7 @@ _monomials = st.builds(lambda e, c: MultiPoly(V3, {e: c}), _exps2, _coeffs.filte
 
 
 @pytest.mark.parametrize("polys", [_monomials, _polys], ids=["monomial", "polynomial"])
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_power_equals_repeated_product(polys, data):
     p, n = data.draw(polys), data.draw(st.integers(0, 7))
