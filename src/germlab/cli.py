@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import icis, invariants, isotype, multipoint, symrep
 from .errors import (
@@ -68,10 +67,6 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else str(v)
-
-
 def cmd_analyze(args) -> int:
     g = multipoint.germ_from_text(_read(args.germ))
     analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
@@ -117,7 +112,7 @@ def cmd_char_table(args) -> int:
     elif args.format == "csv":
         lines = ["irrep," + ",".join(table.class_labels)]
         for lbl, row in zip(table.irrep_labels, table.values):
-            lines.append(lbl + "," + ",".join(_frac_str(v) for v in row))
+            lines.append(lbl + "," + ",".join(map(str, row)))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit(table.to_text(), args.output)
@@ -131,7 +126,7 @@ def cmd_isotype(args) -> int:
     out: dict[str, str] = {}
     if data_file.kind == "euler":
         for tau in taus:
-            out[tau] = _frac_str(isotype.tau_characteristic(table, data_file.data, tau))
+            out[tau] = str(isotype.tau_characteristic(table, data_file.data, tau))
     else:
         if data_file.top_dim is None:
             raise InvalidInputError("single/icis fixed-point data needs a top_dim line")
@@ -142,7 +137,7 @@ def cmd_isotype(args) -> int:
                 )
             else:
                 value = isotype.mu_tau(table, data_file.data, tau, data_file.top_dim)
-            out[tau] = _frac_str(value)
+            out[tau] = str(value)
     if args.format == "json":
         _emit(json.dumps(out, indent=2) + "\n", args.output)
     else:
@@ -229,7 +224,7 @@ def cmd_conservation_check(args) -> int:
         )
         payload = {
             "status": verdict.status,
-            "difference": _frac_str(verdict.difference),
+            "difference": str(verdict.difference),
             "upper_semicontinuity": verdict.semicontinuity_ok,
         }
     elif data["kind"] == "image-milnor":
@@ -281,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_STEP_BUDGET,
         help="work budget for each standard basis, Krull-dimension search, staircase "
-        "count and normal form; the ideals of a Milnor chain inherit it",
+        "count, normal form, linear elimination and Milnor-chain minor expansion; "
+        "the ideals of a Milnor chain inherit it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -498,10 +498,6 @@ def parse_poly(text: str, vars: VarSet) -> MultiPoly:
     return _Parser(text, vars).parse()
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(p: MultiPoly) -> str:
     """Deterministic rendering: descending total degree, then exponent order.
 
@@ -519,11 +515,11 @@ def format_poly(p: MultiPoly) -> str:
         ]
         mag = abs(c)
         if not factors:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coeff(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:

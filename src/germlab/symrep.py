@@ -1,18 +1,19 @@
 """Symmetric-group combinatorics and exact character tables.
 
 Partitions of k double as cycle shapes (conjugacy classes) and as labels of
-the irreducible characters of S_k.  Character values are computed by the
-Murnaghan-Nakayama rule and are exact integers.  A generic CharacterTable
-container holds tables of other finite groups with rational values, loaded
-from a small text format and validated against the orthogonality relations
-on load.
+the irreducible characters of S_k.  Character values are exact integers from
+the Murnaghan-Nakayama rule, on partitions and rim-hook columns built once
+per process; these tables are exact by construction and the test suite, not
+the run time, checks them.  A generic CharacterTable container holds tables of
+other finite groups with rational values, loaded from a small text format
+and validated against the orthogonality relations on load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -57,12 +58,13 @@ class Partition:
         return iter(self.parts)
 
 
-def partitions(k: int, bound: int = MAX_SYMMETRIC_K) -> list[Partition]:
+@cache
+def partitions(k: int) -> tuple[Partition, ...]:
     """All partitions of k, largest-part-first lexicographic (deterministic)."""
     if k < 1:
         raise InvalidInputError("partitions(k) needs k >= 1")
-    if k > bound:
-        raise InvalidInputError(f"k = {k} exceeds the supported bound {bound}")
+    if k > MAX_SYMMETRIC_K:
+        raise InvalidInputError(f"k = {k} exceeds the supported bound {MAX_SYMMETRIC_K}")
 
     def gen(remaining: int, cap: int) -> Iterable[tuple[int, ...]]:
         if remaining == 0:
@@ -72,7 +74,7 @@ def partitions(k: int, bound: int = MAX_SYMMETRIC_K) -> list[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return [Partition(p) for p in gen(k, k)]
+    return tuple(Partition(p) for p in gen(k, k))
 
 
 def class_size(lam: Partition) -> int:
@@ -101,9 +103,8 @@ def sign_of_class(lam: Partition) -> int:
 # that grow mu into lambda.  So _column(cycles), every chi^lambda(cycles) at
 # once, extends the column of cycles[:-1] by every such hook, each mask
 # padded with L zero-length rows first.  Prefixes of partitions are
-# partitions: the memo holds one column per partition of m <= MAX_SYMMETRIC_K.
-
-_COLUMNS: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+# partitions: the _column cache holds one column per partition of
+# m <= MAX_SYMMETRIC_K, built once per process.
 
 
 def _abacus(parts: tuple[int, ...]) -> int:
@@ -111,11 +112,11 @@ def _abacus(parts: tuple[int, ...]) -> int:
     return sum(1 << (p + m - 1 - i) for i, p in enumerate(parts))
 
 
+@cache
 def _column(cycles: tuple[int, ...]) -> dict[int, int]:
     """{abacus mask of lambda: chi^lambda(cycles)} for every lambda of sum(cycles)."""
-    column = _COLUMNS.get(cycles)
-    if column is not None:
-        return column
+    if not cycles:
+        return {0: 1}
     length = cycles[-1]
     column = {}
     for mask, value in _column(cycles[:-1]).items():
@@ -128,7 +129,6 @@ def _column(cycles: tuple[int, ...]) -> dict[int, int]:
             grown >>= (grown ^ (grown + 1)).bit_length() - 1
             height = (beads & (bead << length) - (bead << 1)).bit_count()
             column[grown] = column.get(grown, 0) + (-value if height & 1 else value)
-    _COLUMNS[cycles] = column
     return column
 
 
@@ -144,7 +144,8 @@ class CharacterTable:
     """Irreducible characters indexed by conjugacy class, all values exact.
 
     validate() enforces class sizes summing to group_order, one irreducible
-    per class, row orthogonality and positive degrees; every load runs it.
+    per class, row orthogonality and positive degrees; every table read from
+    text runs it.
     For symmetric groups the labels are partition strings and the values are
     integers; generic tables admit rational values.  Values are real
     rationals throughout, so character conjugation is the identity here.
@@ -209,8 +210,7 @@ class CharacterTable:
         for label, size in zip(self.class_labels, self.class_sizes):
             lines.append(f"class {label} {size}")
         for label, row in zip(self.irrep_labels, self.values):
-            vals = " ".join(str(v.numerator) if v.denominator == 1 else str(v) for v in row)
-            lines.append(f"irrep {label} {vals}")
+            lines.append(f"irrep {label} " + " ".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
 
@@ -230,7 +230,7 @@ def character_table_symmetric(k: int) -> CharacterTable:
     values = tuple(tuple(Fraction(column.get(mask, 0)) for column in columns) for mask in masks)
     identity_index = next(i for i, p in enumerate(parts) if p.parts == (1,) * k)
     trivial_index = next(i for i, p in enumerate(parts) if p.parts == (k,))
-    table = CharacterTable(
+    return CharacterTable(
         group_order=factorial(k),
         class_labels=labels,
         class_sizes=sizes,
@@ -240,8 +240,6 @@ def character_table_symmetric(k: int) -> CharacterTable:
         trivial_index=trivial_index,
         sign_index=identity_index,
     )
-    table.validate()
-    return table
 
 
 def _add_label(labels: list[str], seen: set[str], label: str, kind: str):

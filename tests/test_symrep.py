@@ -26,6 +26,7 @@ from germlab import (
     table_from_text,
 )
 from germlab import multipoint as mp
+from germlab import symrep
 from germlab.poly import parse_rational
 
 
@@ -42,6 +43,16 @@ class TestPartitions:
     def test_bound(self):
         with pytest.raises(Exception):
             partitions(13)
+
+    def test_built_once_per_k(self):
+        first = partitions(7)
+        assert isinstance(first, tuple)
+        assert partitions(7) is first
+
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_out_of_range_is_an_input_error(self, k):
+        with pytest.raises(InvalidInputError):
+            partitions(k)
 
 
 class TestClassData:
@@ -163,6 +174,19 @@ class TestCharacterTable:
                 else:
                     assert acc == 0
         assert sum(int(t.degree(i)) ** 2 for i in range(n)) == factorial(k)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_generated_table_validates(self, k):
+        # character_table_symmetric does not validate at run time; this does.
+        character_table_symmetric(k).validate()
+
+    def test_s12_from_a_cleared_column_cache(self):
+        symrep._column.cache_clear()
+        cold = character_table_symmetric(12)
+        symrep._column.cache_clear()
+        for k in range(1, 12):
+            character_table_symmetric(k)
+        assert character_table_symmetric(12) == cold
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_matches_brute_force_oracle(self, k):
