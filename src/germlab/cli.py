@@ -255,6 +255,21 @@ def cmd_conservation_check(args) -> int:
     return EXIT_OK
 
 
+def _integer(what: str, least: int | None = None):
+    """An argparse type for the integer grammar of the files, [+-]?[0-9]+
+    (``poly.parse_integer``), at least ``least``.  Anything else raises
+    InvalidInputError, which parse_args lets through to main (exit 1);
+    ``int`` alone would take "1_0", " 3" and non-ASCII digits."""
+
+    def read(text: str) -> int:
+        value = parse_integer(text, what)
+        if least is not None and value < least:
+            raise InvalidInputError(f"bad {what} {text!r}: below {least}")
+        return value
+
+    return read
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, like every other input
     error, instead of argparse's 2, which is the exhausted-budget code."""
@@ -273,11 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write to a file instead of stdout")
     parser.add_argument(
         "--budget-steps",
-        type=int,
+        type=_integer("--budget-steps", least=0),
         default=DEFAULT_STEP_BUDGET,
-        help="work budget for each standard basis, Krull-dimension search, staircase "
-        "count, normal form, linear elimination and Milnor-chain minor expansion; "
-        "the ideals of a Milnor chain inherit it",
+        help="non-negative work budget for each standard basis, Krull-dimension search, "
+        "staircase count, normal form, linear elimination and Milnor-chain minor "
+        "expansion; the ideals of a Milnor chain inherit it, and 0 decides by exact "
+        "criteria only",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -286,15 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", help="also report the isotype numbers of one irreducible")
 
     p = sub.add_parser("sc-feasible", help="strong-contractibility dimension test")
-    p.add_argument("n", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("n", type=_integer("N"))
+    p.add_argument("p", type=_integer("P"))
 
     p = sub.add_parser("sc-generate", help="emit a strongly contractible germ file")
-    p.add_argument("n", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("n", type=_integer("N"))
+    p.add_argument("p", type=_integer("P"))
 
     p = sub.add_parser("char-table", help="character table of a symmetric group")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer("K"))
 
     p = sub.add_parser("isotype", help="isotype values from a table and fixed-point data")
     p.add_argument("table")

@@ -14,7 +14,8 @@ of ambient variables and r the rank of the generators' linear parts; the
 split and steps 1 to 4 are exact and build no standard basis:
 
   1. zero ideal       smooth when e = n, else not_icis
-  2. constant term    a generator with a nonzero constant term is a unit: empty
+  2. constant term    a generator with a nonzero constant term is a unit
+                      (``LocalIdeal.contains_unit``): empty
      split            every lone-variable generator c*x_j comes off: since
                       (x_j) + J = (x_j) + J|_{x_j=0}, O/I is O'/I' for O' the
                       local ring of the other coordinates and I' the other
@@ -58,15 +59,16 @@ telescoping chain
 
 and zero-dimensional ones by (colength - 1), which counts the generic fiber
 minus the base point.  For a hypersurface the chain is its one step, the
-Jacobian-ideal colength.  The chain runs on the primitive integer term maps
-of an irredundant generating set: every generator in the ideal of the
-others is dropped first, and a complete intersection keeps exactly codim of
-them (Nakayama).  Step i extends the maximal minors of steps 1..i-1 by the
-Jacobian row of the first remaining generator whose section has finite
-colength, so the generators keep their given order whenever that order
-works; one multiply-add of integer maps per (column subset, column),
-charged to the ideal's budget.  When no remaining generator gives a finite
-colength the chain fails at that step.
+Jacobian-ideal colength; ``milnor_hypersurface`` runs exactly that chain and
+builds no Jacobian ideal of its own.  The chain runs on the primitive
+integer term maps of an irredundant generating set: every generator in the
+ideal of the others is dropped first, and a complete intersection keeps
+exactly codim of them (Nakayama).  Step i extends the maximal minors of
+steps 1..i-1 by the Jacobian row of the first remaining generator whose
+section has finite colength, so the generators keep their given order
+whenever that order works; one multiply-add of integer maps per (column
+subset, column), charged to the ideal's budget.  When no remaining
+generator gives a finite colength the chain fails at that step.
 """
 
 from __future__ import annotations
@@ -225,8 +227,7 @@ def _split_lone_variables(ideal: LocalIdeal) -> tuple[LocalIdeal, int]:
     split = len(ideal.ambient) - len(coords)
     if not split:
         return ideal, 0
-    names, roles = ideal.ambient.names, ideal.ambient.roles
-    ambient = VarSet([names[i] for i in coords], [roles[i] for i in coords])
+    ambient = VarSet([ideal.ambient.names[i] for i in coords])
     return LocalIdeal._from_terms(maps, ambient, ideal.budget), split
 
 
@@ -294,21 +295,18 @@ def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
         return ideal
     keep = [k for k in range(nvars) if k not in gone]
     project = itemgetter(*keep) if len(keep) > 1 else lambda e: tuple(e[k] for k in keep)
-    names, roles = ideal.ambient.names, ideal.ambient.roles
-    ambient = VarSet([names[k] for k in keep], [roles[k] for k in keep])
     maps = [dict(zip(map(project, h), h.values())) for h in maps]
-    return LocalIdeal._from_terms(maps, ambient, ideal.budget)
+    return LocalIdeal._from_terms(maps, VarSet(project(ideal.ambient.names)), ideal.budget)
 
 
 def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
-    """mu of an isolated hypersurface singularity: colength of the Jacobian ideal."""
-    if g.constant_term():
-        raise InconsistentDataError("hypersurface does not pass through the origin")
-    jac = [g.derivative(v) for v in g.vars.names]
-    q = LocalIdeal(jac, g.vars, budget=budget).quotient_dimension()
-    if q == INFINITE:
-        raise NotIcisError("non-isolated singularity: Jacobian ideal has infinite colength")
-    return int(q)
+    """mu of an isolated hypersurface singularity: the one-step Le-Greuel
+    chain, whose step is the colength of the Jacobian ideal.
+
+    Off the origin (a nonzero constant term) raises InconsistentDataError;
+    a non-isolated singularity, the zero polynomial included, NotIcisError.
+    """
+    return milnor_icis(LocalIdeal([g], g.vars, budget=budget), len(g.vars) - 1)
 
 
 def _irredundant(maps: Sequence[dict[Exponent, int]], budget: int) -> list[dict[Exponent, int]]:
@@ -395,8 +393,7 @@ def classify(ideal: LocalIdeal, expected_dim: int) -> VarietyClass:
         if expected_dim == n_amb:
             return VarietyClass(SMOOTH, dim=n_amb, mu=0, evidence="zero ideal")
         return VarietyClass(NOT_ICIS, dim=n_amb, evidence="zero ideal of wrong dimension")
-    origin = (0,) * n_amb
-    if any(origin in h for h in maps):
+    if ideal.contains_unit():
         return VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
     # Every generator now vanishes at the origin.  Step 5 runs on the ideal
     # with its lone-variable generators split off, steps 6 and 8 on that

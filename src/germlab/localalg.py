@@ -456,8 +456,14 @@ class LocalIdeal:
         return self.normal_form(p).is_zero()
 
     def contains_unit(self) -> bool:
-        """True iff the ideal is the whole local ring (empty germ)."""
-        return any(sum(lm) == 0 for lm in self.leading_monomials)
+        """True iff the ideal is the whole local ring (empty germ).
+
+        That is iff some generator has a nonzero constant term, a unit of the
+        local ring; otherwise every generator lies in the maximal ideal.  No
+        standard basis is built.
+        """
+        origin = (0,) * len(self.ambient)
+        return any(origin in h for h in self._terms)
 
     def krull_dimension(self) -> int:
         """Dimension of the leading ideal; -1 for the unit ideal."""

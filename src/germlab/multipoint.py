@@ -41,8 +41,6 @@ from .icis import (
 from .localalg import DEFAULT_STEP_BUDGET, LocalIdeal
 from .poly import (
     _ONE,
-    ROLE_BASE,
-    ROLE_CORANK,
     Exponent,
     MultiPoly,
     VarSet,
@@ -84,10 +82,7 @@ class GermSpec:
 
     @cached_property
     def varset(self) -> VarSet:
-        return VarSet(
-            self.base_names + (self.corank_name,),
-            (ROLE_BASE,) * len(self.base_names) + (ROLE_CORANK,),
-        )
+        return VarSet(self.base_names + (self.corank_name,))
 
     @property
     def m(self) -> int:
@@ -110,7 +105,7 @@ def germ(n: int, p: int, components: Sequence[str], base: Sequence[str] | None =
     _check_component_count(len(components), n, p)
     _check_multiplicity_bound(n, p)
     base_names = tuple(base) if base is not None else tuple(f"x{i}" for i in range(1, n))
-    vs = VarSet(base_names + (corank,), (ROLE_BASE,) * len(base_names) + (ROLE_CORANK,))
+    vs = VarSet(base_names + (corank,))
     comps = tuple(parse_poly(text, vs) for text in components)
     return GermSpec(n, p, base_names, corank, comps)
 
@@ -193,14 +188,12 @@ def _check_multiplicity_bound(n: int, p: int) -> int:
 # -- equations ---------------------------------------------------------------
 
 
-def _ambient(g: GermSpec, corank_names: Sequence[str]) -> VarSet:
-    for nm in corank_names:
+def _ambient(g: GermSpec, ys: Sequence[str]) -> VarSet:
+    """The base variables of g, then ``ys``."""
+    for nm in ys:
         if nm in g.base_names:
             raise InvalidInputError(f"variable clash: {nm} is already a base variable")
-    return VarSet(
-        g.base_names + tuple(corank_names),
-        (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * len(corank_names),
-    )
+    return VarSet(g.base_names + tuple(ys))
 
 
 def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], list[list[dict]]]:
@@ -487,7 +480,7 @@ def generate_sc_germ(
     kap = kappa(n, p)
     m = p - n + 1
     vs_names = tuple(f"x{i}" for i in range(1, n)) + ("y",)
-    vs = VarSet(vs_names, (ROLE_BASE,) * (n - 1) + (ROLE_CORANK,))
+    vs = VarSet(vs_names)
 
     def mono(y_deg: int, t: int = 0, a: int = 1) -> Exponent:
         """The exponent of x_t^a * y^y_deg; t = 0 leaves out the x factor."""

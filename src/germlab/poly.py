@@ -1,9 +1,11 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a map from exponent tuples to nonzero Fraction coefficients,
-together with the ordered variable list it lives over.  This representation
-is canonical: two polynomials over the same variable list are equal iff their
-term maps are equal.  All arithmetic is exact; nothing here ever rounds.
+together with the ordered variable list it lives over, a VarSet: names and
+nothing else, so that a variable's position is all that says what it stands
+for.  This representation is canonical: two polynomials over the same
+variable list are equal iff their term maps are equal.  All arithmetic is
+exact; nothing here ever rounds.
 
 Two constructors keep that invariant.  The public ``MultiPoly(vars, terms)``
 checks its input: every exponent must have one entry per variable, and every
@@ -35,49 +37,36 @@ from .errors import InvalidInputError, PolySyntaxError, VariableMismatchError
 
 Exponent = tuple[int, ...]
 
-ROLE_BASE = "base"
-ROLE_CORANK = "corank"
-ROLE_AUX = "aux"
-_ROLES = (ROLE_BASE, ROLE_CORANK, ROLE_AUX)
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class VarSet:
-    """An ordered list of distinct variable names, each tagged with a role.
+    """An ordered list of distinct variable names.
 
-    Roles are ``base`` (x-type coordinates), ``corank`` (y-type), and ``aux``
-    (anything else).  Variable order is fixed at creation; every
-    cross-polynomial operation requires identical VarSets.
+    Variable order is fixed at creation; every cross-polynomial operation
+    requires identical VarSets.  What a variable stands for is its position:
+    a germ lists its base variables x_1..x_{n-1} and then its corank
+    variable, and a multiple point space appends y_1..y_k after the base.
     """
 
-    __slots__ = ("names", "roles", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Sequence[str], roles: Sequence[str] | None = None):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise VariableMismatchError(f"duplicate variable names in {names}")
-        if roles is None:
-            roles = (ROLE_AUX,) * len(names)
-        roles = tuple(roles)
-        if len(roles) != len(names):
-            raise VariableMismatchError("roles and names must have equal length")
-        for r in roles:
-            if r not in _ROLES:
-                raise VariableMismatchError(f"unknown variable role {r!r}")
         self.names = names
-        self.roles = roles
         self._index = {v: i for i, v in enumerate(names)}
 
     def __len__(self) -> int:
         return len(self.names)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VarSet) and self.names == other.names and self.roles == other.roles
+        return isinstance(other, VarSet) and self.names == other.names
 
     def __hash__(self) -> int:
-        return hash((self.names, self.roles))
+        return hash(self.names)
 
     def __repr__(self) -> str:
         return f"VarSet({list(self.names)})"
@@ -90,14 +79,6 @@ class VarSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    @property
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(v for v, r in zip(self.names, self.roles) if r == ROLE_BASE)
-
-    @property
-    def corank_names(self) -> tuple[str, ...]:
-        return tuple(v for v, r in zip(self.names, self.roles) if r == ROLE_CORANK)
 
 
 class MultiPoly:

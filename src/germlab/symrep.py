@@ -157,8 +157,6 @@ class CharacterTable:
     irrep_labels: tuple[str, ...]
     values: tuple[tuple[Fraction, ...], ...]  # rows: irreps, columns: classes
     identity_index: int = 0
-    trivial_index: int | None = None
-    sign_index: int | None = None
 
     def degree(self, row: int) -> Fraction:
         return self.values[row][self.identity_index]
@@ -217,8 +215,9 @@ class CharacterTable:
 def character_table_symmetric(k: int) -> CharacterTable:
     """The exact character table of S_k, classes and irreps both by partition.
 
-    Both axes follow the deterministic partition order; the trivial character
-    is the row of (k) and the sign character the row of (1^k).
+    Both axes follow the deterministic partition order.  Rows are found by
+    label (``irrep_index``): the trivial character is the row of (k), the
+    sign character the row of (1^k).
     """
     if not 1 <= k <= MAX_SYMMETRIC_K:
         raise InvalidInputError(f"symmetric character tables support 1 <= k <= {MAX_SYMMETRIC_K}")
@@ -229,7 +228,6 @@ def character_table_symmetric(k: int) -> CharacterTable:
     masks = [_abacus(irrep.parts) for irrep in parts]
     values = tuple(tuple(Fraction(column.get(mask, 0)) for column in columns) for mask in masks)
     identity_index = next(i for i, p in enumerate(parts) if p.parts == (1,) * k)
-    trivial_index = next(i for i, p in enumerate(parts) if p.parts == (k,))
     return CharacterTable(
         group_order=factorial(k),
         class_labels=labels,
@@ -237,8 +235,6 @@ def character_table_symmetric(k: int) -> CharacterTable:
         irrep_labels=labels,
         values=values,
         identity_index=identity_index,
-        trivial_index=trivial_index,
-        sign_index=identity_index,
     )
 
 

@@ -12,15 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, pairwise
 
-from germlab.poly import ROLE_BASE, ROLE_CORANK, MultiPoly, VarSet, divided_difference
+from germlab.poly import MultiPoly, VarSet, divided_difference
 from germlab.symrep import Partition
 
 
-def _ambient(g, corank_names) -> VarSet:
-    return VarSet(
-        g.base_names + tuple(corank_names),
-        (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * len(corank_names),
-    )
+def _ambient(g, ys) -> VarSet:
+    return VarSet(g.base_names + tuple(ys))
 
 
 def fraction_table(g, k: int) -> tuple[VarSet, list[list[MultiPoly]]]:

@@ -10,7 +10,7 @@ tuples written by hand.
 from __future__ import annotations
 
 from germlab.multipoint import GermSpec, kappa
-from germlab.poly import ROLE_BASE, ROLE_CORANK, MultiPoly, VarSet
+from germlab.poly import MultiPoly, VarSet
 
 
 def ring_sc_germ(n: int, p: int) -> GermSpec:
@@ -19,7 +19,7 @@ def ring_sc_germ(n: int, p: int) -> GermSpec:
     kap = kappa(n, p)
     m = p - n + 1
     vs_names = tuple(f"x{i}" for i in range(1, n)) + ("y",)
-    vs = VarSet(vs_names, (ROLE_BASE,) * (n - 1) + (ROLE_CORANK,))
+    vs = VarSet(vs_names)
     y = MultiPoly.variable(vs, "y")
 
     def x(t: int) -> MultiPoly:

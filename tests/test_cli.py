@@ -325,6 +325,40 @@ class TestIntegerGrammar:
         assert "bad" not in err, err
 
 
+class TestArgumentIntegers:
+    """N, P, K and --budget-steps follow the integer grammar of the files,
+    [+-]?[0-9]+, and the budget is non-negative; anything else exits 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--format", "csv", "char-table", "\u0663"], "bad K '\u0663'"),
+        (["sc-feasible", "1_0", "1_6"], "bad N '1_0'"),
+        (["sc-feasible", "10", "1_6"], "bad P '1_6'"),
+        (["sc-generate", " 5", "8"], "bad N ' 5'"),
+        (["char-table", "3.0"], "bad K '3.0'"),
+        (["--budget-steps", "1_000", "char-table", "3"], "bad --budget-steps '1_000'"),
+    ], ids=["arabic-indic", "underscore", "second-field", "space", "decimal", "budget"])
+    def test_only_ascii_signed_digits_are_integers(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert message in err
+
+    def test_negative_budget_is_a_usage_error(self, files, capsys):
+        # Not exit 2, which would claim that a budget of -5 ran out.
+        path = files("cubic.ideal", "vars x y\nx^3 + y^3\n")
+        code, out, err = run(capsys, "--budget-steps", "-5", "milnor", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "bad --budget-steps '-5'" in err and "exhausted" not in err
+
+    def test_signed_integers_and_a_zero_budget_are_read(self, files, capsys):
+        assert run(capsys, "char-table", "+3") == run(capsys, "char-table", "3")
+        # Budget 0 decides by exact criteria only: enough for the stable
+        # (3, 5) germ, whose cells need no standard basis.
+        path = files("g.germ", STABLE_GERM)
+        assert run(capsys, "--budget-steps", "0", "analyze", path) == run(capsys, "analyze", path)
+        code, _, err = run(capsys, "--budget-steps", "0", "milnor", files("c.ideal", CUSP_IDEAL))
+        assert code == EXIT_RESOURCE and "budget 0 exhausted" in err
+
+
 class TestScCommands:
     def test_feasible_false(self, files, capsys):
         code, out, _ = run(capsys, "sc-feasible", "3", "5")

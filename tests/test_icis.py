@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
+    InconsistentDataError,
     LocalIdeal,
     NotIcisError,
     ResourceLimitError,
@@ -499,6 +500,36 @@ class TestHypersurfaceMilnor:
     def test_non_isolated_rejected(self):
         with pytest.raises(NotIcisError):
             milnor_hypersurface(poly("x^2*y", ["x", "y"]))
+
+
+class TestHypersurfaceMilnorIsTheChain:
+    """milnor_hypersurface is the one-step Le-Greuel chain; its value is
+    the colength of the Jacobian ideal, and its errors keep their types."""
+
+    @pytest.mark.parametrize("text", [
+        "x^2 + y^2", "x^3 + y^3", "x^2*y + y^4", "x^3 + x*y^3 + z^2", "x^5 - y^2 + x*y*z + z^3",
+        "x^4 + y^4 + x^2*y^2", "x",
+    ])
+    def test_matches_the_jacobian_colength(self, text):
+        names = ["x", "y", "z"] if "z" in text else ["x", "y"]
+        g = poly(text, names)
+        jacobian = LocalIdeal([g.derivative(v) for v in names], g.vars)
+        assert milnor_hypersurface(g) == jacobian.quotient_dimension()
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_one_variable(self, k):
+        assert milnor_hypersurface(poly(f"x^{k + 1} + x^{k + 3}", ["x"])) == k
+
+    @pytest.mark.parametrize("text, error", [
+        ("1 + x^2 + y^2", InconsistentDataError),  # off the origin
+        ("-2", InconsistentDataError),
+        ("x^2", NotIcisError),  # singular along the y-axis
+        ("x^2*y", NotIcisError),
+        ("0", NotIcisError),  # the zero polynomial
+    ])
+    def test_exception_types(self, text, error):
+        with pytest.raises(error):
+            milnor_hypersurface(poly(text, ["x", "y"]))
 
 
 class TestIcisMilnor:

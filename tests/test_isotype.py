@@ -103,8 +103,8 @@ class TestTauBetti:
         for k in (2, 3, 4):
             t = character_table_symmetric(k)
             x = solve_character_system(t, {lbl: 1 for lbl in t.class_labels})
-            for i, label in enumerate(t.irrep_labels):
-                assert x[label] == (1 if i == t.trivial_index else 0)
+            for label in t.irrep_labels:
+                assert x[label] == (1 if label == f"({k})" else 0)
 
 
 class TestMuTau:

@@ -146,6 +146,18 @@ class TestStandardBasis:
         assert I.krull_dimension() == -1
         assert I.quotient_dimension() == 0
 
+    @given(small_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_contains_unit_reads_constant_terms(self, drawn):
+        # A generator with a nonzero constant term is a unit; otherwise every
+        # generator lies in m.  No standard basis is needed, and none is built.
+        gens, _ = drawn
+        I = LocalIdeal(gens, gens[0].vars, budget=KERNEL_BUDGET)
+        unit = I.contains_unit()
+        assert "_reducers" not in vars(I)
+        lms = reference(lambda: I.leading_monomials)
+        assert unit == any(sum(lm) == 0 for lm in lms)
+
     def test_basis_soundness_original_generators_reduce_to_zero(self):
         gens = ["y1 + y2", "y1^2 + y1*y2 + y2^2 + x^3", "x*y1 - y2^3"]
         I = ideal(["x", "y1", "y2"], gens)

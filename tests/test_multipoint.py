@@ -35,7 +35,6 @@ from germlab import multipoint as mp
 from germlab.icis import EMPTY, NOT_ICIS
 from germlab.localalg import _integer_terms
 from germlab.multipoint import InfeasibleDimensionsError, divided_difference_table
-from germlab.poly import ROLE_BASE, ROLE_CORANK
 
 from fraction_table import fixed_generators, full_generators
 from ring_generator import ring_sc_germ
@@ -152,7 +151,7 @@ class TestFixedLoci:
 def _reference_table(g, k):
     """The divided-difference table with y -> y1 done by polynomial substitution."""
     y = tuple(f"{g.corank_name}{i}" for i in range(1, k + 1))
-    amb = VarSet(g.base_names + y, (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * k)
+    amb = VarSet(g.base_names + y)
     current = [
         h.substitute({g.corank_name: MultiPoly.variable(amb, y[0])}, target=amb)
         for h in g.components
@@ -168,7 +167,7 @@ def _reference_fixed_locus(g, k, shape):
     """Fixed-locus generators by substituting y_i -> z_{cycle(i)} into the table."""
     rows, _ = _reference_table(g, k)
     z = tuple(f"z{i}" for i in range(1, shape.cycle_count + 1))
-    target = VarSet(g.base_names + z, (ROLE_BASE,) * len(g.base_names) + (ROLE_CORANK,) * len(z))
+    target = VarSet(g.base_names + z)
     cycle = [c for c, length in enumerate(shape.parts) for _ in range(length)]
     bindings = {
         f"{g.corank_name}{i + 1}": MultiPoly.variable(target, z[cycle[i]]) for i in range(k)
@@ -188,7 +187,7 @@ def small_germs(draw, coefficients=st.integers(-3, 3), scales=st.just(1)):
     n = draw(st.integers(1, 4))
     p = draw(st.integers(n + 1, 7))
     base = tuple(f"x{i}" for i in range(1, n))
-    vs = VarSet(base + ("y",), (ROLE_BASE,) * (n - 1) + (ROLE_CORANK,))
+    vs = VarSet(base + ("y",))
 
     def monomial():
         left = draw(st.integers(1, 5))
@@ -425,12 +424,13 @@ class TestGenerator:
 
 
 class TestGermFiles:
-    def test_variable_roles(self):
+    def test_variable_names(self):
+        # The base variables come first and the corank variable last; D^2
+        # keeps the base and appends y1, y2.
         g = germ(3, 5, STABLE_3_5)
-        assert g.varset.base_names == ("x1", "x2")
-        assert g.varset.corank_names == ("y",)
+        assert g.varset.names == ("x1", "x2", "y")
         amb = multiple_point_equations(g, 2).ambient
-        assert amb.corank_names == ("y1", "y2")
+        assert amb.names == ("x1", "x2", "y1", "y2")
 
     def test_round_trip(self):
         g = germ(3, 5, STABLE_3_5)

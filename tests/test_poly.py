@@ -19,7 +19,6 @@ from germlab import (
 )
 from germlab import multipoint as mp
 from germlab.localalg import DEFAULT_STEP_BUDGET
-from germlab.poly import ROLE_BASE, ROLE_CORANK
 from germlab.symrep import Partition, partitions
 
 V5 = VarSet(("x1", "x2", "x3", "x4", "y"))
@@ -197,7 +196,7 @@ def _nonzero_fractions(p: MultiPoly) -> bool:
     return all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
-_GERM_VARS = VarSet(("x1", "y"), (ROLE_BASE, ROLE_CORANK))
+_GERM_VARS = VarSet(("x1", "y"))
 
 
 def _cell_generators(p: MultiPoly, q: MultiPoly) -> list[MultiPoly]:
@@ -244,7 +243,7 @@ def test_fixed_locus_map_drops_the_terms_it_cancels():
     # Under the swap y1, y2 -> z1 the hand-made row (x1 + y1^2 - y2^2, y1 - y2)
     # sums to (x1, 0): the collision sum must drop what cancels.
     g = mp.germ(2, 3, ["y^2", "x1*y"])
-    amb = VarSet(("x1", "y1", "y2"), (ROLE_BASE, ROLE_CORANK, ROLE_CORANK))
+    amb = VarSet(("x1", "y1", "y2"))
     row = [parse_poly("x1 + y1^2 - y2^2", amb), parse_poly("y1 - y2", amb)]
     table = (amb, [1, 1], [[{e: int(c) for e, c in p.terms.items()} for p in row]])
     ideal = mp._fixed_ideal(g, table, Partition((2,)), DEFAULT_STEP_BUDGET)

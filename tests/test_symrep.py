@@ -212,9 +212,13 @@ class TestCharacterTable:
             character_table_symmetric(13)
 
     def test_trivial_and_sign_distinguished(self):
-        t = character_table_symmetric(4)
-        assert t.irrep_labels[t.trivial_index] == "(4)"
-        assert t.irrep_labels[t.sign_index] == "(1,1,1,1)"
+        # Found by label: the row of (k) is all ones, the row of (1^k) is the
+        # sign of each class.
+        for k in range(1, symrep.MAX_SYMMETRIC_K + 1):
+            t = character_table_symmetric(k)
+            assert t.row(f"({k})") == (1,) * len(t.class_labels)
+            sign = t.row(Partition((1,) * k).label())
+            assert sign == tuple(sign_of_class(cls) for cls in partitions(k))
 
 
 class TestParityLemma:
