@@ -29,7 +29,7 @@ from .errors import (
 )
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
-from .poly import parse_integer, parse_rational
+from .poly import once, parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -104,7 +104,7 @@ def cmd_char_table(args) -> int:
                 for lbl, size in zip(table.class_labels, table.class_sizes)
             ],
             "irreducibles": [
-                {"label": lbl, "degree": int(table.degree(i)), "values": [int(v) for v in row]}
+                {"label": lbl, "degree": table.degree(i), "values": row}
                 for i, (lbl, row) in enumerate(zip(table.irrep_labels, table.values))
             ],
         }
@@ -178,6 +178,7 @@ def cmd_icss(args) -> int:
 
 def _parse_conservation_file(text: str) -> dict:
     data: dict = {"betti": {}, "local_mu": [], "local_nu": [], "local": []}
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -186,17 +187,20 @@ def _parse_conservation_file(text: str) -> dict:
         key = fields[0]
         try:
             if key == "kind":
+                once(seen, key, "conservation")
                 data["kind"] = fields[1]
             elif key in ("d", "n", "p", "mu_i", "nu_i", "delta"):
+                once(seen, key, "conservation")
                 data[key] = parse_integer(fields[1], key)
             elif key in ("mu_x0", "betti_tau", "beta0_xt", "beta0_x0"):
+                once(seen, key, "conservation")
                 data[key] = parse_rational(fields[1])
             elif key == "local":
                 data["local"].append(parse_rational(fields[1]))
             elif key == "betti":
-                data["betti"][parse_integer(fields[1], "betti degree")] = parse_integer(
-                    fields[2], "betti number"
-                )
+                degree = parse_integer(fields[1], "betti degree")
+                once(seen, f"betti {degree}", "conservation")
+                data["betti"][degree] = parse_integer(fields[2], "betti number")
             elif key in ("local_mu", "local_nu"):
                 data[key].append(parse_integer(fields[1], key))
             else:

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
-from .poly import parse_integer
+from .poly import once, parse_integer
 from .symrep import CharacterTable
 
 
@@ -234,7 +234,7 @@ def check_conservation(
 # One record per line:   class <label> euler <chi>
 #                        class <label> single <dim> <betti>
 #                        class <label> icis <dim> <mu_tilde>
-# plus an optional       top_dim <d>
+# plus at most one       top_dim <d>
 # line.  Mixing kinds in one file is rejected.
 
 
@@ -256,12 +256,14 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
     kind: str | None = None
     data: dict[str, object] = {}
     top_dim: int | None = None
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         if fields[0] == "top_dim":
+            once(seen, "top_dim", "fixed-point")
             if len(fields) != 2:
                 raise InvalidInputError(f"bad top_dim record: {line!r}")
             (top_dim,) = _record_ints(fields[1:], line)

@@ -47,6 +47,7 @@ from .poly import (
     _divided_difference_terms,
     divided_difference,  # not called here; perfbench/tracer.py patches this name
     format_poly,
+    once,
     parse_integer,
     parse_poly,
 )
@@ -111,17 +112,21 @@ def germ(n: int, p: int, components: Sequence[str], base: Sequence[str] | None =
 
 
 def germ_from_text(text: str) -> GermSpec:
-    """Parse the germ file format: n, p, optional base/corank lines, components."""
+    """Parse the germ file format: n, p, optional base/corank lines (each at
+    most once), components."""
     n = p = None
     base: list[str] | None = None
     corank = "y"
     comp_texts: list[str] = []
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in ("n", "p", "base", "corank"):
+            once(seen, key, "germ-file")
         if key == "n":
             n = parse_integer(rest, "n")
         elif key == "p":

@@ -29,6 +29,7 @@ the multiple point spaces.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
@@ -313,8 +314,10 @@ def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, 
 #
 # Outside polynomials, an integer field is [+-]?[0-9]+ (parse_integer) and a
 # rational literal is one whitespace-free field [+-]?[0-9]+(/[0-9]+)?
-# (parse_rational); germ, character-table, fixed-point and conservation
-# files read their numbers with these two.
+# (parse_rational, or parse_rational_fields for a list of them, which keeps
+# integer literals as int); germ, character-table, fixed-point and
+# conservation files read their numbers with these, and ``once`` rejects a
+# repeated single-valued directive.
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()/"
@@ -358,6 +361,33 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidInputError(f"bad rational literal {text!r}: zero denominator") from None
     except ValueError:  # more digits than int() converts
         raise InvalidInputError(f"bad rational literal {text!r}: too many digits") from None
+
+
+# Integer literals joined by single spaces: one match checks a whole list.
+_INTEGER_FIELDS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+
+
+def parse_rational_fields(fields: Sequence[str]) -> tuple[int | Fraction, ...]:
+    """Read whitespace-free rational literals: an integer literal
+    ``[+-]?[0-9]+`` as an int, an ``a/b`` field as parse_rational's Fraction.
+
+    One grammar check covers a list of integer literals; any other list is
+    read field by field with parse_rational, so a bad field fails with its
+    message.
+    """
+    if _INTEGER_FIELDS.fullmatch(" ".join(fields)):
+        try:
+            return tuple(map(int, fields))
+        except ValueError:  # more digits than int() converts
+            pass
+    return tuple(v if "/" in f else int(v) for f, v in zip(fields, map(parse_rational, fields)))
+
+
+def once(seen: set[str], directive: str, where: str):
+    """Record a single-valued directive of a ``where`` file; a repeat is an error."""
+    if directive in seen:
+        raise InvalidInputError(f"repeated {where} directive {directive!r}")
+    seen.add(directive)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

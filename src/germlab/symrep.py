@@ -3,10 +3,11 @@
 Partitions of k double as cycle shapes (conjugacy classes) and as labels of
 the irreducible characters of S_k.  Character values are exact integers from
 the Murnaghan-Nakayama rule, on partitions and rim-hook columns built once
-per process; these tables are exact by construction and the test suite, not
-the run time, checks them.  A generic CharacterTable container holds tables of
-other finite groups with rational values, loaded from a small text format
-and validated against the orthogonality relations on load.
+per process, and stay plain ints; these tables are exact by construction and
+the test suite, not the run time, checks them.  A generic CharacterTable
+container holds tables of other finite groups with rational values, loaded
+from a small text format and validated against the orthogonality relations
+on load.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
-from .poly import parse_integer, parse_rational
+from .poly import once, parse_integer, parse_rational_fields
 
 MAX_SYMMETRIC_K = 12
 
@@ -132,7 +133,7 @@ def _column(cycles: tuple[int, ...]) -> dict[int, int]:
     return column
 
 
-def _check_shape(rows: Sequence[Sequence[Fraction]], width: int):
+def _check_shape(rows: Sequence[Sequence[int | Fraction]], width: int):
     if any(len(r) != width for r in rows):
         raise InconsistentDataError("ragged character table")
     if len(rows) != width:
@@ -147,18 +148,20 @@ class CharacterTable:
     per class, row orthogonality and positive degrees; every table read from
     text runs it.
     For symmetric groups the labels are partition strings and the values are
-    integers; generic tables admit rational values.  Values are real
-    rationals throughout, so character conjugation is the identity here.
+    ints; generic tables admit rational values, an int where the value is
+    written as an integer and a Fraction where it is written a/b.  Values
+    are real rationals throughout, so character conjugation is the identity
+    here.
     """
 
     group_order: int
     class_labels: tuple[str, ...]
     class_sizes: tuple[int, ...]
     irrep_labels: tuple[str, ...]
-    values: tuple[tuple[Fraction, ...], ...]  # rows: irreps, columns: classes
+    values: tuple[tuple[int | Fraction, ...], ...]  # rows: irreps, columns: classes
     identity_index: int = 0
 
-    def degree(self, row: int) -> Fraction:
+    def degree(self, row: int) -> int | Fraction:
         return self.values[row][self.identity_index]
 
     def irrep_index(self, label: str) -> int:
@@ -167,16 +170,20 @@ class CharacterTable:
         except ValueError:
             raise InvalidInputError(f"unknown irreducible {label!r}") from None
 
-    def row(self, label: str) -> tuple[Fraction, ...]:
+    def row(self, label: str) -> tuple[int | Fraction, ...]:
         return self.values[self.irrep_index(label)]
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per irreducible i: (D_i, r_i), D_i the lcm of the row's denominators
         and r_i = D_i * row_i in integers, so that exact sums over a row need
-        one division at the end instead of a Fraction per term."""
+        one division at the end instead of a Fraction per term.  A row of
+        ints is its own r_i, with D_i = 1."""
         out = []
         for row in self.values:
+            if all(type(v) is int for v in row):
+                out.append((1, row))
+                continue
             den = lcm(*(v.denominator for v in row))
             out.append((den, tuple(v.numerator * (den // v.denominator) for v in row)))
         return tuple(out)
@@ -226,7 +233,7 @@ def character_table_symmetric(k: int) -> CharacterTable:
     sizes = tuple(class_size(p) for p in parts)
     columns = [_column(cls.parts) for cls in parts]
     masks = [_abacus(irrep.parts) for irrep in parts]
-    values = tuple(tuple(Fraction(column.get(mask, 0)) for column in columns) for mask in masks)
+    values = tuple(tuple(column.get(mask, 0) for column in columns) for mask in masks)
     identity_index = next(i for i, p in enumerate(parts) if p.parts == (1,) * k)
     return CharacterTable(
         group_order=factorial(k),
@@ -248,18 +255,21 @@ def _add_label(labels: list[str], seen: set[str], label: str, kind: str):
 def table_from_text(text: str) -> CharacterTable:
     """Load a generic character-table file.
 
-    Format: one `group_order N` line, then `class <label> <size>` lines, then
-    `irrep <label> <value per class...>` lines.  Blank lines and `#` comments
-    are ignored; class labels and irreducible labels must each be unique and
-    class sizes positive.  The identity class is the one of size 1 on which
-    every irreducible is positive; the count of irreducibles (one per class)
-    and orthogonality are validated and inconsistent tables are rejected.
+    Format: exactly one `group_order N` line, then `class <label> <size>`
+    lines, then `irrep <label> <value per class...>` lines.  Blank lines and
+    `#` comments are ignored; class labels and irreducible labels must each
+    be unique and class sizes positive.  A value written as an integer is
+    read as an int, one written a/b as a Fraction.  The identity class is
+    the one of size 1 on which every irreducible is positive; the count of
+    irreducibles (one per class) and orthogonality are validated and
+    inconsistent tables are rejected.
     """
     order = None
     class_labels: list[str] = []
     class_sizes: list[int] = []
     irrep_labels: list[str] = []
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int | Fraction, ...]] = []
+    seen_directives: set[str] = set()
     seen_classes: set[str] = set()
     seen_irreps: set[str] = set()
     for raw in text.splitlines():
@@ -269,6 +279,7 @@ def table_from_text(text: str) -> CharacterTable:
         fields = line.split()
         key = fields[0]
         if key == "group_order":
+            once(seen_directives, key, "character-table")
             if len(fields) != 2:
                 raise InvalidInputError(f"bad group_order line: {line!r}")
             order = parse_integer(fields[1], "group order")
@@ -283,7 +294,7 @@ def table_from_text(text: str) -> CharacterTable:
         elif key == "irrep":
             if len(fields) < 3:
                 raise InvalidInputError(f"bad irrep line: {line!r}")
-            row = tuple(map(parse_rational, fields[2:]))
+            row = parse_rational_fields(fields[2:])
             _add_label(irrep_labels, seen_irreps, fields[1], "irreducible")
             rows.append(row)
         else:

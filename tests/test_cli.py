@@ -325,6 +325,55 @@ class TestIntegerGrammar:
         assert "bad" not in err, err
 
 
+TAU_MILNOR_D0 = "kind tau-milnor\nd 0\nmu_x0 1\nbetti_tau 0\nbeta0_xt 1\nbeta0_x0 0\nlocal 0\n"
+NAMED_S2_GERM = "n 2\np 3\nbase x1\ncorank y\ncomponent y^2\ncomponent y^3 + x1^3*y\n"
+
+# Every directive that holds one value: (command, its input files, the line
+# to repeat, which is in one of them, and the reader's name for its files).
+SINGLE_VALUED = {
+    **{
+        f"germ-{line.split()[0]}": ("analyze", (NAMED_S2_GERM,), line, "germ-file")
+        for line in NAMED_S2_GERM.splitlines()
+        if not line.startswith("component")
+    },
+    "table-group_order": ("isotype", (S2_TABLE, SPHERE_DATA), "group_order 2", "character-table"),
+    "fixed-point-top_dim": ("isotype", (S2_TABLE, SPHERE_DATA), "top_dim 2", "fixed-point"),
+    **{
+        f"conservation-{line.split()[0]}": ("conservation-check", (text,), line, "conservation")
+        for text in (KILLING_CONSERVATION, TAU_MILNOR_D0)
+        for line in text.splitlines()
+        if line.split()[0] not in ("local", "local_mu", "local_nu")
+    },
+}
+
+
+class TestRepeatedDirectives:
+    """A repeated single-valued directive is an input error that names it;
+    a repeat used to take its last value silently (a germ file with n 2,
+    p 3, p 4 was analyzed as a (2, 4) germ)."""
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_VALUED))
+    def test_repeat_is_an_input_error(self, files, capsys, name):
+        command, texts, line, reader = SINGLE_VALUED[name]
+        assert sum(f"\n{line}\n" in f"\n{text}" for text in texts) == 1
+        once = [files(f"once.{i}", text) for i, text in enumerate(texts)]
+        code, _, err = run(capsys, command, *once)
+        assert code == EXIT_OK, err
+        twice = [
+            files(f"twice.{i}", text.replace(f"{line}\n", f"{line}\n{line}\n"))
+            for i, text in enumerate(texts)
+        ]
+        code, out, err = run(capsys, command, *twice)
+        assert (code, out) == (EXIT_INPUT, "")
+        directive = " ".join(line.split()[:2 if line.startswith("betti ") else 1])
+        assert f"repeated {reader} directive {directive!r}" in err
+
+    def test_betti_numbers_of_two_degrees(self, files, capsys):
+        text = KILLING_CONSERVATION.replace("betti 2 1\n", "betti 2 1\nbetti 1 0\n")
+        code, _, err = run(capsys, "conservation-check", files("c.cons", text))
+        assert code == EXIT_OK, err
+
+
 class TestArgumentIntegers:
     """N, P, K and --budget-steps follow the integer grammar of the files,
     [+-]?[0-9]+, and the budget is non-negative; anything else exits 1."""
@@ -393,6 +442,14 @@ class TestScCommands:
 # and F = text, json, csv (inner), concatenated.
 CHAR_TABLE_DIGEST = "ea9287bbd27a26050a82c15c04f80335273d0a7aa8232cefbaa2327eef1c0e35"
 
+# sha256 of the stdout of `germlab --format F char-table 12`, taken when the
+# values were still Fractions.
+CHAR_TABLE_12_DIGESTS = {
+    "text": "91c8096597a56ff58226e104e9cfea5e9bc1240e229c3c011ae3db50f62fe103",
+    "json": "ade71699b925ae4e47a41cfa4b42716cabccf84f0f914e5827c985a20464ff75",
+    "csv": "e01058eebda2d9d3f138b2308a1444d850b98478df872400f6384cf4decba74d",
+}
+
 
 class TestTables:
     def test_char_table_output_bytes_are_pinned(self):
@@ -402,6 +459,28 @@ class TestTables:
                 for fmt in ("text", "json", "csv"):
                     assert main(["--format", fmt, "char-table", str(k)]) == EXIT_OK
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CHAR_TABLE_DIGEST
+
+    @pytest.mark.parametrize("fmt", sorted(CHAR_TABLE_12_DIGESTS))
+    def test_char_table_12_bytes_are_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "--format", fmt, "char-table", "12")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == CHAR_TABLE_12_DIGESTS[fmt]
+
+    def test_char_table_12_round_trips_through_isotype(self, files, capsys):
+        # The regular representation: 12! fixed points on the identity, none
+        # elsewhere.  Each irreducible occurs as often as its degree.
+        code, table, _ = run(capsys, "--format", "text", "char-table", "12")
+        assert code == EXIT_OK
+        classes = [line.split()[1] for line in table.splitlines() if line.startswith("class ")]
+        identity = "(" + ",".join(["1"] * 12) + ")"
+        data = "".join(
+            f"class {c} euler {479001600 if c == identity else 0}\n" for c in classes
+        )
+        code, out, _ = run(capsys, "isotype", files("s12.table", table), files("s12.data", data))
+        assert code == EXIT_OK
+        degrees = {label: int(value) for label, value in json.loads(out).items()}
+        assert (degrees["(12)"], degrees["(11,1)"], max(degrees.values())) == (1, 11, 7700)
+        assert sum(d * d for d in degrees.values()) == 479001600
 
     def test_char_table_3(self, capsys):
         code, out, _ = run(capsys, "char-table", "3")
@@ -468,6 +547,24 @@ class TestIsotypeCommand:
         code, out, err = run(capsys, "isotype", files("t.table", table), files("d.data", data))
         assert (code, out) == (expected, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("1" * 5000, f"bad rational literal {'1' * 5000!r}: too many digits"),
+            ("1/0", "bad rational literal '1/0': zero denominator"),
+            ("1.5", "bad rational literal '1.5'"),
+            ("1_0", "bad rational literal '1_0'"),
+            ("\u0661", "bad rational literal '\u0661'"),
+        ],
+        ids=["too-many-digits", "zero-denominator", "decimal", "underscore", "arabic-indic"],
+    )
+    def test_bad_field_among_integers_keeps_its_message(self, files, capsys, field, message):
+        # Messages as they were when every field went through parse_rational.
+        table = S3_TABLE.replace("irrep (2,1) -1 0 2", f"irrep (2,1) -1 {field} 2")
+        code, out, err = run(capsys, "isotype", files("t.table", table),
+                             files("d.data", S3_DATA[0]))
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_table_missing_an_irreducible_is_inconsistent(self, files, capsys):
         # Exited 0 with {"(3)": "1", "(1,1,1)": "0"}, the (2,1) isotype dropped.

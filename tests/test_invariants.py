@@ -22,7 +22,7 @@ from germlab import (
 )
 from germlab import invariants as inv
 from germlab import multipoint as mp
-from germlab.icis import ICIS, ISOLATED_POINTS, milnor_hypersurface
+from germlab.icis import FINITE_COLENGTH, ICIS, ISOLATED_POINTS, milnor_hypersurface
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
@@ -277,6 +277,23 @@ class TestSectionsRoute:
                     assert sections_mu(gens, ambient, verdict.dim) == verdict.mu
                     checked += 1
         assert checked == 62
+
+
+class TestFiniteColengthVerdict:
+    def test_cells_of_finite_colength_have_dimension_zero(self, corpus, not_a_finite_analysis):
+        # Every cell classified as isolated points by a finite colength at the
+        # origin, which is read off a reduced ideal: the Krull dimension of
+        # the cell's own full ideal is 0.
+        germs = [mp.germ(2, 3, comps) for _, _, comps in mond_germs()]
+        analyses = [*corpus.values(), not_a_finite_analysis, *map(mp.analyze_germ, germs)]
+        checked = 0
+        for analysis in analyses:
+            for cell in analysis.cells.values():
+                verdict = cell.classification
+                if (verdict.kind, verdict.evidence) == (ISOLATED_POINTS, FINITE_COLENGTH):
+                    assert cell.ideal.krull_dimension() == 0
+                    checked += 1
+        assert checked == 14
 
 
 class TestLazyGenerators:

@@ -27,7 +27,7 @@ from germlab import (
 )
 from germlab import multipoint as mp
 from germlab import symrep
-from germlab.poly import parse_rational
+from germlab.poly import parse_rational, parse_rational_fields
 
 
 class TestPartitions:
@@ -345,7 +345,7 @@ class TestIntegerKernel:
         # The diagonal sum of a row halved is |G| / 4: the integer check must
         # compare against |G| * D_i * D_j, not |G|.
         t = character_table_symmetric(3)
-        halved = replace(t, values=tuple(tuple(v / 2 for v in row) for row in t.values))
+        halved = replace(t, values=tuple(tuple(Fraction(v, 2) for v in row) for row in t.values))
         assert verdict(CharacterTable.validate, halved) == (
             "row orthogonality fails for irreducibles 0 and 0",
             Fraction(3, 2),
@@ -367,6 +367,69 @@ class TestIntegerKernel:
             values=((Fraction(1, 2), Fraction(-1, 3)), (Fraction(4), Fraction(-2, 4))),
         )
         assert t.integer_rows == ((6, (3, -2)), (2, (8, -1)))
+
+    def test_a_row_of_ints_is_its_own_integer_row(self):
+        t = replace(character_table_symmetric(2), values=((1, 1), (Fraction(-1), 1)))
+        assert t.integer_rows == ((1, (1, 1)), (1, (-1, 1)))
+        assert t.integer_rows[0][1] is t.values[0]
+
+
+def irrep_rows(text: str) -> tuple[tuple[int | Fraction, ...], ...]:
+    return tuple(
+        parse_rational_fields(line.split()[2:])
+        for line in text.splitlines()
+        if line.startswith("irrep ")
+    )
+
+
+class TestIntegerValues:
+    """S_k values stay ints from Murnaghan-Nakayama through a text round trip;
+    only a field written a/b becomes a Fraction."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_generated_values_are_ints(self, k):
+        t = character_table_symmetric(k)
+        assert all(type(v) is int for row in t.values for v in row)
+        assert type(t.degree(0)) is int
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_text_round_trip_keeps_ints(self, k):
+        t = character_table_symmetric(k)
+        again = table_from_text(t.to_text())
+        assert again == t
+        assert all(type(v) is int for row in again.values for v in row)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["-2/2", "+3/-3", "1/2", "-1/3", "0/7"],
+        ids=["minus-one", "bad-denominator", "half", "third", "zero"],
+    )
+    def test_one_rational_field_is_the_only_fraction(self, field):
+        # The (2,1) row of S_3 is "-1 0 2"; its first entry is rewritten.
+        t = character_table_symmetric(3)
+        text = t.to_text().replace("irrep (2,1) -1 0 2\n", f"irrep (2,1) {field} 0 2\n")
+        assert text != t.to_text()
+        try:
+            parse_rational(field)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+                table_from_text(text)
+            return
+        rows = irrep_rows(text)
+        kinds = [[type(v) for v in row] for row in rows]
+        assert kinds == [[int] * 3, [Fraction, int, int], [int] * 3]
+        assert rows[1][0] == parse_rational(field)
+        mixed = replace(t, values=rows)
+        # Every value a Fraction, as tables were read before ints were kept.
+        fractions = replace(t, values=tuple(tuple(map(Fraction, row)) for row in rows))
+        expected = verdict(fraction_validate, fractions)
+        assert verdict(CharacterTable.validate, mixed) == expected
+        assert verdict(CharacterTable.validate, fractions) == expected
+        if expected is None:
+            assert table_from_text(text).values == rows
+        else:
+            with pytest.raises(InconsistentDataError, match=re.escape(expected[0])):
+                table_from_text(text)
 
 
 REJECTED = "rejected"
@@ -415,3 +478,37 @@ class TestRationalLiterals:
         # int() converts at most 4300 digits; the literal is rejected, not a traceback.
         assert self.outcome("1" * 5000) == REJECTED
         assert self.outcome("7" * 400) == Fraction(int("7" * 400))
+
+
+def fields_outcome(read, fields):
+    """The values with their types, or the message of the InvalidInputError."""
+    try:
+        values = read(fields)
+    except InvalidInputError as exc:
+        return str(exc)
+    return values, tuple(map(type, values))
+
+
+def fields_reference(fields):
+    """Field by field: an integer literal, spelled as a regular expression,
+    as int() reads it, and anything else by parse_rational."""
+    return tuple(int(f) if re.fullmatch("[+-]?[0-9]+", f) else parse_rational(f) for f in fields)
+
+
+class TestRationalFields:
+    @settings(max_examples=300)
+    @given(st.lists(st.text(alphabet="0123456789+-/._e \u0661\u00b2", max_size=5),
+                    min_size=1, max_size=4))
+    def test_reads_each_field_like_parse_rational(self, fields):
+        assert fields_outcome(parse_rational_fields, fields) == fields_outcome(
+            fields_reference, fields
+        )
+
+    @pytest.mark.parametrize("bad", ["1" * 5000, "1/0", "1.5", "1_0", "\u0661"],
+                             ids=["too-many-digits", "zero-denominator", "decimal",
+                                  "underscore", "arabic-indic"])
+    def test_a_bad_field_among_integers_fails_like_parse_rational(self, bad):
+        with pytest.raises(InvalidInputError) as exc:
+            parse_rational(bad)
+        fields = ["1", "-2", bad, "+3"]
+        assert fields_outcome(parse_rational_fields, fields) == str(exc.value)
