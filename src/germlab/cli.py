@@ -29,7 +29,7 @@ from .errors import (
 )
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
-from .poly import once, parse_integer, parse_rational
+from .poly import parse_integer, parse_rational, records
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -176,37 +176,31 @@ def cmd_icss(args) -> int:
     return EXIT_OK
 
 
+_INTEGER_KEYS = ("d", "n", "p", "mu_i", "nu_i", "delta")
+_RATIONAL_KEYS = ("mu_x0", "betti_tau", "beta0_xt", "beta0_x0")
+_ONCE = ("kind", *_INTEGER_KEYS, *_RATIONAL_KEYS)
+_CONSERVATION_FIELDS = dict.fromkeys(_ONCE + ("local", "local_mu", "local_nu"), 1) | {"betti": 2}
+
+
 def _parse_conservation_file(text: str) -> dict:
     data: dict = {"betti": {}, "local_mu": [], "local_nu": [], "local": []}
-    seen: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        key = fields[0]
-        try:
-            if key == "kind":
-                once(seen, key, "conservation")
-                data["kind"] = fields[1]
-            elif key in ("d", "n", "p", "mu_i", "nu_i", "delta"):
-                once(seen, key, "conservation")
-                data[key] = parse_integer(fields[1], key)
-            elif key in ("mu_x0", "betti_tau", "beta0_xt", "beta0_x0"):
-                once(seen, key, "conservation")
-                data[key] = parse_rational(fields[1])
-            elif key == "local":
-                data["local"].append(parse_rational(fields[1]))
-            elif key == "betti":
-                degree = parse_integer(fields[1], "betti degree")
-                once(seen, f"betti {degree}", "conservation")
-                data["betti"][degree] = parse_integer(fields[2], "betti number")
-            elif key in ("local_mu", "local_nu"):
-                data[key].append(parse_integer(fields[1], key))
-            else:
-                raise InvalidInputError(f"unknown conservation directive {key!r}")
-        except IndexError as exc:
-            raise InvalidInputError(f"bad conservation record: {line!r}") from exc
+    for key, fields, _ in records(text, "conservation", _CONSERVATION_FIELDS, once=_ONCE):
+        value = fields[0]
+        if key == "kind":
+            data["kind"] = value
+        elif key in _INTEGER_KEYS:
+            data[key] = parse_integer(value, key)
+        elif key in _RATIONAL_KEYS:
+            data[key] = parse_rational(value)
+        elif key == "local":
+            data["local"].append(parse_rational(value))
+        elif key == "betti":
+            degree = parse_integer(value, "betti degree")
+            if degree in data["betti"]:
+                raise InvalidInputError(f"repeated conservation directive 'betti {degree}'")
+            data["betti"][degree] = parse_integer(fields[1], "betti number")
+        else:
+            data[key].append(parse_integer(value, key))
     if "kind" not in data:
         raise InvalidInputError("conservation file must declare a kind")
     return data

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
-from .poly import once, parse_integer
+from .poly import parse_integer, records
 from .symrep import CharacterTable
 
 
@@ -231,11 +231,11 @@ def check_conservation(
 
 # -- fixed-point data files --------------------------------------------------
 #
-# One record per line:   class <label> euler <chi>
-#                        class <label> single <dim> <betti>
-#                        class <label> icis <dim> <mu_tilde>
-# plus at most one       top_dim <d>
-# line.  Mixing kinds in one file is rejected.
+# Records in the grammar of poly.records:   class <label> euler <chi>
+#                                           class <label> single <dim> <betti>
+#                                           class <label> icis <dim> <mu_tilde>
+# plus at most one                          top_dim <d>
+# record.  Mixing kinds in one file is rejected.
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,8 @@ class FixedPointFile:
     top_dim: int | None
 
 
-_RECORD_FIELDS = {"euler": (4, EulerOnly), "single": (5, SingleDim), "icis": (5, IcisDatum)}
+# Fields after the directive `class`: the label, the kind and the numbers.
+_RECORD_FIELDS = {"euler": (3, EulerOnly), "single": (4, SingleDim), "icis": (4, IcisDatum)}
 
 
 def _record_ints(fields: Sequence[str], line: str) -> list[int]:
@@ -256,21 +257,14 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
     kind: str | None = None
     data: dict[str, object] = {}
     top_dim: int | None = None
-    seen: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = records(text, "fixed-point", {"top_dim": 1, "class": None}, once=("top_dim",))
+    for key, fields, line in lines:
+        if key == "top_dim":
+            (top_dim,) = _record_ints(fields, line)
             continue
-        fields = line.split()
-        if fields[0] == "top_dim":
-            once(seen, "top_dim", "fixed-point")
-            if len(fields) != 2:
-                raise InvalidInputError(f"bad top_dim record: {line!r}")
-            (top_dim,) = _record_ints(fields[1:], line)
-            continue
-        if fields[0] != "class" or len(fields) < 4:
+        if len(fields) < 2:
             raise InvalidInputError(f"bad fixed-point record: {line!r}")
-        label, this_kind = fields[1], fields[2]
+        label, this_kind = fields[0], fields[1]
         if kind is None:
             kind = this_kind
         elif kind != this_kind:
@@ -282,7 +276,7 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
             raise InvalidInputError(f"bad {this_kind} record: {line!r}")
         if label in data:
             raise InvalidInputError(f"repeated fixed-point record for class {label!r}")
-        data[label] = record(*_record_ints(fields[3:], line))
+        data[label] = record(*_record_ints(fields[2:], line))
     if kind is None:
         raise InvalidInputError("empty fixed-point data file")
     return FixedPointFile(kind, data, top_dim)

@@ -50,7 +50,7 @@ from operator import add, itemgetter, le, sub
 from typing import Collection, Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError, VariableMismatchError
-from .poly import Exponent, MultiPoly, VarSet, format_poly, parse_poly
+from .poly import Exponent, MultiPoly, VarSet, content_lines, format_poly, parse_name, parse_poly
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -509,13 +509,12 @@ class LocalIdeal:
 
 def ideal_from_text(text: str, budget: int = DEFAULT_STEP_BUDGET) -> LocalIdeal:
     """Inverse of LocalIdeal.serialize: a `vars` header then one generator per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("vars"):
+    lines = list(content_lines(text))
+    header = lines[0].split() if lines else []
+    if header[:1] != ["vars"]:
         raise InvalidInputError("ideal text must start with a 'vars' header line")
-    names = lines[0].split()[1:]
-    if not names:
+    if len(header) == 1:
         raise InvalidInputError("'vars' header declares no variables")
-    vs = VarSet(names)
+    vs = VarSet([parse_name(name, "variable") for name in header[1:]])
     gens = [parse_poly(ln, vs) for ln in lines[1:]]
     return LocalIdeal(gens, vs, budget=budget)

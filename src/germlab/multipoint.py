@@ -47,9 +47,10 @@ from .poly import (
     _divided_difference_terms,
     divided_difference,  # not called here; perfbench/tracer.py patches this name
     format_poly,
-    once,
     parse_integer,
+    parse_name,
     parse_poly,
+    records,
 )
 from .symrep import MAX_SYMMETRIC_K, Partition, partitions
 
@@ -101,14 +102,20 @@ class GermSpec:
 def germ(n: int, p: int, components: Sequence[str], base: Sequence[str] | None = None,
          corank: str = "y") -> GermSpec:
     """Convenience constructor parsing component polynomials from text; it
-    refuses what analyze_germ would before building the n - 1 base names."""
+    refuses what analyze_germ would before building the n - 1 base names,
+    and declared names that are not names of the polynomial grammar."""
     _check_dims(n, p)
     _check_component_count(len(components), n, p)
     _check_multiplicity_bound(n, p)
     base_names = tuple(base) if base is not None else tuple(f"x{i}" for i in range(1, n))
+    for name in (*base_names, corank):
+        parse_name(name, "variable")
     vs = VarSet(base_names + (corank,))
     comps = tuple(parse_poly(text, vs) for text in components)
     return GermSpec(n, p, base_names, corank, comps)
+
+
+_GERM_FIELDS = {"n": 1, "p": 1, "base": None, "corank": 1, "component": None}
 
 
 def germ_from_text(text: str) -> GermSpec:
@@ -118,27 +125,18 @@ def germ_from_text(text: str) -> GermSpec:
     base: list[str] | None = None
     corank = "y"
     comp_texts: list[str] = []
-    seen: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key in ("n", "p", "base", "corank"):
-            once(seen, key, "germ-file")
+    lines = records(text, "germ-file", _GERM_FIELDS, once=("n", "p", "base", "corank"))
+    for key, fields, line in lines:
         if key == "n":
-            n = parse_integer(rest, "n")
+            n = parse_integer(fields[0], "n")
         elif key == "p":
-            p = parse_integer(rest, "p")
+            p = parse_integer(fields[0], "p")
         elif key == "base":
-            base = rest.split()
+            base = fields
         elif key == "corank":
-            corank = rest
-        elif key == "component":
-            comp_texts.append(rest)
+            (corank,) = fields
         else:
-            raise InvalidInputError(f"unknown germ-file directive {key!r}")
+            comp_texts.append(line[len(key):].strip())
     if n is None or p is None:
         raise InvalidInputError("germ file must declare n and p")
     if not comp_texts:

@@ -18,8 +18,8 @@ Only a sum can cancel, so the zero filter sits where terms are summed:
 ``+``, ``-`` and ``*``, plus ``scale(0)`` and ``constant(0)``.  The rest map each
 nonzero coefficient to one nonzero coefficient under an injective exponent
 map, so no term collides and none vanishes: negation, ``scale(c)`` for
-c != 0, a monomial's power, ``derivative`` (a factor exp[i] > 0), the
-``variable`` constructor and ``divided_difference`` (below).
+c != 0, a monomial's power, the ``variable`` constructor and
+``divided_difference`` (below).
 
 The one domain-specific primitive is ``divided_difference``: the exact
 quotient (h[y_old -> y_new] - h) / (y_new - y_old), computed term by term
@@ -32,13 +32,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError, PolySyntaxError, VariableMismatchError
 
 Exponent = tuple[int, ...]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -136,9 +135,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), _ZERO)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_vars(self, other: "MultiPoly"):
@@ -215,18 +211,7 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self.terms.items())))
 
-    # -- calculus and substitution ------------------------------------------
-
-    def derivative(self, name: str) -> "MultiPoly":
-        """Formal partial derivative with respect to ``name``."""
-        i = self.vars.index(name)
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[i]:
-                e = list(exp)
-                e[i] -= 1
-                out[tuple(e)] = c * exp[i]
-        return MultiPoly._trusted(self.vars, out)
+    # -- substitution --------------------------------------------------------
 
     def substitute(
         self,
@@ -312,12 +297,12 @@ def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, 
 # forms rational literals. NAME is a declared variable. Whitespace is free.
 # There is no implicit multiplication: write x1*y, not x1y.
 #
-# Outside polynomials, an integer field is [+-]?[0-9]+ (parse_integer) and a
-# rational literal is one whitespace-free field [+-]?[0-9]+(/[0-9]+)?
-# (parse_rational, or parse_rational_fields for a list of them, which keeps
-# integer literals as int); germ, character-table, fixed-point and
-# conservation files read their numbers with these, and ``once`` rejects a
-# repeated single-valued directive.
+# Outside polynomials, every input file has one line grammar (``records``):
+# '#' starts a comment, blank lines are skipped, and a record is a directive
+# and its whitespace-separated fields.  A declared variable is one NAME
+# (parse_name), an integer field [+-]?[0-9]+ (parse_integer), a rational
+# field [+-]?[0-9]+(/[0-9]+)? (parse_rational; parse_rational_fields keeps
+# integer literals as int).
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()/"
@@ -383,11 +368,47 @@ def parse_rational_fields(fields: Sequence[str]) -> tuple[int | Fraction, ...]:
     return tuple(v if "/" in f else int(v) for f, v in zip(fields, map(parse_rational, fields)))
 
 
-def once(seen: set[str], directive: str, where: str):
-    """Record a single-valued directive of a ``where`` file; a repeat is an error."""
-    if directive in seen:
-        raise InvalidInputError(f"repeated {where} directive {directive!r}")
-    seen.add(directive)
+def content_lines(text: str) -> Iterator[str]:
+    """The lines of text without ``#`` comments and surrounding whitespace,
+    blank ones skipped."""
+    for raw in text.splitlines():
+        if line := raw.partition("#")[0].strip():
+            yield line
+
+
+def records(
+    text: str, where: str, fields: Mapping[str, int | None], once: Collection[str] = ()
+) -> Iterator[tuple[str, list[str], str]]:
+    """Yield (directive, fields, line) per record of a ``where`` file.
+
+    ``fields`` gives each directive's exact field count (None: any count),
+    ``once`` the directives that may not repeat.  An unknown directive, a
+    wrong count and a repeat are input errors that name the directive.
+    """
+    seen: set[str] = set()
+    for line in content_lines(text):
+        directive, *values = line.split()
+        if directive not in fields:
+            raise InvalidInputError(f"unknown {where} directive {directive!r}")
+        count = fields[directive]
+        if count is not None and count != len(values):
+            raise InvalidInputError(f"bad {directive} line {line!r}: expected {count} field(s)")
+        if directive in once:
+            if directive in seen:
+                raise InvalidInputError(f"repeated {where} directive {directive!r}")
+            seen.add(directive)
+        yield directive, values, line
+
+
+def parse_name(text: str, what: str) -> str:
+    """Check that text is one NAME token, a name a polynomial can mention."""
+    try:
+        tokens = _tokenize(text)
+    except PolySyntaxError:
+        tokens = []
+    if [tok[:2] for tok in tokens] != [("NAME", text), ("END", "")]:
+        raise InvalidInputError(f"bad {what} {text!r}")
+    return text
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

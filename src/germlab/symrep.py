@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
-from .poly import once, parse_integer, parse_rational_fields
+from .poly import parse_integer, parse_rational_fields, records
 
 MAX_SYMMETRIC_K = 12
 
@@ -252,14 +252,17 @@ def _add_label(labels: list[str], seen: set[str], label: str, kind: str):
     labels.append(label)
 
 
+_TABLE_FIELDS = {"group_order": 1, "class": 2, "irrep": None}
+
+
 def table_from_text(text: str) -> CharacterTable:
     """Load a generic character-table file.
 
     Format: exactly one `group_order N` line, then `class <label> <size>`
-    lines, then `irrep <label> <value per class...>` lines.  Blank lines and
-    `#` comments are ignored; class labels and irreducible labels must each
-    be unique and class sizes positive.  A value written as an integer is
-    read as an int, one written a/b as a Fraction.  The identity class is
+    lines, then `irrep <label> <value per class...>` lines, in the record
+    grammar of ``poly.records``.  Class labels and irreducible labels must
+    each be unique and class sizes positive.  A value written as an integer
+    is read as an int, one written a/b as a Fraction.  The identity class is
     the one of size 1 on which every irreducible is positive; the count of
     irreducibles (one per class) and orthogonality are validated and
     inconsistent tables are rejected.
@@ -269,36 +272,24 @@ def table_from_text(text: str) -> CharacterTable:
     class_sizes: list[int] = []
     irrep_labels: list[str] = []
     rows: list[tuple[int | Fraction, ...]] = []
-    seen_directives: set[str] = set()
     seen_classes: set[str] = set()
     seen_irreps: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        key = fields[0]
+    lines = records(text, "character-table", _TABLE_FIELDS, once=("group_order",))
+    for key, fields, line in lines:
         if key == "group_order":
-            once(seen_directives, key, "character-table")
-            if len(fields) != 2:
-                raise InvalidInputError(f"bad group_order line: {line!r}")
-            order = parse_integer(fields[1], "group order")
+            order = parse_integer(fields[0], "group order")
         elif key == "class":
-            if len(fields) != 3:
-                raise InvalidInputError(f"bad class line: {line!r}")
-            size = parse_integer(fields[2], "class size")
+            size = parse_integer(fields[1], "class size")
             if size <= 0:
                 raise InvalidInputError(f"class size must be positive: {line!r}")
-            _add_label(class_labels, seen_classes, fields[1], "class")
+            _add_label(class_labels, seen_classes, fields[0], "class")
             class_sizes.append(size)
-        elif key == "irrep":
-            if len(fields) < 3:
-                raise InvalidInputError(f"bad irrep line: {line!r}")
-            row = parse_rational_fields(fields[2:])
-            _add_label(irrep_labels, seen_irreps, fields[1], "irreducible")
-            rows.append(row)
+        elif len(fields) < 2:
+            raise InvalidInputError(f"bad irrep line: {line!r}")
         else:
-            raise InvalidInputError(f"unknown directive {key!r} in character table")
+            row = parse_rational_fields(fields[1:])
+            _add_label(irrep_labels, seen_irreps, fields[0], "irreducible")
+            rows.append(row)
     if order is None or not class_labels or not irrep_labels:
         raise InvalidInputError("character table needs group_order, classes and irreps")
     _check_shape(rows, len(class_labels))

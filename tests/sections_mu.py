@@ -29,6 +29,14 @@ from germlab.poly import MultiPoly, VarSet
 from fraction_minors import maximal_minors
 
 
+def derivative(p: MultiPoly, name: str) -> MultiPoly:
+    """The formal partial derivative of p in the variable ``name``."""
+    i = p.vars.index(name)
+    return MultiPoly(
+        p.vars, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]}
+    )
+
+
 def _restrict(p: MultiPoly, j: int, vs: VarSet) -> MultiPoly:
     """p with x_j := 0, over vs, the variables without x_j."""
     return MultiPoly(vs, {e[:j] + e[j + 1 :]: c for e, c in p.terms.items() if not e[j]})
@@ -43,7 +51,7 @@ def sections_mu(gens: list[MultiPoly], vs: VarSet, dim: int) -> int | None:
         q = ideal.quotient_dimension()
         return None if q == INFINITE else q - 1
     codim = len(vs) - dim
-    jacobian = [[g.derivative(v) for v in vs.names] for g in gens]
+    jacobian = [[derivative(g, v) for v in vs.names] for g in gens]
     for j in reversed(range(len(vs))):
         rows = [row[:j] + row[j + 1 :] for row in jacobian]
         minors = [m for sub in combinations(rows, codim) for m in maximal_minors(list(sub), vs)]

@@ -374,6 +374,58 @@ class TestRepeatedDirectives:
         assert code == EXIT_OK, err
 
 
+# Every file format once: the command that reads it, its input files, and
+# which of them is in that format.
+FORMATS = {
+    "germ": ("analyze", (NAMED_S2_GERM,), 0),
+    "ideal": ("milnor", ("vars x y\nx^3 + y^3\n",), 0),
+    "character-table": ("isotype", (S2_TABLE, SPHERE_DATA), 0),
+    "fixed-point": ("isotype", (S2_TABLE, SPHERE_DATA), 1),
+    "conservation-tau": ("conservation-check", (CUSP_CONSERVATION,), 0),
+    "conservation-image": ("conservation-check", (KILLING_CONSERVATION,), 0),
+}
+
+
+class TestRecordGrammar:
+    """One line grammar for every file format: a '#' after content starts a
+    comment, fields are split at any whitespace, and a directive with a
+    fixed field count takes no extra field.  Before, a germ file read
+    `n<TAB>2` as an unknown directive, `corank y  # note` declared the
+    variable `y  # note`, and a conservation file read `d 1 7` as d = 1."""
+
+    @staticmethod
+    def outcome(files, capsys, name, edit):
+        command, texts, which = FORMATS[name]
+        texts = [edit(text) if i == which else text for i, text in enumerate(texts)]
+        return run(capsys, command, *(files(f"in.{i}", t) for i, t in enumerate(texts)))
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_comments_after_content_and_tabs_read_as_before(self, files, capsys, name):
+        plain = self.outcome(files, capsys, name, lambda text: text)
+        assert plain[0] == EXIT_OK, plain
+
+        def noted(text):
+            lines = text.splitlines()
+            return "".join(line.replace(" ", "\t", 1) + "  # a note\n" for line in lines)
+
+        assert self.outcome(files, capsys, name, noted) == plain
+
+    @pytest.mark.parametrize("name", sorted(set(FORMATS) - {"ideal"}))
+    def test_an_extra_field_is_an_input_error(self, files, capsys, name):
+        # Every line of a directive with a fixed field count.  The fields of
+        # base, component and irrep are any number of names, a polynomial
+        # and one value per class.
+        lines = FORMATS[name][1][FORMATS[name][2]].splitlines()
+        fixed = [line for line in lines if line.split()[0] not in ("base", "component", "irrep")]
+        assert fixed
+        for line in fixed:
+            code, out, err = self.outcome(
+                files, capsys, name, lambda text: text.replace(f"{line}\n", f"{line} 7\n", 1)
+            )
+            assert (code, out) == (EXIT_INPUT, ""), line
+            assert "bad" in err and repr(f"{line} 7") in err, err
+
+
 class TestArgumentIntegers:
     """N, P, K and --budget-steps follow the integer grammar of the files,
     [+-]?[0-9]+, and the budget is non-negative; anything else exits 1."""

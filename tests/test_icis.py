@@ -43,7 +43,7 @@ import random
 
 from fraction_minors import maximal_minors
 from recombination import _random_recombination
-from sections_mu import sections_mu
+from sections_mu import derivative, sections_mu
 
 
 def ideal(var_names, gens, **kw):
@@ -513,7 +513,7 @@ class TestHypersurfaceMilnorIsTheChain:
     def test_matches_the_jacobian_colength(self, text):
         names = ["x", "y", "z"] if "z" in text else ["x", "y"]
         g = poly(text, names)
-        jacobian = LocalIdeal([g.derivative(v) for v in names], g.vars)
+        jacobian = LocalIdeal([derivative(g, v) for v in names], g.vars)
         assert milnor_hypersurface(g) == jacobian.quotient_dimension()
 
     @pytest.mark.parametrize("k", range(1, 6))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,14 @@ from germlab import (
 )
 from germlab import invariants as inv
 from germlab import multipoint as mp
-from germlab.icis import FINITE_COLENGTH, ICIS, ISOLATED_POINTS, milnor_hypersurface
+from germlab.icis import (
+    FINITE_COLENGTH,
+    ICIS,
+    ISOLATED_POINTS,
+    NOT_ICIS,
+    SMOOTH,
+    milnor_hypersurface,
+)
 from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
@@ -280,12 +288,16 @@ class TestSectionsRoute:
 
 
 class TestFiniteColengthVerdict:
+    @staticmethod
+    def analyses(corpus, not_a_finite_analysis):
+        germs = [mp.germ(2, 3, comps) for _, _, comps in mond_germs()]
+        return [*corpus.values(), not_a_finite_analysis, *map(mp.analyze_germ, germs)]
+
     def test_cells_of_finite_colength_have_dimension_zero(self, corpus, not_a_finite_analysis):
         # Every cell classified as isolated points by a finite colength at the
         # origin, which is read off a reduced ideal: the Krull dimension of
         # the cell's own full ideal is 0.
-        germs = [mp.germ(2, 3, comps) for _, _, comps in mond_germs()]
-        analyses = [*corpus.values(), not_a_finite_analysis, *map(mp.analyze_germ, germs)]
+        analyses = self.analyses(corpus, not_a_finite_analysis)
         checked = 0
         for analysis in analyses:
             for cell in analysis.cells.values():
@@ -294,6 +306,22 @@ class TestFiniteColengthVerdict:
                     assert cell.ideal.krull_dimension() == 0
                     checked += 1
         assert checked == 14
+
+    def test_every_verdict_dimension_is_the_full_ideal_dimension(
+        self, corpus, not_a_finite_analysis
+    ):
+        # Whichever head step decided a verdict (a constant term, the linear
+        # rank, a split, an elimination, a square sub-ideal or the basis),
+        # the dimension it reports is the Krull dimension of the cell's own
+        # full ideal.
+        kinds = Counter()
+        for analysis in self.analyses(corpus, not_a_finite_analysis):
+            for cell in analysis.cells.values():
+                verdict = cell.classification
+                if verdict.dim is not None:
+                    assert cell.ideal.krull_dimension() == verdict.dim, verdict
+                    kinds[verdict.kind] += 1
+        assert kinds == {SMOOTH: 12, ICIS: 126, ISOLATED_POINTS: 23, NOT_ICIS: 5}
 
 
 class TestLazyGenerators:

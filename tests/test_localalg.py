@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from germlab import (
     INFINITE,
+    InvalidInputError,
     LocalIdeal,
     MultiPoly,
     ResourceLimitError,
@@ -401,6 +403,23 @@ class TestBudget:
 
 
 class TestSerialization:
+    def test_header_with_a_comment(self):
+        # `vars x y   # plane` used to declare the variables '#' and 'plane'.
+        I = ideal_from_text("# the cusp\nvars x y   # plane\n\nx^3 + y^3  # D4\n")
+        assert I.ambient.names == ("x", "y")
+        assert [str(g) for g in I.generators] == ["x^3 + y^3"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("vars x 1\nx^2\n", "bad variable '1'"),
+        ("vars x y^2\nx^2\n", "bad variable 'y^2'"),
+        ("varsity x y\nx^2\n", "'vars' header"),
+        ("vars\nx^2\n", "declares no variables"),
+        ("", "'vars' header"),
+    ])
+    def test_bad_headers_are_input_errors(self, text, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ideal_from_text(text)
+
     def test_round_trip(self):
         I = ideal(["x", "y"], ["x^2 - y", "y^3"])
         again = ideal_from_text(I.serialize())

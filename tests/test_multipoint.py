@@ -145,7 +145,7 @@ class TestFixedLoci:
         g = germ(5, 8, CONTRACTIBLE_5_8)
         I = fixed_locus_equations(g, 2, Partition((2,)))
         assert not I.contains_unit()
-        assert all(gen.constant_term() == 0 for gen in I.generators)
+        assert all((0,) * len(gen.vars) not in gen.terms for gen in I.generators)
 
 
 def _reference_table(g, k):
@@ -440,6 +440,18 @@ class TestGermFiles:
     def test_bad_directive(self):
         with pytest.raises(InvalidInputError):
             germ_from_text("n 2\np 3\nwhatever y\ncomponent y^2\ncomponent x1*y\n")
+
+    @pytest.mark.parametrize("base, corank", [
+        (["1"], "y"), (["x-1"], "y"), (["x1"], "y z"), (["x1"], "2y"), (["x1"], ""),
+    ])
+    def test_declared_names_are_polynomial_names(self, base, corank):
+        # `base 1` used to declare a variable no component could mention.
+        with pytest.raises(InvalidInputError, match="bad variable"):
+            germ(2, 3, ["y^2", "y^3"], base=base, corank=corank)
+
+    def test_file_names_are_polynomial_names(self):
+        with pytest.raises(InvalidInputError, match="bad variable '1'"):
+            germ_from_text("n 2\np 3\nbase 1\ncomponent y^2\ncomponent y^3\n")
 
     def test_component_count_enforced(self):
         with pytest.raises(InvalidInputError):
