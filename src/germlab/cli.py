@@ -2,8 +2,10 @@
 
 Commands: analyze, sc-feasible, sc-generate, char-table, isotype, milnor,
 icss, conservation-check.  Reports are machine-readable first (JSON), with
-text and CSV renderings behind --format.  Runs are reproducible: every
-algorithm is deterministic.
+a text rendering behind --format, and CSV for char-table and icss; a format
+a command has no rendering for is an input error.  sc-generate writes a germ
+file in every format.  Runs are reproducible: every algorithm is
+deterministic.
 
 Exit codes: 0 success; 1 input or parse error; 2 resource limit exceeded;
 3 germ not A-finite (a partial report is still emitted); 4 sc-generate on
@@ -17,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from . import icis, invariants, isotype, multipoint, symrep
 from .errors import (
@@ -61,34 +64,54 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _write(args, **renderers: Callable[[], str]):
+    """Emit the rendering of a command's result that --format names.  A
+    command has exactly the formats it passes a renderer for; any other is
+    an input error that names the command."""
+    render = renderers.get(args.format)
+    if render is None:
+        raise InvalidInputError(f"{args.command} has no {args.format} output")
+    _emit(render(), args.output)
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _lines(payload: dict) -> str:
+    return "".join(f"{key}: {value}\n" for key, value in payload.items())
 
 
 def cmd_analyze(args) -> int:
     g = multipoint.germ_from_text(_read(args.germ))
     analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     report = invariants.build_report(analysis, tau=args.tau)
-    _emit(report.to_json() if args.format == "json" else report.to_text(), args.output)
+    _write(args, json=report.to_json, text=report.to_text)
     return EXIT_OK if analysis.verdict.a_finite else EXIT_NOT_A_FINITE
 
 
 def cmd_sc_feasible(args) -> int:
     report = multipoint.sc_feasibility_report(args.n, args.p)
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-    else:
-        _emit(
-            f"({args.n}, {args.p}): feasible = {report['feasible']}  "
-            f"kappa = {report['kappa']}  margin = {report['margin']}\n",
-            args.output,
-        )
+    _write(
+        args,
+        json=lambda: _json(report),
+        text=lambda: f"({args.n}, {args.p}): feasible = {report['feasible']}  "
+        f"kappa = {report['kappa']}  margin = {report['margin']}\n",
+    )
     return EXIT_OK
 
 
 def cmd_sc_generate(args) -> int:
+    # A germ file in every format: it is the input of analyze.
     g = multipoint.generate_sc_germ(args.n, args.p, budget=args.budget_steps)
     _emit(g.serialize(), args.output)
     return EXIT_OK
@@ -96,8 +119,9 @@ def cmd_sc_generate(args) -> int:
 
 def cmd_char_table(args) -> int:
     table = symrep.character_table_symmetric(args.k)
-    if args.format == "json":
-        payload = {
+
+    def as_json():
+        return _json({
             "group_order": table.group_order,
             "classes": [
                 {"label": lbl, "size": size}
@@ -107,41 +131,24 @@ def cmd_char_table(args) -> int:
                 {"label": lbl, "degree": table.degree(i), "values": row}
                 for i, (lbl, row) in enumerate(zip(table.irrep_labels, table.values))
             ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
+        })
+
+    def as_csv():
         lines = ["irrep," + ",".join(table.class_labels)]
         for lbl, row in zip(table.irrep_labels, table.values):
             lines.append(lbl + "," + ",".join(map(str, row)))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(table.to_text(), args.output)
+        return "\n".join(lines) + "\n"
+
+    _write(args, json=as_json, csv=as_csv, text=table.to_text)
     return EXIT_OK
 
 
 def cmd_isotype(args) -> int:
     table = symrep.table_from_text(_read(args.table))
     data_file = isotype.fixed_point_data_from_text(_read(args.data))
-    taus = [args.tau] if args.tau else list(table.irrep_labels)
-    out: dict[str, str] = {}
-    if data_file.kind == "euler":
-        for tau in taus:
-            out[tau] = str(isotype.tau_characteristic(table, data_file.data, tau))
-    else:
-        if data_file.top_dim is None:
-            raise InvalidInputError("single/icis fixed-point data needs a top_dim line")
-        for tau in taus:
-            if data_file.kind == "single":
-                value = isotype.tau_betti_single_dim(
-                    table, data_file.data, tau, data_file.top_dim
-                )
-            else:
-                value = isotype.mu_tau(table, data_file.data, tau, data_file.top_dim)
-            out[tau] = str(value)
-    if args.format == "json":
-        _emit(json.dumps(out, indent=2) + "\n", args.output)
-    else:
-        _emit("".join(f"{tau}: {val}\n" for tau, val in out.items()), args.output)
+    taus = [args.tau] if args.tau else table.irrep_labels
+    out = {tau: str(data_file.value(table, tau)) for tau in taus}
+    _write(args, json=lambda: _json(out), text=lambda: _lines(out))
     return EXIT_OK
 
 
@@ -151,10 +158,7 @@ def cmd_milnor(args) -> int:
     if dim < 0:
         raise InvalidInputError("more generators than ambient variables")
     mu = icis.milnor_icis(ideal, dim)
-    if args.format == "json":
-        _emit(json.dumps({"mu": mu}) + "\n", args.output)
-    else:
-        _emit(f"{mu}\n", args.output)
+    _write(args, json=lambda: json.dumps({"mu": mu}) + "\n", text=lambda: f"{mu}\n")
     return EXIT_OK
 
 
@@ -162,17 +166,15 @@ def cmd_icss(args) -> int:
     g = multipoint.germ_from_text(_read(args.germ))
     analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     table = invariants.icss_table(analysis)
-    if args.format == "json":
-        payload = {
+
+    def as_json():
+        return _json({
             "cells": [c.as_dict() for c in table.cells],
             "entries": [c.as_dict() for c in table.entries],
             "image_betti": {str(i): b for i, b in sorted((table.image_betti or {}).items())},
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        _emit(table.to_csv(), args.output)
-    else:
-        _emit(table.to_text(), args.output)
+        })
+
+    _write(args, json=as_json, csv=table.to_csv, text=table.to_text)
     return EXIT_OK
 
 
@@ -246,10 +248,7 @@ def cmd_conservation_check(args) -> int:
         }
     else:
         raise InvalidInputError(f"unknown conservation kind {data['kind']!r}")
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        _emit("".join(f"{k}: {v}\n" for k, v in payload.items()), args.output)
+    _write(args, json=lambda: _json(payload), text=lambda: _lines(payload))
     return EXIT_OK
 
 

@@ -347,9 +347,9 @@ def milnor_icis(ideal: LocalIdeal, dim: int) -> int:
         raise InconsistentDataError("empty germ has no Milnor number")
     if dim == 0:
         q = ideal.quotient_dimension()
-        if q == INFINITE:
+        if q is INFINITE:
             raise NotIcisError("expected dimension 0 but colength is infinite")
-        return int(q) - 1
+        return q - 1
     ambient, budget = ideal.ambient, ideal.budget
     nvars = len(ambient)
     codim = nvars - dim
@@ -369,13 +369,13 @@ def milnor_icis(ideal: LocalIdeal, dim: int) -> int:
             extended = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], steps)
             section = LocalIdeal._from_terms([*chain, *extended.values()], ambient, budget)
             q = section.quotient_dimension()
-            if q != INFINITE:
+            if q is not INFINITE:
                 break
         else:
             raise NotIcisError(f"chain step {i} has infinite colength")
         chain.append(rest.pop(j))
         minors = extended
-        mu = int(q) - mu
+        mu = q - mu
         if mu < 0:
             raise NotIcisError(f"chain step {i} produced a negative Milnor number")
     return mu

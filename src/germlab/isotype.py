@@ -101,10 +101,6 @@ def _class_sum(table: CharacterTable, i: int, values: Sequence[Fraction | int]) 
     return _exact_sum(map(mul, table.class_sizes, ints), values, table.group_order * den)
 
 
-def _signed(d: int, dim: int, value: int) -> int:
-    return -value if (d - dim) % 2 else value
-
-
 def solve_character_system(
     table: CharacterTable, b: Mapping[str, Fraction | int]
 ) -> dict[str, Fraction]:
@@ -142,6 +138,32 @@ def tau_characteristic(
     return _class_sum(table, i, [data[cls].euler for cls in table.class_labels])
 
 
+def _signed_sum(table: CharacterTable, data: Mapping[str, object], tau: str, d: int,
+                field: str, quantity: str) -> Fraction:
+    """(1/|G|) sum size * (-1)^(d - datum.dim) * chi_tau * datum.<field>.
+
+    The identity class's datum must have dimension d.  The result must be a
+    non-negative integer for data coming from an honest action; otherwise
+    InconsistentDataError names the quantity and carries the exact value.
+    """
+    _check_classes(table, data)
+    if data[table.class_labels[table.identity_index]].dim != d:
+        raise InvalidInputError("identity-class dimension must equal the top dimension d")
+    i = table.irrep_index(tau)
+    values = []
+    for cls in table.class_labels:
+        datum = data[cls]
+        value = getattr(datum, field)
+        values.append(-value if (d - datum.dim) % 2 else value)
+    value = _class_sum(table, i, values)
+    if value.denominator != 1 or value < 0:
+        raise InconsistentDataError(
+            f"{quantity} is {value}, not a non-negative integer: inconsistent input",
+            value=value,
+        )
+    return value
+
+
 def tau_betti_single_dim(
     table: CharacterTable,
     data: Mapping[str, SingleDim],
@@ -151,23 +173,8 @@ def tau_betti_single_dim(
     """Top tau-Betti number when every fixed locus has one homology dimension.
 
     beta_d^tau(M) = (1/|G|) sum size * (-1)^(d - d^sigma) * chi_tau * beta.
-    Raises InconsistentDataError (with the exact value attached) when the
-    result is negative or not an integer, which cannot happen for data coming
-    from an honest action.
     """
-    _check_classes(table, data)
-    identity_label = table.class_labels[table.identity_index]
-    if data[identity_label].dim != d:
-        raise InvalidInputError("identity-class dimension must equal the top dimension d")
-    i = table.irrep_index(tau)
-    values = [_signed(d, data[cls].dim, data[cls].betti) for cls in table.class_labels]
-    value = _class_sum(table, i, values)
-    if value.denominator != 1 or value < 0:
-        raise InconsistentDataError(
-            f"beta_{d}^{tau} is {value}, not a non-negative integer: inconsistent input",
-            value=value,
-        )
-    return value
+    return _signed_sum(table, data, tau, d, "betti", f"beta_{d}^{tau}")
 
 
 def mu_tau(
@@ -178,23 +185,9 @@ def mu_tau(
 ) -> Fraction:
     """tau-Milnor number from per-class (dimension, extended-mu) data.
 
-    mu^tau = (1/|G|) sum size * (-1)^(d - dim) * chi_tau * mu_tilde.  The
-    result must be a non-negative integer for honest inputs; violations raise
-    InconsistentDataError with the exact value attached.
+    mu^tau = (1/|G|) sum size * (-1)^(d - dim) * chi_tau * mu_tilde.
     """
-    _check_classes(table, data)
-    identity_label = table.class_labels[table.identity_index]
-    if data[identity_label].dim != d:
-        raise InvalidInputError("identity-class dimension must equal d")
-    i = table.irrep_index(tau)
-    values = [_signed(d, data[cls].dim, data[cls].mu_tilde) for cls in table.class_labels]
-    value = _class_sum(table, i, values)
-    if value.denominator != 1 or value < 0:
-        raise InconsistentDataError(
-            f"mu^{tau} is {value}, not a non-negative integer: inconsistent input",
-            value=value,
-        )
-    return value
+    return _signed_sum(table, data, tau, d, "mu_tilde", f"mu^{tau}")
 
 
 def check_conservation(
@@ -243,6 +236,16 @@ class FixedPointFile:
     kind: str  # "euler" | "single" | "icis"
     data: dict[str, object]
     top_dim: int | None
+
+    def value(self, table: CharacterTable, tau: str) -> Fraction:
+        """The isotype number of tau that this kind of data determines:
+        chi_tau (euler), beta_d^tau (single) or mu^tau (icis), d = top_dim."""
+        if self.kind == "euler":
+            return tau_characteristic(table, self.data, tau)
+        if self.top_dim is None:
+            raise InvalidInputError("single/icis fixed-point data needs a top_dim line")
+        formula = tau_betti_single_dim if self.kind == "single" else mu_tau
+        return formula(table, self.data, tau, self.top_dim)
 
 
 # Fields after the directive `class`: the label, the kind and the numbers.

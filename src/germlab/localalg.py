@@ -54,7 +54,8 @@ from .poly import Exponent, MultiPoly, VarSet, content_lines, format_poly, parse
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
-INFINITE = float("inf")
+# The quotient dimension of an ideal of positive Krull dimension.
+INFINITE = None
 
 
 def order_key(exp: Exponent):
@@ -290,8 +291,7 @@ def standard_basis(
     The basis is held as reducers (leading monomial, ecart, primitive
     integer term map), each computed once when its element joins.  The
     minimal ones are returned most leading first, each map scaled to a
-    positive leading coefficient, so that it is the integer term map of the
-    monic basis element (``monic_basis``).
+    positive leading coefficient.
     """
     budget = _Budget(budget_limit)
     basis: list[tuple] = []
@@ -325,14 +325,6 @@ def standard_basis(
     return [
         (lm, ecart, h if h[lm] > 0 else {e: -c for e, c in h.items()})
         for lm, ecart, h in _minimalize(basis)
-    ]
-
-
-def monic_basis(reducers: Iterable[tuple], vars: VarSet) -> list[MultiPoly]:
-    """The monic MultiPolys of a standard basis held as reducers."""
-    return [
-        MultiPoly._trusted(vars, {e: Fraction(c, h[lm]) for e, c in h.items()})
-        for lm, _, h in reducers
     ]
 
 
@@ -440,20 +432,14 @@ class LocalIdeal:
 
     def standard_basis(self) -> "LocalIdeal":
         """The cached standard basis, monic, as the generators of a new ideal."""
-        return LocalIdeal(monic_basis(self._reducers, self.ambient), self.ambient, self.budget)
+        reducers = self._reducers
+        return LocalIdeal._from_terms(
+            [h for _, _, h in reducers], self.ambient, self.budget, [h[lm] for lm, _, h in reducers]
+        )
 
     @cached_property
     def leading_monomials(self) -> tuple[Exponent, ...]:
         return tuple(lm for lm, _, _ in self._reducers)
-
-    def normal_form(self, p: MultiPoly) -> MultiPoly:
-        """Mora normal form against the standard basis; 0 iff p is a member."""
-        if p.vars != self.ambient:
-            raise VariableMismatchError("polynomial does not live over the ambient VarSet")
-        return mora_normal_form(p, self._reducers, _Budget(self.budget))
-
-    def contains(self, p: MultiPoly) -> bool:
-        return self.normal_form(p).is_zero()
 
     def contains_unit(self) -> bool:
         """True iff the ideal is the whole local ring (empty germ).
@@ -473,8 +459,9 @@ class LocalIdeal:
             self.leading_monomials, len(self.ambient), _Budget(self.budget)
         )
 
-    def quotient_dimension(self) -> int | float:
-        """dim_Q of O/I when finite, else INFINITE (iff Krull dimension > 0).
+    def quotient_dimension(self) -> int | None:
+        """dim_Q of O/I when finite, else INFINITE, which is None (iff the
+        Krull dimension is positive).
 
         The finite count walks the staircase, the monomials outside the
         leading ideal, depth first from 1.  Raising only variables at or

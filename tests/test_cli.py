@@ -554,6 +554,37 @@ class TestTables:
         assert out.splitlines()[0] == "r,q,k,value"
 
 
+class TestFormatsAndOutput:
+    # Each command's inputs, written by `files`, for every command with no
+    # csv rendering; each printed text and exited 0 under --format csv.
+    NO_CSV = {
+        "analyze": [("g.germ", STABLE_GERM)],
+        "sc-feasible": ["5", "8"],
+        "isotype": [("s2.table", S2_TABLE), ("sphere.data", SPHERE_DATA)],
+        "milnor": [("c.ideal", "vars x y\nx^3 + y^3\n")],
+        "conservation-check": [("cusp.data", CUSP_CONSERVATION)],
+    }
+
+    @pytest.mark.parametrize("command", sorted(NO_CSV))
+    def test_a_format_without_a_rendering_is_refused(self, files, capsys, command):
+        args = [a if isinstance(a, str) else files(*a) for a in self.NO_CSV[command]]
+        code, out, err = run(capsys, "--format", "csv", command, *args)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {command} has no csv output\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_sc_generate_writes_a_germ_file_in_every_format(self, capsys, fmt):
+        code, out, _ = run(capsys, "--format", fmt, "sc-generate", "5", "8")
+        assert code == EXIT_OK and out.startswith("n 5\np 8\nbase ")
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_an_unwritable_output_is_an_input_error(self, capsys, tmp_path, where):
+        # Each ended in a traceback: FileNotFoundError, IsADirectoryError.
+        path = str(tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path)
+        code, out, err = run(capsys, "--output", path, "char-table", "3")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 class TestIsotypeCommand:
     def test_sphere_alternating(self, files, capsys):
         table = files("s2.table", S2_TABLE)

@@ -266,6 +266,24 @@ class TestMondList:
         assert got == [line for line in pinned if not line.startswith("#")]
 
 
+class TestCellBases:
+    def test_every_cell_basis_matches_its_golden_digest(self, corpus, not_a_finite_analysis):
+        # Only two bases are pinned term by term (test_localalg); this pins
+        # the monic standard basis of every cell of the corpus, the
+        # not-A-finite germ and Mond's list.
+        analyses = [*corpus.items(), ("not_a_finite", not_a_finite_analysis)]
+        analyses += [(name, mp.analyze_germ(mp.germ(2, 3, comps)))
+                     for name, _, comps in mond_germs()]
+        got = []
+        for name, analysis in analyses:
+            for (k, parts), cell in analysis.cells.items():
+                basis = cell.ideal.standard_basis().serialize()
+                got.append(f"{name} {k} {','.join(map(str, parts))} "
+                           f"{hashlib.sha256(basis.encode()).hexdigest()}")
+        pinned = (DATA / "cell_standard_basis_digests.txt").read_text().splitlines()
+        assert got == [line for line in pinned if not line.startswith("#")]
+
+
 class TestSectionsRoute:
     def test_coordinate_sections_match_the_chain(self, corpus, not_a_finite_analysis):
         # Every positive dimensional ICIS cell of the corpus, Mond's list,

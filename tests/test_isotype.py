@@ -23,7 +23,7 @@ from germlab import (
     tau_betti_single_dim,
     tau_characteristic,
 )
-from germlab.errors import IncompleteDataError, InvalidInputError
+from germlab.errors import GermlabError, IncompleteDataError, InvalidInputError
 from germlab.isotype import fixed_point_data_from_text
 
 T2 = character_table_symmetric(2)
@@ -138,6 +138,43 @@ class TestMuTau:
         data["(1,1,1)"] = IcisDatum(2, mu)
         for i, label in enumerate(t.irrep_labels):
             assert mu_tau(t, data, label, 2) == Fraction(int(t.degree(i)) * mu, 6)
+
+
+@st.composite
+def symmetric_signed_data(draw):
+    """S_2..S_6, a top dimension d and per-class (dim, value) integers; the
+    identity class has dimension d unless a coin says otherwise."""
+    table = character_table_symmetric(draw(st.integers(2, 6)))
+    m = len(table.class_labels)
+    dims = draw(st.lists(st.integers(-1, 3), min_size=m, max_size=m))
+    values = draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))
+    d = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        dims[table.identity_index] = d
+    return table, list(zip(table.class_labels, dims, values)), d
+
+
+def outcome(call):
+    """The value returned, or the class of the error raised with the value
+    it carries."""
+    try:
+        return call()
+    except GermlabError as exc:
+        return type(exc), getattr(exc, "value", None)
+
+
+class TestOneSignedSum:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_signed_data())
+    def test_single_dim_and_icis_data_agree(self, case):
+        # beta_d^tau and mu^tau are one formula on (dim, value) data.
+        table, rows, d = case
+        single = {label: SingleDim(dim, v) for label, dim, v in rows}
+        icis = {label: IcisDatum(dim, v) for label, dim, v in rows}
+        for tau in table.irrep_labels:
+            assert outcome(lambda: tau_betti_single_dim(table, single, tau, d)) == outcome(
+                lambda: mu_tau(table, icis, tau, d)
+            )
 
 
 class TestConservation:
