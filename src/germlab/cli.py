@@ -16,7 +16,9 @@ incomplete checker data (e.g. a missing correction term).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from typing import Callable
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
-from .poly import parse_integer, parse_rational, records
+from .poly import check_directives, parse_integer, parse_rational, records
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -134,10 +136,12 @@ def cmd_char_table(args) -> int:
         })
 
     def as_csv():
-        lines = ["irrep," + ",".join(table.class_labels)]
-        for lbl, row in zip(table.irrep_labels, table.values):
-            lines.append(lbl + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+        # csv.writer, as IcssTable.to_csv: partition labels hold commas.
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["irrep", *table.class_labels])
+        writer.writerows([lbl, *row] for lbl, row in zip(table.irrep_labels, table.values))
+        return buf.getvalue()
 
     _write(args, json=as_json, csv=as_csv, text=table.to_text)
     return EXIT_OK
@@ -185,8 +189,10 @@ _CONSERVATION_FIELDS = dict.fromkeys(_ONCE + ("local", "local_mu", "local_nu"), 
 
 
 def _parse_conservation_file(text: str) -> dict:
-    data: dict = {"betti": {}, "local_mu": [], "local_nu": [], "local": []}
-    for key, fields, _ in records(text, "conservation", _CONSERVATION_FIELDS, once=_ONCE):
+    """The values of a conservation file, keyed by the directives it holds."""
+    data: dict = {}
+    lines = records(text, "conservation", _CONSERVATION_FIELDS, once=_ONCE, required=("kind",))
+    for key, fields, _ in lines:
         value = fields[0]
         if key == "kind":
             data["kind"] = value
@@ -195,59 +201,52 @@ def _parse_conservation_file(text: str) -> dict:
         elif key in _RATIONAL_KEYS:
             data[key] = parse_rational(value)
         elif key == "local":
-            data["local"].append(parse_rational(value))
+            data.setdefault(key, []).append(parse_rational(value))
         elif key == "betti":
             degree = parse_integer(value, "betti degree")
-            if degree in data["betti"]:
+            if degree in data.setdefault("betti", {}):
                 raise InvalidInputError(f"repeated conservation directive 'betti {degree}'")
             data["betti"][degree] = parse_integer(fields[1], "betti number")
         else:
-            data[key].append(parse_integer(value, key))
-    if "kind" not in data:
-        raise InvalidInputError("conservation file must declare a kind")
+            data.setdefault(key, []).append(parse_integer(value, key))
     return data
+
+
+def _tau_milnor(data: dict) -> dict:
+    verdict = isotype.check_conservation(
+        data["mu_x0"], data["betti_tau"], data.get("local", []), data["d"],
+        beta0_tau_xt=data.get("beta0_xt"), beta0_tau_x0=data.get("beta0_x0"),
+    )
+    return {"status": verdict.status, "difference": str(verdict.difference),
+            "upper_semicontinuity": verdict.semicontinuity_ok}
+
+
+def _image_milnor(data: dict) -> dict:
+    verdict = invariants.check_mu_conservation(
+        data["n"], data["p"], data["mu_i"], data["nu_i"], data.get("betti", {}),
+        data.get("local_mu", []), data.get("local_nu", []), delta=data.get("delta"),
+    )
+    return {"status": "holds" if verdict.holds else "violated",
+            "mu_residual": verdict.mu_residual, "nu_residual": verdict.nu_residual}
+
+
+# Each conservation kind: the directives it needs, those it may also have,
+# and the check that builds its payload.  Any other directive is refused.
+_CONSERVATION_KINDS = {
+    "tau-milnor": (("d", "mu_x0", "betti_tau"), ("local", "beta0_xt", "beta0_x0"), _tau_milnor),
+    "image-milnor": (("n", "p", "mu_i", "nu_i"), ("betti", "local_mu", "local_nu", "delta"),
+                     _image_milnor),
+}
 
 
 def cmd_conservation_check(args) -> int:
     data = _parse_conservation_file(_read(args.data))
-    if data["kind"] == "tau-milnor":
-        for key in ("d", "mu_x0", "betti_tau"):
-            if key not in data:
-                raise InvalidInputError(f"tau-milnor conservation data needs {key!r}")
-        verdict = isotype.check_conservation(
-            data["mu_x0"],
-            data["betti_tau"],
-            data["local"],
-            data["d"],
-            beta0_tau_xt=data.get("beta0_xt"),
-            beta0_tau_x0=data.get("beta0_x0"),
-        )
-        payload = {
-            "status": verdict.status,
-            "difference": str(verdict.difference),
-            "upper_semicontinuity": verdict.semicontinuity_ok,
-        }
-    elif data["kind"] == "image-milnor":
-        for key in ("n", "p", "mu_i", "nu_i"):
-            if key not in data:
-                raise InvalidInputError(f"image-milnor conservation data needs {key!r}")
-        verdict = invariants.check_mu_conservation(
-            data["n"],
-            data["p"],
-            data["mu_i"],
-            data["nu_i"],
-            data["betti"],
-            data["local_mu"],
-            data["local_nu"],
-            delta=data.get("delta"),
-        )
-        payload = {
-            "status": "holds" if verdict.holds else "violated",
-            "mu_residual": verdict.mu_residual,
-            "nu_residual": verdict.nu_residual,
-        }
-    else:
-        raise InvalidInputError(f"unknown conservation kind {data['kind']!r}")
+    kind = data.pop("kind")
+    if kind not in _CONSERVATION_KINDS:
+        raise InvalidInputError(f"unknown conservation kind {kind!r}")
+    needs, may, check = _CONSERVATION_KINDS[kind]
+    check_directives(data, f"{kind} conservation", needs, allowed=may)
+    payload = check(data)
     _write(args, json=lambda: _json(payload), text=lambda: _lines(payload))
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
-from .poly import parse_integer, records
+from .poly import check_directives, parse_integer, records
 from .symrep import CharacterTable
 
 
@@ -203,19 +203,23 @@ def check_conservation(
     d > 0:  mu^tau(X_0) = beta_d^tau(X_t) + sum_x mu^tau(X_t; x)
     d == 0: mu^tau(X_0) = beta_0^tau(X_t) + sum_x mu^tau(X_t; x) - beta_0^tau(X_0)
 
-    Also reports whether upper semi-continuity mu^tau(X_0) >= mu^tau(X_t; x)
-    holds for every supplied local value.
+    The beta_0^tau terms are required when d == 0 and refused otherwise.  Also
+    reports upper semi-continuity: mu^tau(X_0) >= mu^tau(X_t; x) for each x.
     """
-    left = Fraction(mu_tau_x0)
-    right = Fraction(betti_tau_xt) + sum(Fraction(v) for v in local_mu_taus)
-    if d == 0:
-        if beta0_tau_xt is None or beta0_tau_x0 is None:
-            raise IncompleteDataError("d = 0 conservation needs both beta_0^tau terms")
-        right = Fraction(beta0_tau_xt) + sum(Fraction(v) for v in local_mu_taus) - Fraction(
-            beta0_tau_x0
-        )
-    elif d < 0:
+    if d < 0:
         raise InvalidInputError("family dimension must be >= 0")
+    left = Fraction(mu_tau_x0)
+    local = sum(Fraction(v) for v in local_mu_taus)
+    beta0_terms = {"beta0_tau_xt": beta0_tau_xt, "beta0_tau_x0": beta0_tau_x0}
+    if d == 0:
+        if None in beta0_terms.values():
+            raise IncompleteDataError("d = 0 conservation needs both beta_0^tau terms")
+        right = Fraction(beta0_tau_xt) + local - Fraction(beta0_tau_x0)
+    else:
+        for name, term in beta0_terms.items():
+            if term is not None:
+                raise InvalidInputError(f"d = {d} conservation takes no {name} term")
+        right = Fraction(betti_tau_xt) + local
     semicontinuous = all(Fraction(v) <= left for v in local_mu_taus)
     if left == right:
         return ConservationVerdict(HOLDS, semicontinuity_ok=semicontinuous)
@@ -227,7 +231,7 @@ def check_conservation(
 # Records in the grammar of poly.records:   class <label> euler <chi>
 #                                           class <label> single <dim> <betti>
 #                                           class <label> icis <dim> <mu_tilde>
-# plus at most one                          top_dim <d>
+# plus, for single and icis data only, one  top_dim <d>
 # record.  Mixing kinds in one file is rejected.
 
 
@@ -240,16 +244,19 @@ class FixedPointFile:
     def value(self, table: CharacterTable, tau: str) -> Fraction:
         """The isotype number of tau that this kind of data determines:
         chi_tau (euler), beta_d^tau (single) or mu^tau (icis), d = top_dim."""
-        if self.kind == "euler":
-            return tau_characteristic(table, self.data, tau)
-        if self.top_dim is None:
-            raise InvalidInputError("single/icis fixed-point data needs a top_dim line")
-        formula = tau_betti_single_dim if self.kind == "single" else mu_tau
-        return formula(table, self.data, tau, self.top_dim)
+        formula = globals()[_KINDS[self.kind][2]]  # looked up at each call
+        dims = () if self.top_dim is None else (self.top_dim,)
+        return formula(table, self.data, tau, *dims)
 
 
-# Fields after the directive `class`: the label, the kind and the numbers.
-_RECORD_FIELDS = {"euler": (3, EulerOnly), "single": (4, SingleDim), "icis": (4, IcisDatum)}
+# Per kind: the fields after `class` (the label, the kind and the numbers),
+# their datum, the formula of FixedPointFile.value and the other directives
+# the file needs, which are all it may hold.
+_KINDS = {
+    "euler": (3, EulerOnly, "tau_characteristic", ()),
+    "single": (4, SingleDim, "tau_betti_single_dim", ("top_dim",)),
+    "icis": (4, IcisDatum, "mu_tau", ("top_dim",)),
+}
 
 
 def _record_ints(fields: Sequence[str], line: str) -> list[int]:
@@ -260,7 +267,8 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
     kind: str | None = None
     data: dict[str, object] = {}
     top_dim: int | None = None
-    lines = records(text, "fixed-point", {"top_dim": 1, "class": None}, once=("top_dim",))
+    lines = records(text, "fixed-point", {"top_dim": 1, "class": None}, once=("top_dim",),
+                    required=("class",))
     for key, fields, line in lines:
         if key == "top_dim":
             (top_dim,) = _record_ints(fields, line)
@@ -268,18 +276,17 @@ def fixed_point_data_from_text(text: str) -> FixedPointFile:
         if len(fields) < 2:
             raise InvalidInputError(f"bad fixed-point record: {line!r}")
         label, this_kind = fields[0], fields[1]
-        if kind is None:
-            kind = this_kind
-        elif kind != this_kind:
+        if kind not in (None, this_kind):
             raise InvalidInputError("mixed record kinds in one fixed-point file")
-        if this_kind not in _RECORD_FIELDS:
+        kind = this_kind
+        if this_kind not in _KINDS:
             raise InvalidInputError(f"unknown fixed-point record kind {this_kind!r}")
-        width, record = _RECORD_FIELDS[this_kind]
+        width, record, _, _ = _KINDS[this_kind]
         if len(fields) != width:
             raise InvalidInputError(f"bad {this_kind} record: {line!r}")
         if label in data:
             raise InvalidInputError(f"repeated fixed-point record for class {label!r}")
         data[label] = record(*_record_ints(fields[2:], line))
-    if kind is None:
-        raise InvalidInputError("empty fixed-point data file")
+    present = () if top_dim is None else ("top_dim",)
+    check_directives(present, f"{kind} fixed-point", _KINDS[kind][3], allowed=())
     return FixedPointFile(kind, data, top_dim)

@@ -22,16 +22,16 @@ mathematical verdict.
 
 The normal form is fraction-free: the remainder and its reducers are
 primitive integer term maps, reduced by pseudo-division.  A LocalIdeal holds
-its generators as such maps too, built once, or handed over with one
-denominator each by ``multipoint`` and the Le-Greuel chain, whose MultiPolys
-are then built only when asked for.  Inside the basis completion every
-element is held as a reducer (leading monomial, ecart, integer term map),
-computed once when it joins, and S-polynomials are formed on those maps.
-The ideal keeps its minimal reducers: the leading ideal, and every fact
-derived from it, is read straight from them, and the basis becomes
-MultiPolys only when a caller asks for it.  A reduction step is charged
-1 + terms * bits // 256 units, where terms is the size of the remainder and
-bits the bit length of its largest integer coefficient.
+its generators as such maps too, built once, or handed over by ``multipoint``
+and ``standard_basis()`` (one denominator each) and the Le-Greuel chain
+(none), whose MultiPolys are then built only when asked for.  Inside the
+basis completion every element is held as a reducer (leading monomial,
+ecart, integer term map), computed once when it joins, and S-polynomials
+are formed on those maps.  The ideal keeps its minimal reducers: the leading
+ideal, and every fact derived from it, is read straight from them, and the
+basis becomes MultiPolys only when a caller asks for it.  A reduction step
+is charged 1 + terms * bits // 256 units, where terms is the size of the
+remainder and bits the bit length of its largest integer coefficient.
 
 The maximal minors of the Le-Greuel chain's Jacobian matrices are built here
 too, on the same maps: ``_extend_minors`` extends them by one row, one

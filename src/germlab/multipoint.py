@@ -121,27 +121,18 @@ _GERM_FIELDS = {"n": 1, "p": 1, "base": None, "corank": 1, "component": None}
 def germ_from_text(text: str) -> GermSpec:
     """Parse the germ file format: n, p, optional base/corank lines (each at
     most once), components."""
-    n = p = None
-    base: list[str] | None = None
-    corank = "y"
-    comp_texts: list[str] = []
-    lines = records(text, "germ-file", _GERM_FIELDS, once=("n", "p", "base", "corank"))
+    given: dict[str, list[str]] = {}
+    components: list[str] = []
+    lines = records(text, "germ-file", _GERM_FIELDS, once=("n", "p", "base", "corank"),
+                    required=("n", "p", "component"))
     for key, fields, line in lines:
-        if key == "n":
-            n = parse_integer(fields[0], "n")
-        elif key == "p":
-            p = parse_integer(fields[0], "p")
-        elif key == "base":
-            base = fields
-        elif key == "corank":
-            (corank,) = fields
+        if key == "component":
+            components.append(line[len(key):].strip())
         else:
-            comp_texts.append(line[len(key):].strip())
-    if n is None or p is None:
-        raise InvalidInputError("germ file must declare n and p")
-    if not comp_texts:
-        raise InvalidInputError("germ file declares no components")
-    return germ(n, p, comp_texts, base=base, corank=corank)
+            given[key] = fields
+    n, p = (parse_integer(given[key][0], key) for key in ("n", "p"))
+    (corank,) = given.get("corank", ["y"])
+    return germ(n, p, components, base=given.get("base"), corank=corank)
 
 
 # -- expected dimensions ------------------------------------------------------

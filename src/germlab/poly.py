@@ -377,13 +377,16 @@ def content_lines(text: str) -> Iterator[str]:
 
 
 def records(
-    text: str, where: str, fields: Mapping[str, int | None], once: Collection[str] = ()
+    text: str, where: str, fields: Mapping[str, int | None], once: Collection[str] = (),
+    required: Collection[str] = (),
 ) -> Iterator[tuple[str, list[str], str]]:
     """Yield (directive, fields, line) per record of a ``where`` file.
 
     ``fields`` gives each directive's exact field count (None: any count),
-    ``once`` the directives that may not repeat.  An unknown directive, a
-    wrong count and a repeat are input errors that name the directive.
+    ``once`` the directives that may not repeat and ``required`` those that
+    must appear, checked once the records run out.  An unknown directive, a
+    wrong count, a repeat and a missing directive are input errors that name
+    the directive.
     """
     seen: set[str] = set()
     for line in content_lines(text):
@@ -393,11 +396,23 @@ def records(
         count = fields[directive]
         if count is not None and count != len(values):
             raise InvalidInputError(f"bad {directive} line {line!r}: expected {count} field(s)")
-        if directive in once:
-            if directive in seen:
-                raise InvalidInputError(f"repeated {where} directive {directive!r}")
-            seen.add(directive)
+        if directive in once and directive in seen:
+            raise InvalidInputError(f"repeated {where} directive {directive!r}")
+        seen.add(directive)
         yield directive, values, line
+    check_directives(seen, where, required, allowed=fields)
+
+
+def check_directives(present: Collection[str], where: str, required: Collection[str],
+                     allowed: Collection[str]):
+    """Refuse a ``where`` file that lacks a ``required`` directive or holds one
+    neither required nor ``allowed``: an input error that names it."""
+    for directive in required:
+        if directive not in present:
+            raise InvalidInputError(f"missing {where} directive {directive!r}")
+    for directive in present:
+        if directive not in required and directive not in allowed:
+            raise InvalidInputError(f"unexpected {where} directive {directive!r}")
 
 
 def parse_name(text: str, what: str) -> str:

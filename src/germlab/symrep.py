@@ -245,11 +245,10 @@ def character_table_symmetric(k: int) -> CharacterTable:
     )
 
 
-def _add_label(labels: list[str], seen: set[str], label: str, kind: str):
-    if label in seen:
+def _add(entries: dict, label: str, value, kind: str):
+    if label in entries:
         raise InvalidInputError(f"repeated {kind} label {label!r}")
-    seen.add(label)
-    labels.append(label)
+    entries[label] = value
 
 
 _TABLE_FIELDS = {"group_order": 1, "class": 2, "irrep": None}
@@ -268,13 +267,10 @@ def table_from_text(text: str) -> CharacterTable:
     inconsistent tables are rejected.
     """
     order = None
-    class_labels: list[str] = []
-    class_sizes: list[int] = []
-    irrep_labels: list[str] = []
-    rows: list[tuple[int | Fraction, ...]] = []
-    seen_classes: set[str] = set()
-    seen_irreps: set[str] = set()
-    lines = records(text, "character-table", _TABLE_FIELDS, once=("group_order",))
+    sizes: dict[str, int] = {}
+    rows: dict[str, tuple[int | Fraction, ...]] = {}
+    lines = records(text, "character-table", _TABLE_FIELDS, once=("group_order",),
+                    required=("group_order", "class", "irrep"))
     for key, fields, line in lines:
         if key == "group_order":
             order = parse_integer(fields[0], "group order")
@@ -282,29 +278,20 @@ def table_from_text(text: str) -> CharacterTable:
             size = parse_integer(fields[1], "class size")
             if size <= 0:
                 raise InvalidInputError(f"class size must be positive: {line!r}")
-            _add_label(class_labels, seen_classes, fields[0], "class")
-            class_sizes.append(size)
+            _add(sizes, fields[0], size, "class")
         elif len(fields) < 2:
             raise InvalidInputError(f"bad irrep line: {line!r}")
         else:
-            row = parse_rational_fields(fields[1:])
-            _add_label(irrep_labels, seen_irreps, fields[0], "irreducible")
-            rows.append(row)
-    if order is None or not class_labels or not irrep_labels:
-        raise InvalidInputError("character table needs group_order, classes and irreps")
-    _check_shape(rows, len(class_labels))
+            _add(rows, fields[0], parse_rational_fields(fields[1:]), "irreducible")
+    values = tuple(rows.values())
+    _check_shape(values, len(sizes))
     identity_candidates = [
-        j for j, size in enumerate(class_sizes) if size == 1 and all(row[j] > 0 for row in rows)
+        j for j, size in enumerate(sizes.values()) if size == 1 and all(r[j] > 0 for r in values)
     ]
     if not identity_candidates:
         raise InconsistentDataError("no class qualifies as the identity class")
-    table = CharacterTable(
-        group_order=order,
-        class_labels=tuple(class_labels),
-        class_sizes=tuple(class_sizes),
-        irrep_labels=tuple(irrep_labels),
-        values=tuple(rows),
-        identity_index=identity_candidates[0],
-    )
+    table = CharacterTable(group_order=order, class_labels=tuple(sizes),
+                           class_sizes=tuple(sizes.values()), irrep_labels=tuple(rows),
+                           values=values, identity_index=identity_candidates[0])
     table.validate()
     return table

@@ -201,6 +201,13 @@ class TestConservation:
         with pytest.raises(IncompleteDataError):
             check_conservation(2, 0, [0], 0)
 
+    @pytest.mark.parametrize("term", ["beta0_tau_xt", "beta0_tau_x0"])
+    def test_positive_dimension_refuses_beta0_terms(self, term):
+        # Each term was dropped without a word: the verdict was that of the
+        # morsified cusp without it.
+        with pytest.raises(InvalidInputError, match=f"d = 1 conservation takes no {term} term"):
+            check_conservation(2, 0, [1, 1], 1, **{term: 5})
+
     def test_semicontinuity_flag(self):
         verdict = check_conservation(2, -1, [3], 1)
         assert not verdict.semicontinuity_ok

@@ -106,6 +106,25 @@ class TestRecords:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             self.read(text)
 
+    def test_required_directives_are_checked_once_the_records_run_out(self):
+        def keys(text, seen):
+            for key, _, _ in records(text, "test", self.FIELDS, required=("n", "list")):
+                seen.append(key)
+
+        seen = []
+        keys("list\nn 1\nlist\n", seen)
+        assert seen == ["list", "n", "list"]
+        # Every record is yielded before a missing directive is reported, and
+        # an error in a record comes before it.
+        seen = []
+        with pytest.raises(InvalidInputError, match=re.escape("missing test directive 'list'")):
+            keys("n 1\npair a b\n", seen)
+        assert seen == ["n", "pair"]
+        with pytest.raises(InvalidInputError, match=re.escape("missing test directive 'n'")):
+            keys("# only a comment\n", [])
+        with pytest.raises(InvalidInputError, match=re.escape("unknown test directive 'm'")):
+            keys("m 1\n", [])
+
     @pytest.mark.parametrize("name", ["x", "x1", "_", "y_2", "\u00e9"])
     def test_names(self, name):
         assert parse_name(name, "variable") == name
