@@ -16,9 +16,7 @@ incomplete checker data (e.g. a missing correction term).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from typing import Callable
@@ -32,6 +30,7 @@ from .errors import (
     NotAFiniteError,
     ResourceLimitError,
 )
+from .invariants import csv_text, json_text
 from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
 from .multipoint import InfeasibleDimensionsError
 from .poly import check_directives, parse_integer, parse_rational, records
@@ -85,10 +84,6 @@ def _write(args, **renderers: Callable[[], str]):
     _emit(render(), args.output)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _lines(payload: dict) -> str:
     return "".join(f"{key}: {value}\n" for key, value in payload.items())
 
@@ -105,7 +100,7 @@ def cmd_sc_feasible(args) -> int:
     report = multipoint.sc_feasibility_report(args.n, args.p)
     _write(
         args,
-        json=lambda: _json(report),
+        json=lambda: json_text(report),
         text=lambda: f"({args.n}, {args.p}): feasible = {report['feasible']}  "
         f"kappa = {report['kappa']}  margin = {report['margin']}\n",
     )
@@ -123,7 +118,7 @@ def cmd_char_table(args) -> int:
     table = symrep.character_table_symmetric(args.k)
 
     def as_json():
-        return _json({
+        return json_text({
             "group_order": table.group_order,
             "classes": [
                 {"label": lbl, "size": size}
@@ -136,12 +131,10 @@ def cmd_char_table(args) -> int:
         })
 
     def as_csv():
-        # csv.writer, as IcssTable.to_csv: partition labels hold commas.
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["irrep", *table.class_labels])
-        writer.writerows([lbl, *row] for lbl, row in zip(table.irrep_labels, table.values))
-        return buf.getvalue()
+        return csv_text([
+            ["irrep", *table.class_labels],
+            *([lbl, *row] for lbl, row in zip(table.irrep_labels, table.values)),
+        ])
 
     _write(args, json=as_json, csv=as_csv, text=table.to_text)
     return EXIT_OK
@@ -152,7 +145,7 @@ def cmd_isotype(args) -> int:
     data_file = isotype.fixed_point_data_from_text(_read(args.data))
     taus = [args.tau] if args.tau else table.irrep_labels
     out = {tau: str(data_file.value(table, tau)) for tau in taus}
-    _write(args, json=lambda: _json(out), text=lambda: _lines(out))
+    _write(args, json=lambda: json_text(out), text=lambda: _lines(out))
     return EXIT_OK
 
 
@@ -170,15 +163,7 @@ def cmd_icss(args) -> int:
     g = multipoint.germ_from_text(_read(args.germ))
     analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     table = invariants.icss_table(analysis)
-
-    def as_json():
-        return _json({
-            "cells": [c.as_dict() for c in table.cells],
-            "entries": [c.as_dict() for c in table.entries],
-            "image_betti": {str(i): b for i, b in sorted((table.image_betti or {}).items())},
-        })
-
-    _write(args, json=as_json, csv=table.to_csv, text=table.to_text)
+    _write(args, json=lambda: json_text(table.as_dict()), csv=table.to_csv, text=table.to_text)
     return EXIT_OK
 
 
@@ -213,8 +198,11 @@ def _parse_conservation_file(text: str) -> dict:
 
 
 def _tau_milnor(data: dict) -> dict:
+    # The d > 0 identity needs the top Betti term; at d = 0 the check refuses it.
+    if data["d"] > 0:
+        check_directives(data, "tau-milnor conservation", ("betti_tau",), allowed=data)
     verdict = isotype.check_conservation(
-        data["mu_x0"], data["betti_tau"], data.get("local", []), data["d"],
+        data["mu_x0"], data.get("betti_tau"), data.get("local", []), data["d"],
         beta0_tau_xt=data.get("beta0_xt"), beta0_tau_x0=data.get("beta0_x0"),
     )
     return {"status": verdict.status, "difference": str(verdict.difference),
@@ -233,7 +221,7 @@ def _image_milnor(data: dict) -> dict:
 # Each conservation kind: the directives it needs, those it may also have,
 # and the check that builds its payload.  Any other directive is refused.
 _CONSERVATION_KINDS = {
-    "tau-milnor": (("d", "mu_x0", "betti_tau"), ("local", "beta0_xt", "beta0_x0"), _tau_milnor),
+    "tau-milnor": (("d", "mu_x0"), ("betti_tau", "local", "beta0_xt", "beta0_x0"), _tau_milnor),
     "image-milnor": (("n", "p", "mu_i", "nu_i"), ("betti", "local_mu", "local_nu", "delta"),
                      _image_milnor),
 }
@@ -247,7 +235,7 @@ def cmd_conservation_check(args) -> int:
     needs, may, check = _CONSERVATION_KINDS[kind]
     check_directives(data, f"{kind} conservation", needs, allowed=may)
     payload = check(data)
-    _write(args, json=lambda: _json(payload), text=lambda: _lines(payload))
+    _write(args, json=lambda: json_text(payload), text=lambda: _lines(payload))
     return EXIT_OK
 
 

@@ -89,10 +89,9 @@ from .localalg import (
     _extend_minors,
     _primitive,
     _reduce,
-    _subtract_multiple,
     standard_basis,
 )
-from .poly import Exponent, MultiPoly, VarSet
+from .poly import Exponent, MultiPoly, VarSet, _subtract_multiple
 
 EMPTY = "empty"
 SMOOTH = "smooth"

@@ -229,12 +229,32 @@ class IcssTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r", "q", "k", "value"])
-        for c in self.cells:
-            writer.writerow([c.r, c.q, c.k, "" if c.value is None else c.value])
-        return buf.getvalue()
+        return csv_text([
+            ["r", "q", "k", "value"],
+            *([c.r, c.q, c.k, "" if c.value is None else c.value] for c in self.cells),
+        ])
+
+    def as_dict(self) -> dict:
+        return {
+            "cells": [c.as_dict() for c in self.cells],
+            "entries": [c.as_dict() for c in self.entries],
+            "image_betti": None
+            if self.image_betti is None
+            else {str(i): b for i, b in sorted(self.image_betti.items())},
+        }
+
+
+def json_text(payload) -> str:
+    """The JSON rendering of every report: two-space indent, final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def csv_text(rows) -> str:
+    """The CSV rendering of every table, by csv.writer: a field that holds a
+    comma, such as a partition label, is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def icss_layout(n: int, p: int) -> IcssTable:
@@ -301,12 +321,15 @@ def check_mu_conservation(
     instabilities.  When p/(p-n) is not an integer the degree-kappa rank is
     unexpected homology and is subtracted, with the correction term delta
     required when d_kappa = 1 (it cannot be derived from the other inputs;
-    refusing is the only honest option).
+    refusing is the only honest option).  When p/(p-n) is an integer the
+    identity has no correction term, and a delta is refused.
     """
     kap = kappa(n, p)
     integral_ratio = p % (p - n) == 0
     if any(i <= 0 for i in betti_im_ft):
         raise InvalidInputError("perturbed-image Betti data uses positive degrees only")
+    if integral_ratio and delta is not None:
+        raise InvalidInputError(f"p/(p-n) = {p // (p - n)} conservation takes no delta term")
     sum_mu_side = sum(v for i, v in betti_im_ft.items() if i != kap)
     beta_kappa = betti_im_ft.get(kap, 0)
     nu_side = sum(_degree_sign(n, p, i) * v for i, v in betti_im_ft.items() if i != kap)
@@ -344,6 +367,7 @@ class InvariantReport:
     def as_dict(self) -> dict:
         g = self.analysis.germ
         v = self.analysis.verdict
+        icss = None if self.icss is None else self.icss.as_dict()
         spaces = [
             sp.as_dict()
             for (_, _), sp in sorted(
@@ -368,10 +392,8 @@ class InvariantReport:
             "mu_image": self.mu_i,
             "nu_image": self.nu_i,
             "mu_top_term": 0,
-            "icss": None if self.icss is None else [c.as_dict() for c in self.icss.cells],
-            "image_betti": None
-            if self.icss is None or self.icss.image_betti is None
-            else {str(i): b for i, b in sorted(self.icss.image_betti.items())},
+            "icss": None if icss is None else icss["cells"],
+            "image_betti": None if icss is None else icss["image_betti"],
             "tau": self.tau,
             "mu_tau": None
             if self.mu_tau_values is None
@@ -383,7 +405,7 @@ class InvariantReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
+        return json_text(self.as_dict())
 
     def to_text(self) -> str:
         d = self.as_dict()

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
-from .poly import check_directives, parse_integer, records
+from .poly import check_directives, clear_denominators, parse_integer, records
 from .symrep import CharacterTable
 
 
@@ -89,9 +88,7 @@ def _exact_sum(
     """
     if all(type(v) is int for v in values):
         return Fraction(sum(map(mul, weights, values)), scale)
-    fracs = [Fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    den, nums = clear_denominators(values)
     return Fraction(sum(map(mul, weights, nums)), scale * den)
 
 
@@ -120,13 +117,9 @@ def evaluate_class_function(
 ) -> dict[str, Fraction]:
     """Forward evaluation b_sigma = sum_tau chi_tau(sigma) x_tau per class."""
     values = [x[label] for label in table.irrep_labels]
-    rows = table.integer_rows
-    common = lcm(*(den for den, _ in rows))
-    # chi_tau(sigma) = ints_tau[j] / D_tau = ints_tau[j] * (common // D_tau) / common
-    return {
-        cls: _exact_sum((ints[j] * (common // den) for den, ints in rows), values, common)
-        for j, cls in enumerate(table.class_labels)
-    }
+    columns = map(clear_denominators, zip(*table.values))
+    return {cls: _exact_sum(ints, values, den)
+            for cls, (den, ints) in zip(table.class_labels, columns)}
 
 
 def tau_characteristic(
@@ -192,7 +185,7 @@ def mu_tau(
 
 def check_conservation(
     mu_tau_x0: Fraction | int,
-    betti_tau_xt: Fraction | int,
+    betti_tau_xt: Fraction | int | None,
     local_mu_taus: Sequence[Fraction | int],
     d: int,
     beta0_tau_xt: Fraction | int | None = None,
@@ -203,22 +196,25 @@ def check_conservation(
     d > 0:  mu^tau(X_0) = beta_d^tau(X_t) + sum_x mu^tau(X_t; x)
     d == 0: mu^tau(X_0) = beta_0^tau(X_t) + sum_x mu^tau(X_t; x) - beta_0^tau(X_0)
 
-    The beta_0^tau terms are required when d == 0 and refused otherwise.  Also
+    Each form requires its own terms and refuses the other's: betti_tau_xt
+    (beta_d^tau(X_t)) when d > 0, the beta_0^tau terms when d == 0.  Also
     reports upper semi-continuity: mu^tau(X_0) >= mu^tau(X_t; x) for each x.
     """
     if d < 0:
         raise InvalidInputError("family dimension must be >= 0")
     left = Fraction(mu_tau_x0)
     local = sum(Fraction(v) for v in local_mu_taus)
-    beta0_terms = {"beta0_tau_xt": beta0_tau_xt, "beta0_tau_x0": beta0_tau_x0}
+    terms = {"beta0_tau_xt": beta0_tau_xt, "beta0_tau_x0": beta0_tau_x0,
+             "betti_tau_xt": betti_tau_xt}
+    needed = ("beta0_tau_xt", "beta0_tau_x0") if d == 0 else ("betti_tau_xt",)
+    for name, term in terms.items():
+        if name in needed and term is None:
+            raise IncompleteDataError(f"d = {d} conservation needs the {name} term")
+        if name not in needed and term is not None:
+            raise InvalidInputError(f"d = {d} conservation takes no {name} term")
     if d == 0:
-        if None in beta0_terms.values():
-            raise IncompleteDataError("d = 0 conservation needs both beta_0^tau terms")
         right = Fraction(beta0_tau_xt) + local - Fraction(beta0_tau_x0)
     else:
-        for name, term in beta0_terms.items():
-            if term is not None:
-                raise InvalidInputError(f"d = {d} conservation takes no {name} term")
         right = Fraction(betti_tau_xt) + local
     semicontinuous = all(Fraction(v) <= left for v in local_mu_taus)
     if left == right:

@@ -21,17 +21,20 @@ search nodes and standard monomials alike, separates "gave up" from every
 mathematical verdict.
 
 The normal form is fraction-free: the remainder and its reducers are
-primitive integer term maps, reduced by pseudo-division.  A LocalIdeal holds
-its generators as such maps too, built once, or handed over by ``multipoint``
-and ``standard_basis()`` (one denominator each) and the Le-Greuel chain
-(none), whose MultiPolys are then built only when asked for.  Inside the
-basis completion every element is held as a reducer (leading monomial,
-ecart, integer term map), computed once when it joins, and S-polynomials
-are formed on those maps.  The ideal keeps its minimal reducers: the leading
-ideal, and every fact derived from it, is read straight from them, and the
-basis becomes MultiPolys only when a caller asks for it.  A reduction step
-is charged 1 + terms * bits // 256 units, where terms is the size of the
-remainder and bits the bit length of its largest integer coefficient.
+primitive integer term maps, reduced by pseudo-division with the term-map
+kernel of ``poly`` (its multiply-add and ``clear_denominators``).  Every
+LocalIdeal has one state, set at construction: its generators as integer
+term maps with one denominator each, cleared from MultiPolys or handed over
+by ``multipoint``, ``standard_basis()`` and the Le-Greuel chain, and their
+primitive parts; its MultiPolys are built from that state only when asked
+for.  Inside the basis completion every element is held as a reducer
+(leading monomial, ecart, integer term map), computed once when it joins,
+and S-polynomials are formed on those maps.  The ideal keeps its minimal
+reducers: the leading ideal, and every fact derived from it, is read
+straight from them, and the basis becomes MultiPolys only when a caller
+asks for it.  A reduction step is charged 1 + terms * bits // 256 units,
+where terms is the size of the remainder and bits the bit length of its
+largest integer coefficient.
 
 The maximal minors of the Le-Greuel chain's Jacobian matrices are built here
 too, on the same maps: ``_extend_minors`` extends them by one row, one
@@ -45,12 +48,22 @@ import heapq
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, repeat
-from math import gcd, lcm as _int_lcm
+from math import gcd
 from operator import add, itemgetter, le, sub
 from typing import Collection, Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError, VariableMismatchError
-from .poly import Exponent, MultiPoly, VarSet, content_lines, format_poly, parse_name, parse_poly
+from .poly import (
+    Exponent,
+    MultiPoly,
+    VarSet,
+    _subtract_multiple,
+    clear_denominators,
+    content_lines,
+    format_poly,
+    parse_name,
+    parse_poly,
+)
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -126,8 +139,7 @@ def _lead(terms: Collection[Exponent]) -> tuple[Exponent, int]:
 
 def _integer_terms(p: MultiPoly) -> dict[Exponent, int]:
     """p scaled to coprime integer coefficients."""
-    den = _int_lcm(*(c.denominator for c in p.terms.values()))
-    return _primitive({e: c.numerator * (den // c.denominator) for e, c in p.terms.items()})
+    return _primitive(dict(zip(p.terms, clear_denominators(p.terms.values())[1])))
 
 
 def _coeff_bits(h: dict[Exponent, int]) -> int:
@@ -145,20 +157,6 @@ def _primitive(h: dict[Exponent, int]) -> dict[Exponent, int]:
     """
     g = gcd(*h.values())
     return h if g == 1 else {e: c // g for e, c in h.items()}
-
-
-def _subtract_multiple(
-    h: dict[Exponent, int], a: int, g: dict[Exponent, int], m: Exponent
-) -> dict[Exponent, int]:
-    """h := h - a * x^m * g, in place."""
-    for e, c in g.items():
-        e = tuple(map(add, e, m))
-        c = h.get(e, 0) - a * c
-        if c:
-            h[e] = c
-        else:
-            del h[e]
-    return h
 
 
 def _derivative(h: dict[Exponent, int], i: int) -> dict[Exponent, int]:
@@ -371,8 +369,9 @@ def _monomial_ideal_dimension(lms: Sequence[Exponent], nvars: int, budget: _Budg
 class LocalIdeal:
     """An ideal in the local ring at the origin, with cached derived facts.
 
-    Zero generators are dropped at construction.  The generators' primitive
-    integer term maps, the minimal reducers of the standard basis and the
+    Construction keeps each generator as an integer term map and a
+    denominator, and their primitive parts, zero generators dropped.  The
+    MultiPoly generators, the minimal reducers of the standard basis and the
     facts computed from its leading ideal (unit containment, Krull
     dimension, quotient dimension) are cached on first use; instances are
     immutable afterwards, so sharing across threads or workers is safe.
@@ -384,35 +383,31 @@ class LocalIdeal:
         ambient: VarSet,
         budget: int = DEFAULT_STEP_BUDGET,
     ):
-        gens = []
+        maps, dens = [], []
         for g in generators:
             if g.vars != ambient:
                 raise VariableMismatchError("generator does not live over the ambient VarSet")
-            if not g.is_zero():
-                gens.append(g)
-        self.generators: tuple[MultiPoly, ...] = tuple(gens)
-        self.ambient = ambient
-        self.budget = budget
+            den, ints = clear_denominators(g.terms.values())
+            maps.append(dict(zip(g.terms, ints)))
+            dens.append(den)
+        self._init_state(maps, ambient, budget, dens)
 
     @classmethod
     def _from_terms(cls, maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int,
                     dens: Sequence[int] | None = None) -> "LocalIdeal":
         """The ideal of the polynomials h / d over ``ambient``, for integer
-        term maps h and positive integers d (all 1 when ``dens`` is None),
-        empty maps dropped.  Its ``_terms`` are the maps' primitive parts;
-        its MultiPoly generators are built only if asked for."""
-        ideal = cls.__new__(cls)
-        ideal._scaled = maps, dens
-        ideal._terms = tuple(_primitive(h) for h in maps if h)
-        ideal.ambient = ambient
-        ideal.budget = budget
-        return ideal
+        term maps h and positive integers d (all 1 when ``dens`` is None)."""
+        return cls.__new__(cls)._init_state(maps, ambient, budget, dens)
 
-    # An ideal built by __init__ sets `generators` and derives `_terms`;
-    # one built by _from_terms sets `_terms` and derives `generators`.
-    @cached_property
-    def _terms(self) -> tuple[dict[Exponent, int], ...]:
-        return tuple(map(_integer_terms, self.generators))
+    def _init_state(self, maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int,
+                    dens: Sequence[int] | None) -> "LocalIdeal":
+        """Set the one state of every ideal: its maps and denominators, and
+        the primitive parts of the nonempty maps as ``_terms``."""
+        self._scaled = maps, dens
+        self._terms = tuple(_primitive(h) for h in maps if h)
+        self.ambient = ambient
+        self.budget = budget
+        return self
 
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:

@@ -14,23 +14,24 @@ coefficient is coerced to a Fraction (zeros dropped).  The private
 is already well formed and holds no zero, and keeps that very dict.
 
 Every other producer calls ``_trusted`` and so must not hand it a zero.
-Only a sum can cancel, so the zero filter sits where terms are summed:
-``+``, ``-`` and ``*``, plus ``scale(0)`` and ``constant(0)``.  The rest map each
-nonzero coefficient to one nonzero coefficient under an injective exponent
-map, so no term collides and none vanishes: negation, ``scale(c)`` for
-c != 0, a monomial's power, the ``variable`` constructor and
-``divided_difference`` (below).
+Only a sum can cancel, so the zero filter sits where terms are summed: in
+the multiply-add behind ``+``, ``-`` and ``*``, and in ``scale(0)`` and
+``constant(0)``.  The rest map each nonzero coefficient to one nonzero
+coefficient under an injective exponent map, so no term collides and none
+vanishes: negation, ``scale(c)`` for c != 0, the ``variable`` constructor
+and ``divided_difference`` (below).
 
-The one domain-specific primitive is ``divided_difference``: the exact
-quotient (h[y_old -> y_new] - h) / (y_new - y_old), computed term by term
-(never by polynomial division); its term-map kernel builds the equations of
-the multiple point spaces.
+The engine's term-map kernel lives here, for Fraction and int coefficients
+alike: the multiply-add ``_subtract_multiple``, ``clear_denominators`` and
+the divided difference, the exact quotient (h[y_old -> y_new] - h) /
+(y_new - y_old), computed term by term, never by polynomial division.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Collection, Iterator, Mapping, Sequence
 
@@ -145,26 +146,12 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            if exp not in out:
-                out[exp] = c
-            elif s := out[exp] + c:
-                out[exp] = s
-            else:
-                del out[exp]
+        out = _subtract_multiple(dict(self.terms), -1, other.terms, (0,) * len(self.vars))
         return MultiPoly._trusted(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            if exp not in out:
-                out[exp] = -c
-            elif s := out[exp] - c:
-                out[exp] = s
-            else:
-                del out[exp]
+        out = _subtract_multiple(dict(self.terms), 1, other.terms, (0,) * len(self.vars))
         return MultiPoly._trusted(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -173,12 +160,9 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
         out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
-        # A term that cancels may be summed into again, so filter at the end.
-        return MultiPoly._trusted(self.vars, {e: c for e, c in out.items() if c})
+        for e, c in self.terms.items():
+            _subtract_multiple(out, -c, other.terms, e)
+        return MultiPoly._trusted(self.vars, out)
 
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)
@@ -189,9 +173,6 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:  # a monomial: scale its exponent, power its coefficient
-            ((exp, c),) = self.terms.items()
-            return MultiPoly._trusted(self.vars, {tuple(e * n for e in exp): c**n})
         result = MultiPoly.constant(self.vars, 1)
         base = self
         while n:
@@ -258,6 +239,26 @@ def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
     """Exact (h[y_old -> y_new] - h) / (y_new - y_old); ``y_new`` must not occur in h."""
     i, j = h.vars.index(y_old), h.vars.index(y_new)
     return MultiPoly._trusted(h.vars, _divided_difference_terms(h.terms, i, j))
+
+
+def _subtract_multiple(h: dict, a, g: Mapping[Exponent, Fraction | int], m: Exponent) -> dict:
+    """h := h - a * x^m * g in place, for term maps of any coefficient type: a
+    term that cancels is deleted, so h holds no zero if it held none."""
+    for e, c in g.items():
+        e = tuple(map(add, e, m))
+        c = h.get(e, 0) - a * c
+        if c:
+            h[e] = c
+        else:
+            del h[e]
+    return h
+
+
+def clear_denominators(values: Collection[Fraction | int]) -> tuple[int, tuple[int, ...]]:
+    """(D, (D * v for v in values)), D the lcm of the denominators: integers
+    whose exact sums need one division at the end, not a Fraction per term."""
+    den = lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, j: int) -> dict:

@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
-from .poly import parse_integer, parse_rational_fields, records
+from .poly import clear_denominators, parse_integer, parse_rational_fields, records
 
 MAX_SYMMETRIC_K = 12
 
@@ -179,14 +179,10 @@ class CharacterTable:
         and r_i = D_i * row_i in integers, so that exact sums over a row need
         one division at the end instead of a Fraction per term.  A row of
         ints is its own r_i, with D_i = 1."""
-        out = []
-        for row in self.values:
-            if all(type(v) is int for v in row):
-                out.append((1, row))
-                continue
-            den = lcm(*(v.denominator for v in row))
-            out.append((den, tuple(v.numerator * (den // v.denominator) for v in row)))
-        return tuple(out)
+        return tuple(
+            (1, row) if all(type(v) is int for v in row) else clear_denominators(row)
+            for row in self.values
+        )
 
     def validate(self):
         if sum(self.class_sizes) != self.group_order:

@@ -326,7 +326,7 @@ class TestIntegerGrammar:
         assert "bad" not in err, err
 
 
-TAU_MILNOR_D0 = "kind tau-milnor\nd 0\nmu_x0 1\nbetti_tau 0\nbeta0_xt 1\nbeta0_x0 0\nlocal 0\n"
+TAU_MILNOR_D0 = "kind tau-milnor\nd 0\nmu_x0 1\nbeta0_xt 1\nbeta0_x0 0\nlocal 0\n"
 NAMED_S2_GERM = "n 2\np 3\nbase x1\ncorank y\ncomponent y^2\ncomponent y^3 + x1^3*y\n"
 
 # Every directive that holds one value: (command, its input files, the line
@@ -345,6 +345,9 @@ SINGLE_VALUED = {
         for line in text.splitlines()
         if line.split()[0] not in ("local", "local_mu", "local_nu")
     },
+    # betti_tau is a directive of d > 0 files only.
+    "conservation-betti_tau": ("conservation-check", (CUSP_CONSERVATION,), "betti_tau 0",
+                               "conservation"),
 }
 
 
@@ -444,7 +447,7 @@ OTHER_KIND = {
     },
     **{
         f"tau-milnor-{line.split()[0]}": (line, KILLING_CONSERVATION, "image-milnor")
-        for line in TAU_MILNOR_D0.splitlines()[1:]
+        for line in [*TAU_MILNOR_D0.splitlines()[1:], "betti_tau 0"]
     },
 }
 
@@ -470,6 +473,18 @@ class TestConservationKinds:
         code, out, err = run(capsys, "conservation-check", path)
         assert (code, out) == (EXIT_INPUT, "")
         assert "beta0_tau_xt" in err
+
+    # Each line was read and ignored, and the check exited 0 with "holds".
+    @pytest.mark.parametrize("text, line, term", [
+        ("kind image-milnor\nn 2\np 4\nmu_i 0\nnu_i 0\n", "delta 5", "delta"),
+        (TAU_MILNOR_D0, "betti_tau 7", "betti_tau_xt"),
+    ], ids=["delta-at-integral-ratio", "betti_tau-at-d-0"])
+    def test_a_term_the_identity_lacks_is_an_input_error(self, files, capsys, text, line, term):
+        code, out, err = run(capsys, "conservation-check", files("plain.cons", text))
+        assert (code, json.loads(out)["status"]) == (EXIT_OK, "holds"), err
+        code, out, err = run(capsys, "conservation-check", files("extra.cons", f"{text}{line}\n"))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"takes no {term} term" in err
 
 
 class TestTopDim:

@@ -10,6 +10,7 @@ import pytest
 
 from germlab import (
     IncompleteDataError,
+    InvalidInputError,
     NotAFiniteError,
     build_report,
     check_mu_conservation,
@@ -469,6 +470,12 @@ class TestMuConservationChecker:
     def test_missing_correction_term_refused(self):
         with pytest.raises(IncompleteDataError):
             check_mu_conservation(3, 5, 0, 0, {2: 1}, [1], [1])
+
+    def test_delta_refused_when_the_ratio_is_an_integer(self):
+        # p/(p-n) = 2: the identity has no correction term; a delta 5 was
+        # dropped without a word and the check said "holds".
+        with pytest.raises(InvalidInputError, match="p/.p-n. = 2 conservation takes no delta"):
+            check_mu_conservation(2, 4, 0, 0, {}, [], [], delta=5)
 
     def test_fabricated_violation(self):
         verdict = check_mu_conservation(2, 3, 2, 2, {}, [1], [1])

@@ -194,7 +194,7 @@ class TestConservation:
 
     def test_zero_dimensional_variant(self):
         # mu(X_0) = beta_0(X_t) + sum local - beta_0(X_0).
-        verdict = check_conservation(2, 0, [0], 0, beta0_tau_xt=3, beta0_tau_x0=1)
+        verdict = check_conservation(2, None, [0], 0, beta0_tau_xt=3, beta0_tau_x0=1)
         assert verdict.holds
 
     def test_zero_dimensional_requires_beta0_terms(self):
@@ -207,6 +207,15 @@ class TestConservation:
         # morsified cusp without it.
         with pytest.raises(InvalidInputError, match=f"d = 1 conservation takes no {term} term"):
             check_conservation(2, 0, [1, 1], 1, **{term: 5})
+
+    def test_zero_dimension_refuses_the_top_betti_term(self):
+        # It was dropped without a word: any value gave the verdict above.
+        with pytest.raises(InvalidInputError, match="d = 0 conservation takes no betti_tau_xt"):
+            check_conservation(2, 7, [0], 0, beta0_tau_xt=3, beta0_tau_x0=1)
+
+    def test_positive_dimension_requires_the_top_betti_term(self):
+        with pytest.raises(IncompleteDataError, match="d = 1 conservation needs the betti_tau_xt"):
+            check_conservation(2, None, [1, 1], 1)
 
     def test_semicontinuity_flag(self):
         verdict = check_conservation(2, -1, [3], 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -267,6 +268,23 @@ class TestFractionReference:
             parse_poly("2*x + 3*y^2", vs), reducers([parse_poly("4*x + z^2", vs)]), _Budget(100)
         )
         assert nf == parse_poly("6*y^2 - z^2", vs)
+
+
+class TestConstruction:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nonzero_generators_and_their_integer_maps_are_kept(self, data):
+        # Every ideal has one state, integer maps with a denominator each:
+        # the MultiPolys read back from it are the nonzero inputs.
+        gens, p = data.draw(small_ideals())
+        vs = p.vars
+        zeros = [MultiPoly.zero(vs), p - p]
+        mixed = data.draw(st.permutations(gens + zeros[: data.draw(st.integers(0, 2))]))
+        I = LocalIdeal(mixed, vs)
+        nonzero = [g for g in mixed if not g.is_zero()]
+        assert I.generators == tuple(nonzero)
+        assert all(type(c) is Fraction for g in I.generators for c in g.terms.values())
+        assert I._terms == tuple(map(_integer_terms, nonzero))
 
 
 class TestNormalForm:

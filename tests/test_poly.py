@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -295,6 +296,40 @@ def test_ring_operations_hold_only_nonzero_fractions(p, q, c):
     assert MultiPoly.variable(V3, "y1") == parse_poly("y1", V3)
     for gen in _cell_generators(p, q):
         assert _nonzero_fractions(gen)
+
+
+def _fraction_dict_reference(p: MultiPoly, op: str, q: MultiPoly) -> dict:
+    """p op q for op in + - *, on plain dicts of Fractions, zeros dropped."""
+    out: dict = {}
+    if op == "*":
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    else:
+        out = dict(p.terms)
+        for e, c in q.terms.items():
+            out[e] = out.get(e, Fraction(0)) + (c if op == "+" else -c)
+    return {e: c for e, c in out.items() if c}
+
+
+# Exponents 0..2 and few coefficient values: terms collide and cancel often.
+_colliding_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)),
+    st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2), Fraction(-2, 3)]),
+    max_size=5,
+).map(lambda d: MultiPoly(V3, d))
+
+
+@given(st.one_of(_polys, _colliding_polys), st.one_of(_polys, _colliding_polys))
+@settings(max_examples=200)
+def test_ring_operations_match_a_fraction_dict_reference(p, q):
+    # Against -p, + cancels every term and - doubles each.
+    for op, apply in (("+", operator.add), ("-", operator.sub), ("*", operator.mul)):
+        for rhs in (q, -p):
+            got = apply(p, rhs)
+            assert got.terms == _fraction_dict_reference(p, op, rhs)
+            assert _nonzero_fractions(got)
 
 
 def test_fixed_locus_map_drops_the_terms_it_cancels():
