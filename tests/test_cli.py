@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import time
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import germlab
-from germlab import cli
+from germlab import cli, character_table_symmetric
 from germlab.cli import (
     EXIT_BAD_CHECK_DATA,
     EXIT_INCONSISTENT,
@@ -807,6 +808,75 @@ class TestIsotypeCommand:
         code, _, err = run(capsys, "isotype", str(path), files("d.data", "class a euler 1\n"))
         assert code == EXIT_INPUT
         assert "cannot read" in err
+
+
+# -- isotype output bytes on the char-table tables ----------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def isotype_fixed_point_files(k: int) -> tuple[dict[str, str], str]:
+    """Seeded fixed-point files for S_k, by name, and one irreducible for --tau.
+
+    euler: random Euler characteristics.  single and icis: the per-class
+    character of random multiplicities, signed by random dimensions below
+    top_dim, so every isotype is a non-negative integer.  icis-shifted: the
+    icis data with the identity datum raised by one, which most k refuse.
+    """
+    rng = random.Random(f"isotype S_{k}")
+    table = character_table_symmetric(k)
+    labels, identity = table.class_labels, table.identity_index
+    euler = [rng.randint(-20, 20) for _ in labels]
+    multiplicities = [rng.randint(0, 3) for _ in table.irrep_labels]
+    character = [sum(m * row[j] for m, row in zip(multiplicities, table.values))
+                 for j in range(len(labels))]
+    d = rng.randint(0, 3)
+    dims = [d if j == identity else rng.randint(0, d) for j in range(len(labels))]
+    signed = [(-1) ** (d - dim) * b for dim, b in zip(dims, character)]
+    shifted = [v + (j == identity) for j, v in enumerate(signed)]
+
+    def records(kind, values):
+        head = "" if kind == "euler" else f"top_dim {d}\n"
+        fields = values if kind == "euler" else (f"{dim} {v}" for dim, v in zip(dims, values))
+        return head + "".join(f"class {c} {kind} {f}\n" for c, f in zip(labels, fields))
+
+    data = {"euler": records("euler", euler), "single": records("single", signed),
+            "icis": records("icis", signed), "icis-shifted": records("icis", shifted)}
+    return data, rng.choice(table.irrep_labels)
+
+
+def isotype_digest_lines(k: int, workdir: Path) -> list[str]:
+    """`k data format tau code digest` for `germlab isotype` on the text of
+    `char-table k`, per data file, format and --tau (`-` for every tau);
+    digest is the sha256 of stdout, a NUL, then stderr."""
+    table = workdir / f"s{k}.table"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--format", "text", "char-table", str(k)]) == EXIT_OK
+    table.write_text(out.getvalue())
+    data, tau = isotype_fixed_point_files(k)
+    lines = []
+    for name, text in data.items():
+        path = workdir / f"s{k}.{name}"
+        path.write_text(text)
+        for fmt in ("text", "json"):
+            for chosen in (None, tau):
+                argv = ["--format", fmt, "isotype", str(table), str(path)]
+                argv += ["--tau", chosen] if chosen else []
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode())
+                lines.append(f"{k} {name} {fmt} {chosen or '-'} {code} {digest.hexdigest()}")
+    return lines
+
+
+class TestIsotypeBytes:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_isotype_output_bytes_are_pinned(self, tmp_path, k):
+        pinned = (DATA / "isotype_digests.txt").read_text().splitlines()
+        expected = [line for line in pinned if line.startswith(f"{k} ")]
+        assert len(expected) == 16
+        assert isotype_digest_lines(k, tmp_path) == expected
 
 
 # -- fuzzing the character-table and fixed-point formats ----------------------

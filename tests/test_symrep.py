@@ -182,8 +182,10 @@ class TestCharacterTable:
 
     def test_s12_from_a_cleared_column_cache(self):
         symrep._column.cache_clear()
+        character_table_symmetric.cache_clear()
         cold = character_table_symmetric(12)
         symrep._column.cache_clear()
+        character_table_symmetric.cache_clear()
         for k in range(1, 12):
             character_table_symmetric(k)
         assert character_table_symmetric(12) == cold
@@ -297,6 +299,86 @@ irrep other 1 1
     def test_unknown_irreducible_is_an_input_error(self):
         with pytest.raises(InvalidInputError, match="unknown irreducible"):
             character_table_symmetric(3).row("(4)")
+
+
+def swapped_s4_labels():
+    t = character_table_symmetric(4)
+    labels = list(t.irrep_labels)
+    labels[0], labels[-1] = labels[-1], labels[0]
+    return replace(t, irrep_labels=tuple(labels))
+
+
+def permuted_s4_rows():
+    t = character_table_symmetric(4)
+    return replace(t, irrep_labels=t.irrep_labels[::-1], values=t.values[::-1])
+
+
+class TestSymmetricTableRecognition:
+    """table_from_text returns the cached S_k table for char-table's own
+    output and validates every other table, near-S_k ones included."""
+
+    @pytest.fixture()
+    def validate_calls(self, monkeypatch):
+        calls = []
+        original = CharacterTable.validate
+
+        def spy(table):
+            calls.append(table)
+            original(table)
+
+        monkeypatch.setattr(CharacterTable, "validate", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_char_table_output_is_the_cached_table(self, monkeypatch, k):
+        def fail(table):
+            raise AssertionError("validate ran on a generated S_k table")
+
+        monkeypatch.setattr(CharacterTable, "validate", fail)
+        known = character_table_symmetric(k)
+        assert table_from_text(known.to_text()) is known
+
+    @pytest.mark.parametrize(
+        "old, new, message, value",
+        [
+            ("irrep (3,1) -1 0 -1 1 3\n", "irrep (3,1) -1 0 -1 2 3\n",
+             "row orthogonality fails for irreducibles 0 and 1", 6),
+            ("class (2,2) 3\n", "class (2,2) 4\n",
+             "class sizes do not sum to the group order", None),
+        ],
+        ids=["one-value", "one-class-size"],
+    )
+    def test_a_changed_s4_table_is_validated_and_refused(self, validate_calls, old, new,
+                                                         message, value):
+        text = character_table_symmetric(4).to_text()
+        assert old in text
+        with pytest.raises(InconsistentDataError) as exc:
+            table_from_text(text.replace(old, new))
+        assert (type(exc.value), str(exc.value), exc.value.value) == (
+            InconsistentDataError, message, value)
+        assert len(validate_calls) == 1
+
+    def test_other_class_labels_build_no_symmetric_table(self, monkeypatch, validate_calls):
+        # Order 24 and the values of S_4, but classes named otherwise: the
+        # labels decide before any S_k table is looked up.
+        t = character_table_symmetric(4)
+        renamed = replace(t, class_labels=tuple("abcde"))
+
+        def fail(k):
+            raise AssertionError("an S_k table was looked up")
+
+        monkeypatch.setattr(symrep, "character_table_symmetric", fail)
+        assert table_from_text(renamed.to_text()) == renamed
+        assert len(validate_calls) == 1
+
+    @pytest.mark.parametrize("variant", [swapped_s4_labels, permuted_s4_rows],
+                             ids=["two-labels-swapped", "rows-permuted"])
+    def test_a_reordered_s4_table_is_validated_and_accepted(self, validate_calls, variant):
+        table = variant()
+        assert table != character_table_symmetric(4)
+        again = table_from_text(table.to_text())
+        assert again == table
+        assert validate_calls == [again]
 
 
 # -- integer kernel against the Fraction loop ---------------------------------
