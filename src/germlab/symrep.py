@@ -6,8 +6,8 @@ the Murnaghan-Nakayama rule, on partitions and rim-hook columns built once
 per process, and stay plain ints; these tables are exact by construction and
 the test suite, not the run time, checks them.  A generic CharacterTable
 container holds tables of other finite groups with rational values, loaded
-from a small text format.  A loaded table equal to a generated S_k table is
-that table; any other is validated against the orthogonality relations.
+from a small text format and validated against the orthogonality relations
+on load.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
@@ -140,14 +140,37 @@ def _check_shape(rows: Sequence[Sequence[int | Fraction]], width: int):
         raise InconsistentDataError(f"{len(rows)} irreducibles for {width} classes")
 
 
+def _rows_orthogonal(order: int, sizes: Sequence[int],
+                     rows: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
+    """Whether sum_k sizes_k r_ik r_jk == order D_i D_j [i == j] for all rows
+    i, j of integer_rows ((D_i, r_i) each), in O(c^2) integer operations.
+
+    The c x c identity H == E holds iff H v == E v for v = (1, t, t^2, ...)
+    with t = 2^b above every |H_ij - E_ij|: a nonzero row of H - E cannot
+    vanish at v, since its lowest nonzero entry would be a multiple of t.
+    H v is computed as X (S (X^T v)), X the integer rows and S the class
+    sizes.  Positive sizes bound |H_ij| by max H_ii (Cauchy-Schwarz); any
+    other size answers False.
+    """
+    if min(sizes, default=1) <= 0:
+        return False
+    squares = [sum(map(mul, sizes, map(mul, ints, ints))) for _, ints in rows]
+    den = max((d for d, _ in rows), default=1)
+    b = (max(squares, default=0) + abs(order) * den * den).bit_length()
+    powers = range(0, b * len(rows), b)  # v_j = t^j = 1 << powers[j]
+    columns = [sum(map(lshift, col, powers)) for col in zip(*(ints for _, ints in rows))]
+    weighted = tuple(map(mul, sizes, columns))  # S X^T v
+    return all(sum(map(mul, ints, weighted)) == (order * d * d) << powers[i]
+               for i, (d, ints) in enumerate(rows))
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Irreducible characters indexed by conjugacy class, all values exact.
 
     validate() enforces class sizes summing to group_order, one irreducible
     per class, row orthogonality and positive degrees; every table read from
-    text runs it, except one equal to a generated S_k table, which the test
-    suite validates instead.
+    text runs it.
     For symmetric groups the labels are partition strings and the values are
     ints; generic tables admit rational values, an int where the value is
     written as an integer and a Fraction where it is written a/b.  Values
@@ -190,7 +213,9 @@ class CharacterTable:
             raise InconsistentDataError("class sizes do not sum to the group order")
         _check_shape(self.values, len(self.class_labels))
         rows = self.integer_rows
-        for i, (den_i, ints_i) in enumerate(rows):
+        # All pairs at once; pair by pair only to name the first that fails.
+        suspects = () if _rows_orthogonal(self.group_order, self.class_sizes, rows) else rows
+        for i, (den_i, ints_i) in enumerate(suspects):
             # sum size * row_i * row_j == expected  <=>  the same identity
             # multiplied through by D_i * D_j, in integers.
             weighted = tuple(map(mul, self.class_sizes, ints_i))
@@ -251,7 +276,6 @@ def _add(entries: dict, label: str, value, kind: str):
 
 
 _TABLE_FIELDS = {"group_order": 1, "class": 2, "irrep": None}
-_SYMMETRIC_ORDERS = {factorial(k): k for k in range(1, MAX_SYMMETRIC_K + 1)}
 
 
 def table_from_text(text: str) -> CharacterTable:
@@ -263,10 +287,8 @@ def table_from_text(text: str) -> CharacterTable:
     each be unique and class sizes positive.  A value written as an integer
     is read as an int, one written a/b as a Fraction.  The identity class is
     the one of size 1 on which every irreducible is positive; the count of
-    irreducibles (one per class) is checked.  A table equal to
-    character_table_symmetric(k) is returned as that table, all its values
-    ints even where one is written a/b; any other is validated and rejected
-    if inconsistent.
+    irreducibles (one per class) and orthogonality are validated and
+    inconsistent tables are rejected.
     """
     order = None
     sizes: dict[str, int] = {}
@@ -295,13 +317,5 @@ def table_from_text(text: str) -> CharacterTable:
     table = CharacterTable(group_order=order, class_labels=tuple(sizes),
                            class_sizes=tuple(sizes.values()), irrep_labels=tuple(rows),
                            values=values, identity_index=identity_candidates[0])
-    # The S_k tables that char-table writes: the test suite validates every
-    # generated table, so equality to one stands in for the O(c^3) check.
-    # The labels are compared first, so no S_k table is built for another
-    # group of the same order.
-    k = _SYMMETRIC_ORDERS.get(order)
-    if k and table.class_labels == tuple(p.label() for p in partitions(k)):
-        if table == (known := character_table_symmetric(k)):
-            return known
     table.validate()
     return table

@@ -313,9 +313,9 @@ def permuted_s4_rows():
     return replace(t, irrep_labels=t.irrep_labels[::-1], values=t.values[::-1])
 
 
-class TestSymmetricTableRecognition:
-    """table_from_text returns the cached S_k table for char-table's own
-    output and validates every other table, near-S_k ones included."""
+class TestNearSymmetricTables:
+    """An S_4 table with one value, size, label or row order changed is
+    validated on load and gets the verdict it always had."""
 
     @pytest.fixture()
     def validate_calls(self, monkeypatch):
@@ -328,15 +328,6 @@ class TestSymmetricTableRecognition:
 
         monkeypatch.setattr(CharacterTable, "validate", spy)
         return calls
-
-    @pytest.mark.parametrize("k", range(1, 13))
-    def test_char_table_output_is_the_cached_table(self, monkeypatch, k):
-        def fail(table):
-            raise AssertionError("validate ran on a generated S_k table")
-
-        monkeypatch.setattr(CharacterTable, "validate", fail)
-        known = character_table_symmetric(k)
-        assert table_from_text(known.to_text()) is known
 
     @pytest.mark.parametrize(
         "old, new, message, value",
@@ -358,19 +349,6 @@ class TestSymmetricTableRecognition:
             InconsistentDataError, message, value)
         assert len(validate_calls) == 1
 
-    def test_other_class_labels_build_no_symmetric_table(self, monkeypatch, validate_calls):
-        # Order 24 and the values of S_4, but classes named otherwise: the
-        # labels decide before any S_k table is looked up.
-        t = character_table_symmetric(4)
-        renamed = replace(t, class_labels=tuple("abcde"))
-
-        def fail(k):
-            raise AssertionError("an S_k table was looked up")
-
-        monkeypatch.setattr(symrep, "character_table_symmetric", fail)
-        assert table_from_text(renamed.to_text()) == renamed
-        assert len(validate_calls) == 1
-
     @pytest.mark.parametrize("variant", [swapped_s4_labels, permuted_s4_rows],
                              ids=["two-labels-swapped", "rows-permuted"])
     def test_a_reordered_s4_table_is_validated_and_accepted(self, validate_calls, variant):
@@ -379,6 +357,64 @@ class TestSymmetricTableRecognition:
         again = table_from_text(table.to_text())
         assert again == table
         assert validate_calls == [again]
+
+
+def rows_orthogonal(table: CharacterTable) -> bool:
+    return symrep._rows_orthogonal(table.group_order, table.class_sizes, table.integer_rows)
+
+
+def pairs_hold(table: CharacterTable) -> bool:
+    """Row orthogonality summed pair by pair, in exact arithmetic."""
+    n = len(table.values)
+    return all(
+        sum(size * a * b for size, a, b in zip(table.class_sizes, table.values[i],
+                                                table.values[j]))
+        == (table.group_order if i == j else 0)
+        for i in range(n) for j in range(n)
+    )
+
+
+class TestRowsOrthogonal:
+    """The O(c^2) evaluation at powers of t decides row orthogonality exactly
+    as the pairwise sums do."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_generated_tables_pass_both_checks(self, k):
+        t = character_table_symmetric(k)
+        assert rows_orthogonal(t)
+        assert pairs_hold(t)
+
+    @settings(max_examples=400, deadline=None)
+    @given(rational_tables)
+    def test_matches_the_pairwise_check(self, table):
+        if sum(table.class_sizes) == table.group_order:
+            assert rows_orthogonal(table) == pairs_hold(table)
+
+    @pytest.mark.parametrize("delta", [1, -1, 24, Fraction(1, 2)])
+    def test_every_single_entry_change_of_s4_fails(self, delta):
+        t = character_table_symmetric(4)
+        for i, j in itertools.product(range(5), repeat=2):
+            values = [list(row) for row in t.values]
+            values[i][j] += delta
+            assert not rows_orthogonal(replace(t, values=tuple(map(tuple, values))))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (1, 3)])
+    def test_every_small_two_class_table(self, sizes):
+        # Every integer table with entries in -3..3, orthogonal or not.
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            t = CharacterTable(group_order=sum(sizes), class_labels=("a", "b"),
+                               class_sizes=sizes, irrep_labels=("x", "y"),
+                               values=(entries[:2], entries[2:]))
+            assert rows_orthogonal(t) == pairs_hold(t), entries
+
+    def test_a_non_positive_size_leaves_the_decision_to_the_pairs(self):
+        # Cauchy-Schwarz needs positive sizes; with (3, -1) the evaluation
+        # declines and the pairwise sums refuse the first failing pair.
+        t = CharacterTable(group_order=2, class_labels=("a", "b"), class_sizes=(3, -1),
+                           irrep_labels=("x", "y"), values=((1, 1), (1, 2)))
+        assert not rows_orthogonal(t)
+        assert verdict(CharacterTable.validate, t) == (
+            "row orthogonality fails for irreducibles 0 and 1", 1, Fraction)
 
 
 # -- integer kernel against the Fraction loop ---------------------------------
