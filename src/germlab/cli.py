@@ -21,19 +21,20 @@ import json
 import sys
 from typing import Callable
 
-from . import icis, invariants, isotype, multipoint, symrep
+# Only what char-table and isotype run is imported here; each command that
+# needs the algebra (localalg, icis, multipoint, invariants) imports it.
+from . import isotype, symrep
 from .errors import (
+    DEFAULT_STEP_BUDGET,
     GermlabError,
     IncompleteDataError,
     InconsistentDataError,
+    InfeasibleDimensionsError,
     InvalidInputError,
     NotAFiniteError,
     ResourceLimitError,
 )
-from .invariants import csv_text, json_text
-from .localalg import DEFAULT_STEP_BUDGET, ideal_from_text
-from .multipoint import InfeasibleDimensionsError
-from .poly import check_directives, parse_integer, parse_rational, records
+from .poly import check_directives, csv_text, json_text, parse_integer, parse_rational, records
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,6 +90,8 @@ def _lines(payload: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from . import invariants, multipoint
+
     g = multipoint.germ_from_text(_read(args.germ))
     analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     report = invariants.build_report(analysis, tau=args.tau)
@@ -97,6 +100,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sc_feasible(args) -> int:
+    from . import multipoint
+
     report = multipoint.sc_feasibility_report(args.n, args.p)
     _write(
         args,
@@ -108,6 +113,8 @@ def cmd_sc_feasible(args) -> int:
 
 
 def cmd_sc_generate(args) -> int:
+    from . import multipoint
+
     # A germ file in every format: it is the input of analyze.
     g = multipoint.generate_sc_germ(args.n, args.p, budget=args.budget_steps)
     _emit(g.serialize(), args.output)
@@ -150,7 +157,9 @@ def cmd_isotype(args) -> int:
 
 
 def cmd_milnor(args) -> int:
-    ideal = ideal_from_text(_read(args.ideal), budget=args.budget_steps)
+    from . import icis, localalg
+
+    ideal = localalg.ideal_from_text(_read(args.ideal), budget=args.budget_steps)
     dim = len(ideal.ambient) - len(ideal.generators)
     if dim < 0:
         raise InvalidInputError("more generators than ambient variables")
@@ -160,6 +169,8 @@ def cmd_milnor(args) -> int:
 
 
 def cmd_icss(args) -> int:
+    from . import invariants, multipoint
+
     g = multipoint.germ_from_text(_read(args.germ))
     analysis = multipoint.analyze_germ(g, budget=args.budget_steps)
     table = invariants.icss_table(analysis)
@@ -210,6 +221,8 @@ def _tau_milnor(data: dict) -> dict:
 
 
 def _image_milnor(data: dict) -> dict:
+    from . import invariants
+
     verdict = invariants.check_mu_conservation(
         data["n"], data["p"], data["mu_i"], data["nu_i"], data.get("betti", {}),
         data.get("local_mu", []), data.get("local_nu", []), delta=data.get("delta"),

@@ -23,6 +23,10 @@ class VariableMismatchError(GermlabError):
     """Operands or bindings do not live over compatible variable sets."""
 
 
+# The work budget of every bounded computation, and the --budget-steps default.
+DEFAULT_STEP_BUDGET = 1_000_000
+
+
 class ResourceLimitError(GermlabError):
     """A computation exceeded its step budget.
 
@@ -61,3 +65,7 @@ class InvalidInputError(GermlabError):
 
 class IncompleteDataError(InvalidInputError):
     """A checker needs a datum the caller must supply; guessing would be wrong."""
+
+
+class InfeasibleDimensionsError(InvalidInputError):
+    """Strongly contractible germs do not exist in the requested dimensions."""

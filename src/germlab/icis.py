@@ -79,7 +79,7 @@ from math import gcd
 from operator import eq, itemgetter
 from typing import Sequence
 
-from .errors import InconsistentDataError, NotIcisError
+from .errors import InconsistentDataError, InvalidInputError, NotIcisError
 from .localalg import (
     DEFAULT_STEP_BUDGET,
     INFINITE,
@@ -302,7 +302,7 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     """mu of an isolated hypersurface singularity: the one-step Le-Greuel
     chain, whose step is the colength of the Jacobian ideal.
 
-    Off the origin (a nonzero constant term) raises InconsistentDataError;
+    Off the origin (a nonzero constant term) raises InvalidInputError;
     a non-isolated singularity, the zero polynomial included, NotIcisError.
     """
     return milnor_icis(LocalIdeal([g], g.vars, budget=budget), len(g.vars) - 1)
@@ -338,12 +338,13 @@ def milnor_icis(ideal: LocalIdeal, dim: int) -> int:
     first remaining generator whose section has finite colength; when no
     remaining generator has one, the chain fails at step i.  The minor
     expansion of every candidate is charged to one budget of ``ideal.budget``
-    units, and every section runs under a budget of its own.
+    units, and every section runs under a budget of its own.  The unit ideal,
+    the caller's input, raises InvalidInputError.
     """
     if dim < 0:
         raise InconsistentDataError("milnor_icis needs a non-negative dimension")
     if ideal.contains_unit():
-        raise InconsistentDataError("empty germ has no Milnor number")
+        raise InvalidInputError("the unit ideal defines the empty germ: no Milnor number")
     if dim == 0:
         q = ideal.quotient_dimension()
         if q is INFINITE:

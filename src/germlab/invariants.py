@@ -24,9 +24,6 @@ mono-germs analyzed here.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
@@ -41,6 +38,7 @@ from .errors import (
 from .icis import EMPTY, ISOLATED_POINTS, MilnorData
 from .isotype import IcisDatum, mu_tau
 from .multipoint import GermAnalysis, MultiPointSpace, expected_dim, kappa
+from .poly import csv_text, json_text
 from .symrep import CharacterTable, character_table_symmetric, class_size, partitions
 
 
@@ -242,19 +240,6 @@ class IcssTable:
             if self.image_betti is None
             else {str(i): b for i, b in sorted(self.image_betti.items())},
         }
-
-
-def json_text(payload) -> str:
-    """The JSON rendering of every report: two-space indent, final newline."""
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def csv_text(rows) -> str:
-    """The CSV rendering of every table, by csv.writer: a field that holds a
-    comma, such as a partition label, is quoted."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
 
 
 def icss_layout(n: int, p: int) -> IcssTable:

@@ -52,7 +52,12 @@ from math import gcd
 from operator import add, itemgetter, le, sub
 from typing import Collection, Iterable, Sequence
 
-from .errors import InvalidInputError, ResourceLimitError, VariableMismatchError
+from .errors import (
+    DEFAULT_STEP_BUDGET,
+    InvalidInputError,
+    ResourceLimitError,
+    VariableMismatchError,
+)
 from .poly import (
     Exponent,
     MultiPoly,
@@ -64,8 +69,6 @@ from .poly import (
     parse_name,
     parse_poly,
 )
-
-DEFAULT_STEP_BUDGET = 1_000_000
 
 # The quotient dimension of an ideal of positive Krull dimension.
 INFINITE = None

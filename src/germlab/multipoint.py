@@ -29,7 +29,7 @@ from math import floor, lcm
 from typing import Sequence
 
 from . import icis
-from .errors import InconsistentDataError, InvalidInputError
+from .errors import InconsistentDataError, InfeasibleDimensionsError, InvalidInputError
 from .icis import (
     EMPTY,
     ICIS,
@@ -53,10 +53,6 @@ from .poly import (
     records,
 )
 from .symrep import MAX_SYMMETRIC_K, Partition, partitions
-
-
-class InfeasibleDimensionsError(InvalidInputError):
-    """Strongly contractible germs do not exist in the requested dimensions."""
 
 
 @dataclass(frozen=True)

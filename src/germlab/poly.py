@@ -29,6 +29,9 @@ the divided difference, the exact quotient (h[y_old -> y_new] - h) /
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import re
 from fractions import Fraction
 from math import lcm
@@ -414,6 +417,19 @@ def check_directives(present: Collection[str], where: str, required: Collection[
     for directive in present:
         if directive not in required and directive not in allowed:
             raise InvalidInputError(f"unexpected {where} directive {directive!r}")
+
+
+def json_text(payload) -> str:
+    """The JSON rendering of every report: two-space indent, final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def csv_text(rows) -> str:
+    """The CSV rendering of every table, by csv.writer: a field that holds a
+    comma, such as a partition label, is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def parse_name(text: str, what: str) -> str:

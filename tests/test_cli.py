@@ -9,6 +9,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from germlab.errors import (
     GermlabError,
     IncompleteDataError,
     InconsistentDataError,
+    InfeasibleDimensionsError,
     InvalidInputError,
     NotAFiniteError,
     NotIcisError,
@@ -39,7 +42,6 @@ from germlab.errors import (
     ResourceLimitError,
     VariableMismatchError,
 )
-from germlab.multipoint import InfeasibleDimensionsError
 
 CONTRACTIBLE_GERM = """\
 n 5
@@ -144,6 +146,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on ``args``: it imports the germlab under test,
+    installed or not, and writes no bytecode, so it starts as cold as the
+    benchmark's workers and CI."""
+    pythonpath = os.pathsep.join(
+        filter(None, [str(Path(germlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1",
+           **env}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 class TestAnalyze:
     def test_contractible_report(self, files, capsys):
         path = files("g.germ", CONTRACTIBLE_GERM)
@@ -185,29 +201,11 @@ class TestAnalyze:
         assert first == second
 
     def test_byte_identical_across_processes(self, files):
-        import subprocess
-        import sys
-
         path = files("g.germ", S2_GERM)
-        # The child imports the germlab under test, installed or not.
-        pythonpath = os.pathsep.join(
-            filter(None, [str(Path(germlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
-        )
-        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
-        # The child writes no bytecode cache into the source tree when this
-        # run writes none.
-        if "PYTHONDONTWRITEBYTECODE" in os.environ:
-            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
-        outs = []
-        for seed in ("101", "202"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "germlab.cli", "analyze", path],
-                capture_output=True,
-                text=True,
-                env={**env, "PYTHONHASHSEED": seed},
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
+        outs = [
+            fresh_python(["-m", "germlab.cli", "analyze", path], PYTHONHASHSEED=seed).stdout
+            for seed in ("101", "202")
+        ]
         assert outs[0] == outs[1]
 
     def test_not_a_finite_exit_with_partial_report(self, files, capsys):
@@ -1070,6 +1068,15 @@ class TestMilnorCommand:
         assert code == EXIT_OK and json.loads(out) == {"mu": 2**12 - 1}
 
 
+    @pytest.mark.parametrize("generators", ["1", "x + 1"])
+    def test_unit_ideal_is_an_input_error(self, files, capsys, generators):
+        # Exited 5, "internal inconsistency", on the user's own input.
+        path = files("unit.ideal", f"vars x y\n{generators}\n")
+        code, out, err = run(capsys, "milnor", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "unit ideal" in err
+
+
 class TestConservationCommand:
     def test_morsification_fixture(self, files, capsys):
         path = files("cusp.cons", CUSP_CONSERVATION)
@@ -1161,3 +1168,133 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert message in err and err.startswith("usage: germlab")
+
+
+# Imports germlab, then germlab.cli, then runs cli.main on each argv of the
+# JSON list in argv[1], and prints, as JSON, the germlab modules loaded after
+# each of these steps, with the exit code of each call.
+LOADED_AFTER = """\
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("germlab."))
+
+import germlab
+steps = [[None, loaded()]]
+from germlab import cli
+steps.append([None, loaded()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append([cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+ALGEBRA = {"germlab.localalg", "germlab.icis", "germlab.multipoint", "germlab.invariants"}
+
+
+def loaded_after(*argvs: list[str]) -> list[tuple[int | None, set[str]]]:
+    out = fresh_python(["-c", LOADED_AFTER, json.dumps(argvs)]).stdout
+    return [(code, set(modules)) for code, modules in json.loads(out)]
+
+
+class TestModulesLoaded:
+    """What importing germlab and each command load in a fresh interpreter:
+    a stray top-level import would make char-table and isotype compile the
+    algebra they never run."""
+
+    def test_package_loads_errors_and_cli_loads_the_table_path(self):
+        (_, package), (_, with_cli) = loaded_after()
+        assert package == {"germlab.errors"}
+        assert with_cli == {"germlab.cli", "germlab.errors", "germlab.isotype", "germlab.poly",
+                            "germlab.symrep"}
+
+    def test_char_table_and_isotype_load_no_algebra(self, files):
+        table = files("s5.table", "")
+        labels = character_table_symmetric(5).class_labels
+        data = files("s5.euler", "".join(f"class {label} euler 0\n" for label in labels))
+        steps = loaded_after(
+            ["--format", "text", "--output", table, "char-table", "5"],
+            ["isotype", table, data],
+        )
+        assert [code for code, _ in steps] == [None, None, EXIT_OK, EXIT_OK]
+        # Neither command imports a module: a first call that did would add
+        # the compile time to the latency of char-table itself.
+        assert steps[1][1] == steps[2][1] == steps[3][1]
+        assert steps[1][1].isdisjoint(ALGEBRA)
+
+    def test_milnor_loads_no_germ_analysis(self, files):
+        path = files("cubic.ideal", "vars x y\nx^3 + y^3\n")
+        *_, (code, modules) = loaded_after(["milnor", path])
+        assert code == EXIT_OK
+        assert {"germlab.localalg", "germlab.icis"} <= modules
+        assert modules.isdisjoint({"germlab.multipoint", "germlab.invariants"})
+
+    def test_every_error_class_is_defined_without_the_algebra(self):
+        # TestExitCodes walks GermlabError's subclasses: every one of them,
+        # InfeasibleDimensionsError included, exists once cli is imported.
+        walk = """\
+import json, sys
+from germlab import cli
+from germlab.errors import GermlabError
+found, todo = {GermlabError}, [GermlabError]
+while todo:
+    new = set(todo.pop().__subclasses__()) - found
+    found |= new
+    todo += new
+print(json.dumps([sorted(c.__name__ for c in found), sorted(sys.modules)]))
+"""
+        classes, modules = json.loads(fresh_python(["-c", walk]).stdout)
+        assert classes == sorted(c.__name__ for c in TestExitCodes.DOCUMENTED)
+        assert ALGEBRA.isdisjoint(modules)
+
+
+# The names `germlab` exported from each module before the package loaded its
+# modules on first use.
+EXPORTS = {
+    "errors": ["GermlabError", "IncompleteDataError", "InconsistentDataError",
+               "InvalidInputError", "NotAFiniteError", "NotIcisError", "PolySyntaxError",
+               "ResourceLimitError", "VariableMismatchError"],
+    "poly": ["MultiPoly", "VarSet", "divided_difference", "format_poly", "parse_poly"],
+    "localalg": ["DEFAULT_STEP_BUDGET", "INFINITE", "LocalIdeal", "ideal_from_text"],
+    "icis": ["MilnorData", "VarietyClass", "classify", "milnor_hypersurface", "milnor_icis"],
+    "symrep": ["CharacterTable", "Partition", "character_table_symmetric", "class_size",
+               "partitions", "sign_of_class", "table_from_text"],
+    "isotype": ["ConservationVerdict", "EulerOnly", "IcisDatum", "SingleDim",
+                "check_conservation", "evaluate_class_function", "mu_tau",
+                "solve_character_system", "tau_betti_single_dim", "tau_characteristic"],
+    "multipoint": ["GermAnalysis", "GermSpec", "InfeasibleDimensionsError", "analyze_germ",
+                   "expected_dim", "expected_dim_sigma", "fixed_locus_equations",
+                   "generate_sc_germ", "germ", "germ_from_text", "kappa",
+                   "multiple_point_equations", "prop_disg_check", "sc_dimension_feasible",
+                   "sc_feasibility_report"],
+    "invariants": ["IcssTable", "InvariantReport", "build_report", "check_mu_conservation",
+                   "icss_layout", "icss_table", "mu_alt_dk", "mu_image", "mu_k_tau",
+                   "no_unexpected_deformations", "nu_image"],
+}
+
+# Reads the package surface in a fresh interpreter: dir() before any name is
+# touched, then each name of argv[1]'s {module: names} against its module.
+SURFACE = """\
+import importlib, json, sys
+import germlab
+
+homes = json.loads(sys.argv[1])
+out = {"missing_from_dir": sorted(set(germlab.__all__) - set(dir(germlab)))}
+out["all"] = sorted(germlab.__all__)
+out["differ"] = [
+    name for home, names in homes.items() for name in names
+    if getattr(germlab, name) is not getattr(importlib.import_module("germlab." + home), name)
+]
+try:
+    germlab.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_lazy_package_surface_equals_the_eager_one():
+    out = json.loads(fresh_python(["-c", SURFACE, json.dumps(EXPORTS)]).stdout)
+    assert out["all"] == sorted(name for names in EXPORTS.values() for name in names)
+    assert out["missing_from_dir"] == [] and out["differ"] == []
+    assert out["unknown"] == "module 'germlab' has no attribute 'no_such_name'"

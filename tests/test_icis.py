@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
-    InconsistentDataError,
+    InvalidInputError,
     LocalIdeal,
     NotIcisError,
     ResourceLimitError,
@@ -521,8 +521,8 @@ class TestHypersurfaceMilnorIsTheChain:
         assert milnor_hypersurface(poly(f"x^{k + 1} + x^{k + 3}", ["x"])) == k
 
     @pytest.mark.parametrize("text, error", [
-        ("1 + x^2 + y^2", InconsistentDataError),  # off the origin
-        ("-2", InconsistentDataError),
+        ("1 + x^2 + y^2", InvalidInputError),  # off the origin: the unit ideal
+        ("-2", InvalidInputError),
         ("x^2", NotIcisError),  # singular along the y-axis
         ("x^2*y", NotIcisError),
         ("0", NotIcisError),  # the zero polynomial
