@@ -3,9 +3,9 @@
 Commands: analyze, sc-feasible, sc-generate, char-table, isotype, milnor,
 icss, conservation-check.  Reports are machine-readable first (JSON), with
 a text rendering behind --format, and CSV for char-table and icss; a format
-a command has no rendering for is an input error.  sc-generate writes a germ
-file in every format.  Runs are reproducible: every algorithm is
-deterministic.
+a command has no rendering for is an input error, refused before the
+command computes anything.  sc-generate writes a germ file in every format.
+Runs are reproducible: every algorithm is deterministic.
 
 Exit codes: 0 success; 1 input or parse error; 2 resource limit exceeded;
 3 germ not A-finite (a partial report is still emitted); 4 sc-generate on
@@ -75,14 +75,22 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _write(args, **renderers: Callable[[], str]):
-    """Emit the rendering of a command's result that --format names.  A
-    command has exactly the formats it passes a renderer for; any other is
-    an input error that names the command."""
-    render = renderers.get(args.format)
-    if render is None:
+# Every command renders json and text.  These also take csv: char-table and
+# icss render a table, and sc-generate writes its germ file in every format.
+_CSV_COMMANDS = frozenset({"char-table", "icss", "sc-generate"})
+
+
+def _check_format(args):
+    """Refuse a --format the command has no rendering for, naming the command."""
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
         raise InvalidInputError(f"{args.command} has no {args.format} output")
-    _emit(render(), args.output)
+
+
+def _write(args, **renderers: Callable[[], str]):
+    """Emit the rendering of a command's result that --format names; a
+    command passes a renderer for each format it has."""
+    _check_format(args)
+    _emit(renderers[args.format](), args.output)
 
 
 def _lines(payload: dict) -> str:
@@ -333,6 +341,7 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _check_format(args)  # before the command computes anything
         # Command "sc-feasible" runs cmd_sc_feasible, looked up at each call.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GermlabError as exc:

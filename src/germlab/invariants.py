@@ -1,17 +1,18 @@
 """Alternating Milnor numbers, image invariants, and the table layer.
 
-The k-th alternating number is computed by two different formulas and the
-results are required to agree exactly:
+The k-th alternating number mu_k^Alt is the sign isotype of the S_k action
+on D^k(f): mu_tau at the sign label (1,...,1), fed with the class-wise
+dimension and extended Milnor number of each cell D^k(f)^s,
 
-  (A)  (1/k!) [ sum_{d^s >= 0} mu(D^k(f)^s)
-                - sum_{d^s < 0} (-1)^(d^s) beta_0(D^k(f)^s) ]
+  (1/k!) sum_s sign(s) (-1)^(d_k - dim^s) mu~(D^k(f)^s).
 
-  (B)  (1/k!) [ sum_{d^s >= 0 even} mu^{+0}(D^k(f)^s)
-                + sum_{d^s > 0 odd} mu^{-0}(D^k(f)^s) ]
-
-with sums over group elements, realized class-wise via class sizes.  Their
-agreement is a theorem, so a mismatch is reported as an internal
-inconsistency rather than absorbed.
+Since d_k - d^s = k - #cycles(s), (-1)^(d_k - d^s) = sign(s): an ICIS or
+smooth cell (dim^s = d^s) enters with its mu and sign +1, and a cell of
+isolated points (d^s < 0, fed as dim 0 and mu~ = -beta_0) enters with
+-(-1)^(d^s) beta_0.  That is the fixed-point formula
+(1/k!) [ sum_{d^s >= 0} mu - sum_{d^s < 0} (-1)^(d^s) beta_0 ], evaluated
+once; a value that is not a non-negative integer is an internal
+inconsistency.
 
 Every image invariant is read from one dict {k: mu_k^Alt}, k = 2..d(f):
 mu_I is its sum and nu_I its signed sum.  The E-infinity table places
@@ -26,20 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
 from typing import Mapping, Sequence
 
-from .errors import (
-    IncompleteDataError,
-    InconsistentDataError,
-    InvalidInputError,
-    NotAFiniteError,
-)
+from .errors import IncompleteDataError, InvalidInputError, NotAFiniteError
 from .icis import EMPTY, ISOLATED_POINTS, MilnorData
 from .isotype import IcisDatum, mu_tau
 from .multipoint import GermAnalysis, MultiPointSpace, expected_dim, kappa
 from .poly import csv_text, json_text
-from .symrep import CharacterTable, character_table_symmetric, class_size, partitions
+from .symrep import CharacterTable, Partition, character_table_symmetric, partitions
 
 
 def _require_a_finite(analysis: GermAnalysis):
@@ -57,52 +52,9 @@ def _cell_milnor(sp: MultiPointSpace) -> MilnorData:
     return md
 
 
-def mu_alt_formula_a(analysis: GermAnalysis, k: int) -> Fraction:
-    """Alternating number via Milnor numbers and beta_0 corrections."""
-    acc = Fraction(0)
-    for shape in partitions(k):
-        sp = analysis.cell(k, shape)
-        md = _cell_milnor(sp)
-        size = class_size(shape)
-        if sp.expected_dim >= 0:
-            acc += size * md.mu
-        else:
-            sign = -1 if sp.expected_dim % 2 else 1
-            acc -= size * sign * md.beta0
-    return acc / factorial(k)
-
-
-def mu_alt_formula_b(analysis: GermAnalysis, k: int) -> Fraction:
-    """Alternating number via positive/negative Milnor characteristics."""
-    acc = Fraction(0)
-    for shape in partitions(k):
-        sp = analysis.cell(k, shape)
-        md = _cell_milnor(sp)
-        size = class_size(shape)
-        if sp.expected_dim >= 0 and sp.expected_dim % 2 == 0:
-            acc += size * md.mu_plus0
-        elif sp.expected_dim > 0 and sp.expected_dim % 2 == 1:
-            acc += size * md.mu_minus0
-    return acc / factorial(k)
-
-
 def mu_alt_dk(analysis: GermAnalysis, k: int) -> int:
-    """mu^Alt(D^k(f)), evaluated both ways; disagreement is a bug signal."""
-    _require_a_finite(analysis)
-    if not 2 <= k <= analysis.kappa:
-        raise InvalidInputError(f"k = {k} outside 2..kappa = {analysis.kappa}")
-    a = mu_alt_formula_a(analysis, k)
-    b = mu_alt_formula_b(analysis, k)
-    if a != b:
-        raise InconsistentDataError(
-            f"the two alternating-number formulas disagree at k = {k}: {a} vs {b}",
-            value=(a, b),
-        )
-    if a.denominator != 1 or a < 0:
-        raise InconsistentDataError(
-            f"alternating number at k = {k} is {a}, not a non-negative integer", value=a
-        )
-    return int(a)
+    """mu^Alt(D^k(f)), the sign isotype of the S_k action on D^k(f)."""
+    return int(mu_k_tau(analysis, k, Partition((1,) * k).label()))
 
 
 def mu_k_tau(

@@ -29,8 +29,8 @@ from germlab import invariants as inv
 from germlab import isotype
 from germlab import multipoint as mp
 from germlab.icis import EMPTY, ICIS, ISOLATED_POINTS, SMOOTH, milnor_hypersurface, milnor_icis
-from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 
+from alt_formulas import mu_alt_formula_a, mu_alt_formula_b
 from recombination import _random_recombination
 from test_symrep import brute_force_table
 

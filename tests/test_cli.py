@@ -694,8 +694,10 @@ class TestTables:
 class TestFormatsAndOutput:
     # Each command's inputs, written by `files`, for every command with no
     # csv rendering; each printed text and exited 0 under --format csv.
+    # Under --budget-steps 0 the analysis of the s2 germ and the Milnor
+    # chain of the cubic run out (exit 2) once they compute.
     NO_CSV = {
-        "analyze": [("g.germ", STABLE_GERM)],
+        "analyze": [("s2.germ", S2_GERM)],
         "sc-feasible": ["5", "8"],
         "isotype": [("s2.table", S2_TABLE), ("sphere.data", SPHERE_DATA)],
         "milnor": [("c.ideal", "vars x y\nx^3 + y^3\n")],
@@ -704,8 +706,11 @@ class TestFormatsAndOutput:
 
     @pytest.mark.parametrize("command", sorted(NO_CSV))
     def test_a_format_without_a_rendering_is_refused(self, files, capsys, command):
+        # The refusal comes before the command computes anything.
         args = [a if isinstance(a, str) else files(*a) for a in self.NO_CSV[command]]
-        code, out, err = run(capsys, "--format", "csv", command, *args)
+        computed = run(capsys, "--budget-steps", "0", command, *args)[0]
+        assert computed == (EXIT_RESOURCE if command in ("analyze", "milnor") else EXIT_OK)
+        code, out, err = run(capsys, "--format", "csv", "--budget-steps", "0", command, *args)
         assert (code, out, err) == (EXIT_INPUT, "", f"error: {command} has no csv output\n")
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from germlab import (
     IncompleteDataError,
+    InconsistentDataError,
     InvalidInputError,
     NotAFiniteError,
     build_report,
@@ -22,6 +25,7 @@ from germlab import (
     no_unexpected_deformations,
     nu_image,
 )
+from germlab import cli
 from germlab import invariants as inv
 from germlab import multipoint as mp
 from germlab.icis import (
@@ -32,9 +36,9 @@ from germlab.icis import (
     SMOOTH,
     milnor_hypersurface,
 )
-from germlab.invariants import mu_alt_formula_a, mu_alt_formula_b
 from germlab.poly import MultiPoly, VarSet
 
+from alt_formulas import mu_alt_formula_a, mu_alt_formula_b
 from conftest import CORPUS_SPECS, NOT_A_FINITE_SPEC
 from fraction_minors import maximal_minors
 from fraction_mora import total_degree
@@ -73,14 +77,21 @@ class TestMuAlt:
         assert mu_alt_dk(corpus[name], k) == expected
 
     def test_both_formulas_agree_corpus_wide(self, corpus):
+        # The reference formulas A and B against the sign isotype, on the
+        # corpus and Mond's list.  B - A is a signed sum of beta_0 values
+        # alone, zero when the cells of one k are all empty or all not.
+        analyses = [*corpus.values()]
+        analyses += [mp.analyze_germ(mp.germ(2, 3, comps)) for _, _, comps in mond_germs()]
         checked = 0
-        for an in corpus.values():
+        for an in analyses:
             if not an.verdict.a_finite:
                 continue
             for k in range(2, an.kappa + 1):
-                assert mu_alt_formula_a(an, k) == mu_alt_formula_b(an, k)
+                assert mu_alt_formula_a(an, k) == mu_alt_formula_b(an, k) == mu_alt_dk(an, k)
+                cells = [sp for (kk, _), sp in an.cells.items() if kk == k]
+                assert len({sp.classification.is_empty for sp in cells}) == 1
                 checked += 1
-        assert checked >= 10
+        assert checked == 127  # 21 levels of the corpus, 106 of Mond's list
 
     def test_s_family_cross_formula_decomposition(self, corpus):
         # (1/2)(k + k) on one side, (1/2)((k-1) + (k+1)) on the other.
@@ -106,6 +117,26 @@ class TestMuAlt:
     def test_not_a_finite_refused(self, not_a_finite_analysis):
         with pytest.raises(NotAFiniteError):
             mu_alt_dk(not_a_finite_analysis, 2)
+
+    def test_a_sign_isotype_off_the_integers_is_inconsistent(
+        self, corpus, monkeypatch, tmp_path, capsys
+    ):
+        # The s2 germ with mu = 3 instead of 2 on its D^2 (2) cell: the sign
+        # isotype (1/2)(2 + 3) is no integer, so no honest action has it.
+        an = corpus["s2"]
+        cell = an.cell(2, (2,))
+        wrong = replace(cell, classification=replace(cell.classification, mu=3))
+        bad = mp.GermAnalysis(an.germ, an.kappa, {**an.cells, (2, (2,)): wrong})
+        with pytest.raises(InconsistentDataError) as err:
+            mu_alt_dk(bad, 2)
+        assert err.value.value == Fraction(5, 2)
+        monkeypatch.setattr(mp, "analyze_germ", lambda g, budget: bad)
+        path = tmp_path / "s2.germ"
+        path.write_text(an.germ.serialize())
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_INCONSISTENT
+        assert capsys.readouterr().err == (
+            "error: mu^(1,1) is 5/2, not a non-negative integer: inconsistent input\n"
+        )
 
 
 class TestSingularityEquivalences:
@@ -497,19 +528,22 @@ class TestReport:
         assert "E-infinity" in rep.to_text() or "e-infinity" in rep.to_text().lower()
 
     def test_each_alternating_number_is_evaluated_once(self, corpus, monkeypatch):
+        # One sign-isotype sum per k = 2..d(f), and one more per k whose S_k
+        # table has the --tau label.
         calls = []
-        for name in ("mu_alt_formula_a", "mu_alt_formula_b"):
-            def counted(analysis, k, name=name, real=getattr(inv, name)):
-                calls.append((name, k))
-                return real(analysis, k)
-            monkeypatch.setattr(inv, name, counted)
+
+        def counted(table, data, tau, d, real=inv.mu_tau):
+            calls.append((table.group_order, tau))
+            return real(table, data, tau, d)
+
+        monkeypatch.setattr(inv, "mu_tau", counted)
         an = corpus["squared_4_6"]  # d(f) = 3
         rep = build_report(an)
         assert (rep.mu_alt, rep.mu_i, rep.nu_i) == ({2: 1, 3: 2}, 3, -1)
-        assert sorted(calls) == [
-            ("mu_alt_formula_a", 2), ("mu_alt_formula_a", 3),
-            ("mu_alt_formula_b", 2), ("mu_alt_formula_b", 3),
-        ]
+        assert calls == [(2, "(1,1)"), (6, "(1,1,1)")]
+        calls.clear()
+        build_report(an, tau="(2,1)")  # a label of S_3 only
+        assert calls == [(2, "(1,1)"), (6, "(1,1,1)"), (6, "(2,1)")]
 
     def test_partial_report_for_not_a_finite(self, not_a_finite_analysis):
         rep = build_report(not_a_finite_analysis)
