@@ -88,8 +88,7 @@ def _check_format(args):
 
 def _write(args, **renderers: Callable[[], str]):
     """Emit the rendering of a command's result that --format names; a
-    command passes a renderer for each format it has."""
-    _check_format(args)
+    command passes a renderer for each format main lets through."""
     _emit(renderers[args.format](), args.output)
 
 
@@ -275,6 +274,17 @@ def _integer(what: str, least: int | None = None):
     return read
 
 
+def _partition_label(text: str) -> str:
+    """An argparse type for analyze's --tau: a label as ``Partition.label``
+    writes it, or InvalidInputError (exit 1) before the analysis runs."""
+    try:
+        if symrep.Partition(tuple(map(int, text[1:-1].split(",")))).label() == text:
+            return text
+    except (ValueError, InvalidInputError):
+        pass
+    raise InvalidInputError(f"--tau {text!r} is not a partition label such as (2,1)")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, like every other input
     error, instead of argparse's 2, which is the exhausted-budget code."""
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full invariant report for a germ file")
     p.add_argument("germ")
-    p.add_argument("--tau", help="also report the isotype numbers of one irreducible")
+    p.add_argument("--tau", type=_partition_label, help="also report one irreducible's isotypes")
 
     p = sub.add_parser("sc-feasible", help="strong-contractibility dimension test")
     p.add_argument("n", type=_integer("N"))

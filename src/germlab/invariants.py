@@ -30,11 +30,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IncompleteDataError, InvalidInputError, NotAFiniteError
-from .icis import EMPTY, ISOLATED_POINTS, MilnorData
+from .icis import EMPTY, ISOLATED_POINTS
 from .isotype import IcisDatum, mu_tau
-from .multipoint import GermAnalysis, MultiPointSpace, expected_dim, kappa
+from .multipoint import GermAnalysis, expected_dim, kappa
 from .poly import csv_text, json_text
-from .symrep import CharacterTable, Partition, character_table_symmetric, partitions
+from .symrep import Partition, character_table_symmetric, partitions
 
 
 def _require_a_finite(analysis: GermAnalysis):
@@ -44,25 +44,12 @@ def _require_a_finite(analysis: GermAnalysis):
         )
 
 
-def _cell_milnor(sp: MultiPointSpace) -> MilnorData:
-    """The Milnor data of a classified cell, which must not be not_icis."""
-    md = sp.milnor
-    if md is None:
-        raise NotAFiniteError(f"cell (k={sp.k}, {sp.shape.parts}) is not an ICIS")
-    return md
-
-
 def mu_alt_dk(analysis: GermAnalysis, k: int) -> int:
     """mu^Alt(D^k(f)), the sign isotype of the S_k action on D^k(f)."""
     return int(mu_k_tau(analysis, k, Partition((1,) * k).label()))
 
 
-def mu_k_tau(
-    analysis: GermAnalysis,
-    k: int,
-    tau: str,
-    table: CharacterTable | None = None,
-) -> Fraction:
+def mu_k_tau(analysis: GermAnalysis, k: int, tau: str) -> Fraction:
     """tau-isotype Milnor number of D^k(f) through the character solver.
 
     Feeds the per-class data (actual dimension, extended Milnor number) of
@@ -74,14 +61,13 @@ def mu_k_tau(
         raise InvalidInputError(f"k = {k} outside 2..kappa = {analysis.kappa}")
     if analysis.full_space(k).classification.is_empty:
         return Fraction(0)
-    table = table if table is not None else character_table_symmetric(k)
     data: dict[str, IcisDatum] = {}
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
         dim = 0 if sp.classification.kind in (EMPTY, ISOLATED_POINTS) else sp.expected_dim
-        data[shape.label()] = IcisDatum(dim=dim, mu_tilde=_cell_milnor(sp).mu_tilde)
+        data[shape.label()] = IcisDatum(dim=dim, mu_tilde=sp.milnor.mu_tilde)
     d_k = analysis.full_space(k).expected_dim
-    return mu_tau(table, data, tau, d_k)
+    return mu_tau(character_table_symmetric(k), data, tau, d_k)
 
 
 def is_degenerate(n: int, p: int) -> bool:
@@ -398,9 +384,8 @@ def build_report(analysis: GermAnalysis, tau: str | None = None) -> InvariantRep
     if tau is not None:
         mu_tau_values = {}
         for k in mu_alt:
-            table = character_table_symmetric(k)
-            if tau in table.irrep_labels:
-                mu_tau_values[k] = mu_k_tau(analysis, k, tau, table=table)
+            if tau in character_table_symmetric(k).irrep_labels:
+                mu_tau_values[k] = mu_k_tau(analysis, k, tau)
     return InvariantReport(
         analysis,
         mu_alt,

@@ -370,13 +370,13 @@ def _monomial_ideal_dimension(lms: Sequence[Exponent], nvars: int, budget: _Budg
 
 
 class LocalIdeal:
-    """An ideal in the local ring at the origin, with cached derived facts.
+    """An ideal in the local ring at the origin.
 
     Construction keeps each generator as an integer term map and a
     denominator, and their primitive parts, zero generators dropped.  The
-    MultiPoly generators, the minimal reducers of the standard basis and the
-    facts computed from its leading ideal (unit containment, Krull
-    dimension, quotient dimension) are cached on first use; instances are
+    MultiPoly generators, the minimal reducers of the standard basis and
+    their leading monomials are cached on first use; unit containment, Krull
+    and quotient dimension are recomputed on every call.  Instances are
     immutable afterwards, so sharing across threads or workers is safe.
     """
 

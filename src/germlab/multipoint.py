@@ -361,16 +361,6 @@ class GermAnalysis:
         for k in range(2, kap + 1):
             if not full[k].classification.is_empty:
                 d_of_f = k
-        # Nesting sanity: a nonempty D^{k+1} under an empty D^k is impossible.
-        # A not_icis cell is still a nonempty locus, so only EMPTY counts here.
-        previous_nonempty = True
-        for k in range(2, kap + 2):
-            nonempty = not self.full_space(k).classification.is_empty
-            if nonempty and not previous_nonempty:
-                raise InconsistentDataError(
-                    f"nesting violated: D^{k} nonempty while D^{k - 1} is empty"
-                )
-            previous_nonempty = nonempty
         return GermVerdict(stable, a_finite, strongly_contractible, d_of_f, kap)
 
 
@@ -403,18 +393,10 @@ def analyze_germ(g: GermSpec, budget: int = DEFAULT_STEP_BUDGET) -> GermAnalysis
 def sc_dimension_feasible(n: int, p: int) -> bool:
     """Whether strongly contractible mono-germs of corank one exist in (n, p).
 
-    Criterion: p - floor(p/(p-n)) * (p-n+1) >= 0, cross-checked against the
-    equivalent equation-count form (p-n+1)(kappa-1) <= n-1.
+    Criterion: p - floor(p/(p-n)) * (p-n+1) >= 0, which rearranges to the
+    equation count (p-n+1)(kappa-1) <= n-1 that sc_feasibility_report shows.
     """
-    _check_dims(n, p)
-    kap = kappa(n, p)
-    primary = p - kap * (p - n + 1) >= 0
-    by_equations = (p - n + 1) * (kap - 1) <= n - 1
-    if primary != by_equations:
-        raise InconsistentDataError(
-            f"feasibility cross-check failed at ({n}, {p})", value=(primary, by_equations)
-        )
-    return primary
+    return p - kappa(n, p) * (p - n + 1) >= 0
 
 
 def sc_feasibility_report(n: int, p: int) -> dict:
@@ -496,8 +478,6 @@ def generate_sc_germ(
             while len(used) < m:
                 used.append(mono(power))
                 power += 1
-        if len(used) != m:
-            raise InconsistentDataError("degenerate generator produced a bad component count")
         supports = [[e] for e in used]
     else:
         supports = [

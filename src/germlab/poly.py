@@ -241,6 +241,8 @@ class MultiPoly:
 def divided_difference(h: MultiPoly, y_old: str, y_new: str) -> MultiPoly:
     """Exact (h[y_old -> y_new] - h) / (y_new - y_old); ``y_new`` must not occur in h."""
     i, j = h.vars.index(y_old), h.vars.index(y_new)
+    if any(e[j] for e in h.terms):
+        raise VariableMismatchError(f"variable {y_new} already occurs in the polynomial")
     return MultiPoly._trusted(h.vars, _divided_difference_terms(h.terms, i, j))
 
 
@@ -265,7 +267,7 @@ def clear_denominators(values: Collection[Fraction | int]) -> tuple[int, tuple[i
 
 
 def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, j: int) -> dict:
-    """The divided difference of a term map from variable i to variable j.
+    """The divided difference of a term map from variable i to a variable j it lacks.
 
     Computed per term: a factor x_i^a maps to sum_{s+t=a-1} x_i^s x_j^t, so
     the quotient is exact by construction and no polynomial division
@@ -276,8 +278,6 @@ def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, 
     """
     out = {}
     for exp, c in terms.items():
-        if exp[j]:
-            raise VariableMismatchError(f"variable {j} already occurs in the polynomial")
         if a := exp[i]:
             base = list(exp)
             for t in range(a):

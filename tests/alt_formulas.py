@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from germlab.invariants import _cell_milnor
 from germlab.multipoint import GermAnalysis
 from germlab.symrep import class_size, partitions
 
@@ -27,7 +26,7 @@ def mu_alt_formula_a(analysis: GermAnalysis, k: int) -> Fraction:
     acc = Fraction(0)
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
-        md = _cell_milnor(sp)
+        md = sp.milnor
         size = class_size(shape)
         if sp.expected_dim >= 0:
             acc += size * md.mu
@@ -42,7 +41,7 @@ def mu_alt_formula_b(analysis: GermAnalysis, k: int) -> Fraction:
     acc = Fraction(0)
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
-        md = _cell_milnor(sp)
+        md = sp.milnor
         size = class_size(shape)
         if sp.expected_dim >= 0 and sp.expected_dim % 2 == 0:
             acc += size * md.mu_plus0

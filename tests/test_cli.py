@@ -188,6 +188,21 @@ class TestAnalyze:
         assert report["tau"] == "(2)"
         assert report["mu_tau"] == {"2": 0}
 
+    @pytest.mark.parametrize("label", ["(1, 1)", "foo", "(1,2)", "(2,1", "(0)", "(01)", "()"])
+    def test_tau_that_is_no_partition_label_is_a_usage_error(self, files, capsys, label):
+        # The first three exited 0 with "mu_tau": {}.  The label is refused
+        # before the analysis runs: exit 1, not 2 for the budget.
+        path = files("g.germ", S2_GERM)
+        code, out, err = run(capsys, "--budget-steps", "0", "analyze", path, "--tau", label)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: --tau {label!r} is not a partition label such as (2,1)\n"
+
+    def test_tau_that_no_table_has_gives_no_numbers(self, files, capsys):
+        # d(f) = 2 for s2, so only the S_2 table is read, and it has no (3).
+        code, out, _ = run(capsys, "analyze", files("g.germ", S2_GERM), "--tau", "(3)")
+        assert code == EXIT_OK
+        assert json.loads(out)["mu_tau"] == {}
+
     def test_text_format(self, files, capsys):
         path = files("g.germ", S2_GERM)
         code, out, _ = run(capsys, "--format", "text", "analyze", path)
@@ -712,6 +727,29 @@ class TestFormatsAndOutput:
         assert computed == (EXIT_RESOURCE if command in ("analyze", "milnor") else EXIT_OK)
         code, out, err = run(capsys, "--format", "csv", "--budget-steps", "0", command, *args)
         assert (code, out, err) == (EXIT_INPUT, "", f"error: {command} has no csv output\n")
+
+    # ... and for every command with one.
+    EVERY = NO_CSV | {
+        "char-table": ["3"],
+        "icss": [("s2.germ", S2_GERM)],
+        "sc-generate": ["5", "8"],
+    }
+
+    def test_every_command_runs_through_main(self):
+        # cli._write trusts main to have refused a format the command has no
+        # rendering for: every cmd_* function is a subcommand main dispatches.
+        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+        commands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+        assert commands == set(subcommands) == set(self.EVERY)
+
+    @pytest.mark.parametrize("command,fmt", [
+        (command, fmt) for command in sorted(EVERY) for fmt in ("json", "text", "csv")
+        if fmt != "csv" or command in cli._CSV_COMMANDS
+    ])
+    def test_every_format_main_lets_through_has_a_rendering(self, files, capsys, command, fmt):
+        args = [a if isinstance(a, str) else files(*a) for a in self.EVERY[command]]
+        code, out, err = run(capsys, "--format", fmt, command, *args)
+        assert (code, err) == (EXIT_OK, "") and out
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_sc_generate_writes_a_germ_file_in_every_format(self, capsys, fmt):

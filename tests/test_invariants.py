@@ -93,6 +93,21 @@ class TestMuAlt:
                 checked += 1
         assert checked == 127  # 21 levels of the corpus, 106 of Mond's list
 
+    def test_every_cell_of_an_a_finite_germ_has_milnor_data(self, corpus, not_a_finite_analysis):
+        # mu_k_tau reads sp.milnor of every cell k <= kappa unguarded: an
+        # A-finite verdict means no such cell is not_icis.
+        analyses = [*corpus.values(), not_a_finite_analysis]
+        analyses += [mp.analyze_germ(mp.germ(2, 3, comps)) for _, _, comps in mond_germs()]
+        cells = 0
+        for an in analyses:
+            if an.verdict.a_finite:
+                for (k, _), sp in an.cells.items():
+                    if k <= an.kappa:
+                        assert sp.milnor is not None
+                        cells += 1
+        assert cells == 315
+        assert any(sp.milnor is None for sp in not_a_finite_analysis.cells.values())
+
     def test_s_family_cross_formula_decomposition(self, corpus):
         # (1/2)(k + k) on one side, (1/2)((k-1) + (k+1)) on the other.
         for k, name in [(1, "s1"), (2, "s2"), (3, "s3"), (4, "s4")]:

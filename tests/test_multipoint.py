@@ -38,6 +38,7 @@ from germlab.multipoint import InfeasibleDimensionsError, divided_difference_tab
 
 from fraction_table import fixed_generators, full_generators
 from ring_generator import ring_sc_germ
+from test_invariants import mond_germs
 from test_localalg import normal_form
 
 CONTRACTIBLE_5_8 = ["y^3+x1*y", "y^4+x2*y", "y^5+x3*y", "x4*y+x1*y^2"]
@@ -321,6 +322,30 @@ class TestAnalyze:
                 if nonempty[k]:
                     assert nonempty[k - 1]
 
+    def test_each_multiple_point_space_lies_over_the_last(self, corpus, not_a_finite_analysis):
+        # D^k is cut out by the rows of table k, and the rows of levels 2..k
+        # of table k + 1 are those rows with y_{k+1}^0 appended, so the
+        # ideal of D^k lifts into that of D^{k+1}: an empty D^k forces an
+        # empty D^{k+1}.  A not_icis cell is a nonempty locus here.
+        analyses = [*corpus.values(), not_a_finite_analysis]
+        analyses += [mp.analyze_germ(germ(2, 3, comps)) for _, _, comps in mond_germs()]
+        levels = empties = 0
+        for an in analyses:
+            for k in range(2, an.kappa + 1):
+                levels += 1
+                _, scales, rows = divided_difference_table(an.germ, k)
+                gens = [{e: Fraction(c, d) for e, c in q.items()}
+                        for row in rows for q, d in zip(row, scales) if q]
+                assert [g.terms for g in an.full_space(k).ideal.generators] == gens
+                lifted = [[{e + (0,): c for e, c in q.items()} for q in row] for row in rows]
+                assert divided_difference_table(an.germ, k + 1)[2][:-1] == lifted
+                if an.full_space(k).classification.is_empty:
+                    assert an.full_space(k + 1).classification.is_empty
+                    empties += 1
+        # Empty at k <= kappa: immersion's D^2 and D^3, the not-A-finite
+        # germ's D^4, and D^3 of the crosscap, s1..s4 and 46 Mond germs.
+        assert (levels, empties) == (130, 54)
+
     def test_sigma_stability_of_ideals(self, corpus):
         # Permuting the y variables of any generator stays in the ideal.
         import itertools
@@ -360,6 +385,14 @@ class TestFeasibility:
     def test_report_fields(self):
         rep = sc_feasibility_report(5, 8)
         assert rep["feasible"] and rep["margin"] == 0 and rep["kappa"] == 2
+
+    def test_margin_and_equation_count_agree(self):
+        # p - kappa (p-n+1) >= 0 is (p-n+1)(kappa-1) <= n-1 rearranged; the
+        # report shows both forms.
+        for p in range(2, 201):
+            for n in range(1, p):
+                rep = sc_feasibility_report(n, p)
+                assert rep["feasible"] == (rep["equations_for_d_kappa"] <= rep["base_variables"])
 
     def test_coarse_obstruction(self):
         assert not prop_disg_check(5, 8)
@@ -413,6 +446,16 @@ class TestGenerator:
                 list(h.terms.items()) for h in want.components
             ], (n, p)
             assert got.serialize() == want.serialize(), (n, p)
+
+    def test_kappa_1_pads_to_exactly_m_monomials(self):
+        # p >= 2n + 1, so m = p - n + 1 exceeds the n + 1 monomials y^2, y^3,
+        # x_t*y (two when n = 1) that every kappa = 1 germ starts with.
+        pairs = [(n, p) for n in range(1, 21) for p in range(2 * n + 1, 61)]
+        assert all(kappa(n, p) == 1 for n, p in pairs)
+        for n, p in pairs:
+            g = generate_sc_germ(n, p, self_check=False)
+            assert [len(h.terms) for h in g.components] == [1] * (p - n + 1)
+            assert len({next(iter(h.terms)) for h in g.components}) == p - n + 1
 
     def test_leftover_base_variables_land_on_distinct_components(self):
         # (9, 14): kappa = 2, six components, x1..x6 scheduled, x7 and x8 left over.

@@ -198,9 +198,12 @@ class TestDividedDifference:
             "y1 + y2 + y3", vs
         )
 
-    def test_fresh_variable_required(self):
-        with pytest.raises(VariableMismatchError):
-            divided_difference(parse_poly("y1*y2", V3), "y1", "y2")
+    @pytest.mark.parametrize("text", ["y1*y2", "y1 + y2", "x1 + y2^3", "y1^2 + x1*y2"])
+    def test_fresh_variable_required(self, text):
+        # The terms y2, y2^3 and x1*y2 hold no y1, so the kernel would map
+        # them to nothing; divided_difference checks every term first.
+        with pytest.raises(VariableMismatchError, match="variable y2 already occurs"):
+            divided_difference(parse_poly(text, V3), "y1", "y2")
 
 
 # -- properties ---------------------------------------------------------------
