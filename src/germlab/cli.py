@@ -305,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-steps",
         type=_integer("--budget-steps", least=0),
         default=DEFAULT_STEP_BUDGET,
-        help="non-negative work budget for each standard basis, Krull-dimension search, "
-        "staircase count, normal form, linear elimination and Milnor-chain minor "
-        "expansion; the ideals of a Milnor chain inherit it, and 0 decides by exact "
-        "criteria only",
+        help="non-negative work budget of the whole command: its standard bases, "
+        "Krull-dimension searches, staircase counts, normal forms, linear eliminations "
+        "and Milnor-chain minor expansions all charge it; 0 decides by exact criteria only",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,19 +23,21 @@ class VariableMismatchError(GermlabError):
     """Operands or bindings do not live over compatible variable sets."""
 
 
-# The work budget of every bounded computation, and the --budget-steps default.
+# The work budget of a run, and the --budget-steps default.
 DEFAULT_STEP_BUDGET = 1_000_000
 
 
 class ResourceLimitError(GermlabError):
-    """A computation exceeded its step budget.
+    """A run exceeded its step budget.
 
     Deliberately distinct from any mathematical verdict: catching this means
-    "gave up", never "false".
+    "gave up", never "false".  ``reason`` is the message without the
+    budget, so a caller can add where the run stopped.
     """
 
     def __init__(self, message: str, steps: int):
         super().__init__(f"{message} (budget {steps} exhausted)")
+        self.reason = message
         self.steps = steps
 
 

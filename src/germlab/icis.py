@@ -44,7 +44,7 @@ split and steps 1 to 4 are exact and build no standard basis:
                       coordinates and I'' the other generators with x_j
                       substituted, repeated until no such generator is left;
                       the split is its case r = 0.  Its substitutions are
-                      charged to the budget.  Steps 6 and 8 read I''
+                      charged to the ideal's ledger.  Steps 6 and 8 read I''
   6. Krull dimension  from the standard basis of I'', equal to that of I:
                       isolated_points or not_icis when e < 0, not_icis when
                       it differs from e
@@ -67,8 +67,13 @@ exactly codim of them (Nakayama).  Step i extends the maximal minors of
 steps 1..i-1 by the Jacobian row of the first remaining generator whose
 section has finite colength, so the generators keep their given order
 whenever that order works; one multiply-add of integer maps per (column
-subset, column), charged to the ideal's budget.  When no remaining
-generator gives a finite colength the chain fails at that step.
+subset, column).  When no remaining generator gives a finite colength the
+chain fails at that step.
+
+Every ideal this module derives from a locus (the split, the head of step 5,
+the eliminated ideal, the chain's sections) charges the locus's ledger, and
+so do the minors, substitutions and redundancy checks: no computation opens
+a budget of its own, and the ledger's limit bounds the work of them all.
 """
 
 from __future__ import annotations
@@ -227,7 +232,7 @@ def _split_lone_variables(ideal: LocalIdeal) -> tuple[LocalIdeal, int]:
     if not split:
         return ideal, 0
     ambient = VarSet([ideal.ambient.names[i] for i in coords])
-    return LocalIdeal._from_terms(maps, ambient, ideal.budget), split
+    return LocalIdeal._from_terms(maps, ambient, ideal._ledger), split
 
 
 def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
@@ -240,14 +245,14 @@ def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
     such x_j), drops it and substitutes into the others on integer term
     maps: a map h of x_j-degree D becomes c^D * h(x_j := -r/c), the sum of
     c^(D - a) * h_a * (-r)^a over its x_j-degree parts h_a.  Generators the
-    substitution empties are dropped.  Every term product is charged to one
-    budget of ``ideal.budget`` units.  The maps are projected to the kept
-    coordinates once, at the end; without such a generator the ideal itself
-    comes back.
+    substitution empties are dropped.  Every term product is charged to the
+    ideal's ledger, which the result shares.  The maps are projected to the
+    kept coordinates once, at the end; without such a generator the ideal
+    itself comes back.
     """
     maps = list(ideal._terms)
     nvars = len(ideal.ambient)
-    budget = _Budget(ideal.budget)
+    budget = ideal._ledger
     gone = []
     while True:
         pick = None
@@ -295,7 +300,7 @@ def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
     keep = [k for k in range(nvars) if k not in gone]
     project = itemgetter(*keep) if len(keep) > 1 else lambda e: tuple(e[k] for k in keep)
     maps = [dict(zip(map(project, h), h.values())) for h in maps]
-    return LocalIdeal._from_terms(maps, VarSet(project(ideal.ambient.names)), ideal.budget)
+    return LocalIdeal._from_terms(maps, VarSet(project(ideal.ambient.names)), ideal._ledger)
 
 
 def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
@@ -308,20 +313,21 @@ def milnor_hypersurface(g: MultiPoly, budget: int = DEFAULT_STEP_BUDGET) -> int:
     return milnor_icis(LocalIdeal([g], g.vars, budget=budget), len(g.vars) - 1)
 
 
-def _irredundant(maps: Sequence[dict[Exponent, int]], budget: int) -> list[dict[Exponent, int]]:
+def _irredundant(maps: Sequence[dict[Exponent, int]], budget: _Budget) -> list[dict[Exponent, int]]:
     """The generators left after dropping, in order, each that lies in the
     ideal of the others kept so far and of all after it.
 
     Membership is a zero remainder of ``_reduce`` against the standard basis
-    of those others.  Each generator kept is outside the ideal of the rest,
-    so the set is irredundant, and in a local ring an irredundant generating
-    set is minimal (Nakayama): it has mu(I) elements, which is the
-    codimension exactly when the ideal is a complete intersection.
+    of those others, both charged to ``budget``.  Each generator kept is
+    outside the ideal of the rest, so the set is irredundant, and in a local
+    ring an irredundant generating set is minimal (Nakayama): it has mu(I)
+    elements, which is the codimension exactly when the ideal is a complete
+    intersection.
     """
     kept, i = list(maps), 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1 :]
-        if _reduce(kept[i], standard_basis(others, budget), _Budget(budget)):
+        if _reduce(kept[i], standard_basis(others, budget), budget):
             i += 1
         else:
             kept = others
@@ -337,9 +343,9 @@ def milnor_icis(ideal: LocalIdeal, dim: int) -> int:
     extends the maximal minors of steps 1..i-1 by the Jacobian row of the
     first remaining generator whose section has finite colength; when no
     remaining generator has one, the chain fails at step i.  The minor
-    expansion of every candidate is charged to one budget of ``ideal.budget``
-    units, and every section runs under a budget of its own.  The unit ideal,
-    the caller's input, raises InvalidInputError.
+    expansion of every candidate, the redundancy checks and every section's
+    standard basis and colength are charged to the ideal's ledger.  The unit
+    ideal, the caller's input, raises InvalidInputError.
     """
     if dim < 0:
         raise InconsistentDataError("milnor_icis needs a non-negative dimension")
@@ -350,24 +356,23 @@ def milnor_icis(ideal: LocalIdeal, dim: int) -> int:
         if q is INFINITE:
             raise NotIcisError("expected dimension 0 but colength is infinite")
         return q - 1
-    ambient, budget = ideal.ambient, ideal.budget
+    ambient, ledger = ideal.ambient, ideal._ledger
     nvars = len(ambient)
     codim = nvars - dim
     rest = list(ideal._terms)
     if len(rest) > codim:
-        rest = _irredundant(rest, budget)
+        rest = _irredundant(rest, ledger)
     if len(rest) != codim:
         raise NotIcisError(
             f"{len(rest)} generators cannot cut a codimension {codim} complete intersection"
         )
-    steps = _Budget(budget)
     minors: dict[tuple[int, ...], dict[Exponent, int]] = {(): {(0,) * nvars: 1}}
     chain: list[dict[Exponent, int]] = []
     mu = 0
     for i in range(1, codim + 1):
         for j, h in enumerate(rest):
-            extended = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], steps)
-            section = LocalIdeal._from_terms([*chain, *extended.values()], ambient, budget)
+            extended = _extend_minors(minors, [_derivative(h, v) for v in range(nvars)], ledger)
+            section = LocalIdeal._from_terms([*chain, *extended.values()], ambient, ledger)
             q = section.quotient_dimension()
             if q is not INFINITE:
                 break
@@ -418,7 +423,7 @@ def classify(ideal: LocalIdeal, expected_dim: int) -> VarietyClass:
     if expected_dim < 0 and len(rest) > n_red:
         # J = (g_1..g_n) lies in the ideal, which lies in m, so
         # 0 <= dim O/I <= dim O/J: a zero-dimensional head settles the cell.
-        head = LocalIdeal._from_terms(rest[:n_red], reduced.ambient, reduced.budget)
+        head = LocalIdeal._from_terms(rest[:n_red], reduced.ambient, reduced._ledger)
         if head.krull_dimension() == 0:
             return VarietyClass(ISOLATED_POINTS, dim=0, evidence=FINITE_COLENGTH)
     reduced = _eliminate_linear(reduced)

@@ -18,7 +18,10 @@ the leading ideal) depth first from 1, raising only variables at or after
 the last one raised, so it visits each standard monomial once and never the
 rest of its bounding box.  A hard step budget, charged by reductions, pairs,
 search nodes and standard monomials alike, separates "gave up" from every
-mathematical verdict.
+mathematical verdict.  It is one ledger per run: the ``LocalIdeal``
+constructor (or the run that builds the ideals, such as ``analyze_germ``)
+opens it, every ideal derived from that ideal charges the same ledger, and
+no computation opens one of its own, so the budget bounds the total work.
 
 The normal form is fraction-free: the remainder and its reducers are
 primitive integer term maps, reduced by pseudo-division with the term-map
@@ -39,7 +42,7 @@ largest integer coefficient.
 The maximal minors of the Le-Greuel chain's Jacobian matrices are built here
 too, on the same maps: ``_extend_minors`` extends them by one row, one
 multiply-add of integer maps per (column subset, column), and charges each
-term product to the chain's budget.
+term product to the ideal's ledger.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def monomial_sub(a: Exponent, b: Exponent) -> Exponent:
 
 
 class _Budget:
-    """Mutable work counter shared across one logical computation.
+    """Mutable work counter, the ledger shared by every computation of a run.
 
     A unit is one elementary reduction on small data; steps on polynomials
     with huge coefficients are charged proportionally more, so the budget
@@ -279,7 +282,7 @@ def _spoly(first: tuple, second: tuple, lcm: Exponent) -> dict[Exponent, int]:
 
 
 def standard_basis(
-    generators: Sequence[dict[Exponent, int]], budget_limit: int = DEFAULT_STEP_BUDGET
+    generators: Sequence[dict[Exponent, int]], budget: _Budget
 ) -> list[tuple[Exponent, int, dict[Exponent, int]]]:
     """The minimal standard basis of the local ideal, as reducers.
 
@@ -292,9 +295,9 @@ def standard_basis(
     The basis is held as reducers (leading monomial, ecart, primitive
     integer term map), each computed once when its element joins.  The
     minimal ones are returned most leading first, each map scaled to a
-    positive leading coefficient.
+    positive leading coefficient.  Reductions and pairs are charged to
+    ``budget``.
     """
-    budget = _Budget(budget_limit)
     basis: list[tuple] = []
     pairs: list[tuple[int, Exponent, int, int, Exponent]] = []
 
@@ -373,11 +376,16 @@ class LocalIdeal:
     """An ideal in the local ring at the origin.
 
     Construction keeps each generator as an integer term map and a
-    denominator, and their primitive parts, zero generators dropped.  The
-    MultiPoly generators, the minimal reducers of the standard basis and
-    their leading monomials are cached on first use; unit containment, Krull
-    and quotient dimension are recomputed on every call.  Instances are
-    immutable afterwards, so sharing across threads or workers is safe.
+    denominator, and their primitive parts, zero generators dropped, and
+    opens a ledger of ``budget`` steps.  The MultiPoly generators, the
+    minimal reducers of the standard basis and their leading monomials are
+    cached on first use; unit containment, Krull and quotient dimension are
+    recomputed on every call.  Every computation on the ideal, and on every
+    ideal derived from it (its standard basis, the sections of its Milnor
+    chain, the reduced ideals of ``classify``), charges that one ledger, so
+    ``budget`` bounds their total work.  The generators are immutable, but
+    the ledger is shared state: ideals of one ledger are not for concurrent
+    use.  ``budget`` reads the ledger's limit.
     """
 
     def __init__(
@@ -393,24 +401,30 @@ class LocalIdeal:
             den, ints = clear_denominators(g.terms.values())
             maps.append(dict(zip(g.terms, ints)))
             dens.append(den)
-        self._init_state(maps, ambient, budget, dens)
+        self._init_state(maps, ambient, _Budget(budget), dens)
 
     @classmethod
-    def _from_terms(cls, maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int,
+    def _from_terms(cls, maps: Sequence[dict[Exponent, int]], ambient: VarSet, ledger: _Budget,
                     dens: Sequence[int] | None = None) -> "LocalIdeal":
         """The ideal of the polynomials h / d over ``ambient``, for integer
-        term maps h and positive integers d (all 1 when ``dens`` is None)."""
-        return cls.__new__(cls)._init_state(maps, ambient, budget, dens)
+        term maps h and positive integers d (all 1 when ``dens`` is None),
+        charging ``ledger``."""
+        return cls.__new__(cls)._init_state(maps, ambient, ledger, dens)
 
-    def _init_state(self, maps: Sequence[dict[Exponent, int]], ambient: VarSet, budget: int,
+    def _init_state(self, maps: Sequence[dict[Exponent, int]], ambient: VarSet, ledger: _Budget,
                     dens: Sequence[int] | None) -> "LocalIdeal":
-        """Set the one state of every ideal: its maps and denominators, and
-        the primitive parts of the nonempty maps as ``_terms``."""
+        """Set the one state of every ideal: its maps and denominators, the
+        primitive parts of the nonempty maps as ``_terms``, and its ledger."""
         self._scaled = maps, dens
         self._terms = tuple(_primitive(h) for h in maps if h)
         self.ambient = ambient
-        self.budget = budget
+        self._ledger = ledger
         return self
+
+    @property
+    def budget(self) -> int:
+        """The step limit of the ideal's ledger."""
+        return self._ledger.limit
 
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:
@@ -426,14 +440,13 @@ class LocalIdeal:
 
     @cached_property
     def _reducers(self) -> list[tuple[Exponent, int, dict[Exponent, int]]]:
-        return standard_basis(self._terms, self.budget)
+        return standard_basis(self._terms, self._ledger)
 
     def standard_basis(self) -> "LocalIdeal":
         """The cached standard basis, monic, as the generators of a new ideal."""
         reducers = self._reducers
-        return LocalIdeal._from_terms(
-            [h for _, _, h in reducers], self.ambient, self.budget, [h[lm] for lm, _, h in reducers]
-        )
+        maps, dens = [h for _, _, h in reducers], [h[lm] for lm, _, h in reducers]
+        return LocalIdeal._from_terms(maps, self.ambient, self._ledger, dens)
 
     @cached_property
     def leading_monomials(self) -> tuple[Exponent, ...]:
@@ -453,9 +466,7 @@ class LocalIdeal:
         """Dimension of the leading ideal; -1 for the unit ideal."""
         if self.contains_unit():
             return -1
-        return _monomial_ideal_dimension(
-            self.leading_monomials, len(self.ambient), _Budget(self.budget)
-        )
+        return _monomial_ideal_dimension(self.leading_monomials, len(self.ambient), self._ledger)
 
     def quotient_dimension(self) -> int | None:
         """dim_Q of O/I when finite, else INFINITE, which is None (iff the
@@ -473,12 +484,12 @@ class LocalIdeal:
             return INFINITE
         lms = self.leading_monomials
         nvars = len(self.ambient)
-        budget = _Budget(self.budget)
+        tick = self._ledger.tick
         count = 0
         stack: list[tuple[Exponent, int]] = [((0,) * nvars, 0)]
         while stack:
             mono, last = stack.pop()
-            budget.tick("staircase enumeration")
+            tick("staircase enumeration")
             count += 1
             for i in range(last, nvars):
                 up = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]

@@ -25,11 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, pairwise
-from math import floor, lcm
+from math import lcm
 from typing import Sequence
 
 from . import icis
-from .errors import InconsistentDataError, InfeasibleDimensionsError, InvalidInputError
+from .errors import (
+    InconsistentDataError,
+    InfeasibleDimensionsError,
+    InvalidInputError,
+    ResourceLimitError,
+)
 from .icis import (
     EMPTY,
     ICIS,
@@ -38,7 +43,7 @@ from .icis import (
     MilnorData,
     VarietyClass,
 )
-from .localalg import DEFAULT_STEP_BUDGET, LocalIdeal
+from .localalg import DEFAULT_STEP_BUDGET, LocalIdeal, _Budget
 from .poly import (
     _ONE,
     Exponent,
@@ -135,9 +140,10 @@ def germ_from_text(text: str) -> GermSpec:
 
 
 def kappa(n: int, p: int) -> int:
-    """Largest multiplicity with non-negative expected dimension: floor(p/(p-n))."""
+    """Largest multiplicity with non-negative expected dimension: floor(p/(p-n)),
+    in integer arithmetic."""
     _check_dims(n, p)
-    return floor(p / (p - n))
+    return p // (p - n)
 
 
 def expected_dim(n: int, p: int, k: int) -> int:
@@ -219,15 +225,16 @@ def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], li
     return amb, scales, rows
 
 
-def _full_ideal(table, budget: int) -> LocalIdeal:
-    """D^k(f) in (x, y_1..y_k) from the table of k."""
+def _full_ideal(table, ledger: _Budget) -> LocalIdeal:
+    """D^k(f) in (x, y_1..y_k) from the table of k, charging ``ledger``."""
     amb, scales, rows = table
     maps = [q for row in rows for q in row]
-    return LocalIdeal._from_terms(maps, amb, budget, scales * len(rows))
+    return LocalIdeal._from_terms(maps, amb, ledger, scales * len(rows))
 
 
-def _fixed_ideal(g: GermSpec, table, shape: Partition, budget: int) -> LocalIdeal:
-    """D^k(f)^sigma in (x, z_1..z_c) from the table of k, for the canonical sigma.
+def _fixed_ideal(g: GermSpec, table, shape: Partition, ledger: _Budget) -> LocalIdeal:
+    """D^k(f)^sigma in (x, z_1..z_c) from the table of k, for the canonical
+    sigma, charging ``ledger``.
 
     Its cycles occupy consecutive y positions, so y_i -> z_{cycle(i)} sums
     each cycle's block of y-exponents; integer coefficients add where images
@@ -245,23 +252,25 @@ def _fixed_ideal(g: GermSpec, table, shape: Partition, budget: int) -> LocalIdea
                 image = e[:nb] + tuple(map(sum, map(e.__getitem__, blocks)))
                 terms[image] = terms.get(image, 0) + c
             maps.append({e: c for e, c in terms.items() if c})
-    return LocalIdeal._from_terms(maps, target, budget, scales * len(rows))
+    return LocalIdeal._from_terms(maps, target, ledger, scales * len(rows))
 
 
 def multiple_point_equations(
     g: GermSpec, k: int, budget: int = DEFAULT_STEP_BUDGET
 ) -> LocalIdeal:
-    """The ideal of D^k(f) in (x, y_1..y_k): all levels' divided differences."""
-    return _full_ideal(divided_difference_table(g, k), budget)
+    """The ideal of D^k(f) in (x, y_1..y_k): all levels' divided differences,
+    with a ledger of ``budget`` steps of its own."""
+    return _full_ideal(divided_difference_table(g, k), _Budget(budget))
 
 
 def fixed_locus_equations(
     g: GermSpec, k: int, shape: Partition, budget: int = DEFAULT_STEP_BUDGET
 ) -> LocalIdeal:
-    """Equations of D^k(f)^sigma in (x, z_1..z_c) for the canonical sigma."""
+    """Equations of D^k(f)^sigma in (x, z_1..z_c) for the canonical sigma,
+    with a ledger of ``budget`` steps of its own."""
     if shape.k != k:
         raise InvalidInputError(f"cycle shape {shape.parts} is not a partition of {k}")
-    return _fixed_ideal(g, divided_difference_table(g, k), shape, budget)
+    return _fixed_ideal(g, divided_difference_table(g, k), shape, _Budget(budget))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -365,24 +374,35 @@ class GermAnalysis:
 
 
 def analyze_germ(g: GermSpec, budget: int = DEFAULT_STEP_BUDGET) -> GermAnalysis:
-    """Classify every D^k(f)^sigma for k = 2..kappa and D^{kappa+1}(f)."""
+    """Classify every D^k(f)^sigma for k = 2..kappa and D^{kappa+1}(f).
+
+    Every cell's ideal charges one ledger of ``budget`` steps, so the budget
+    bounds the work of the whole analysis.  A ResourceLimitError names the
+    cell it stopped in.
+    """
     kap = _check_multiplicity_bound(g.n, g.p)
+    ledger = _Budget(budget)
     cells: dict[tuple[int, tuple[int, ...]], MultiPointSpace] = {}
     for k in range(2, kap + 2):
         shapes = partitions(k) if k <= kap else [Partition((1,) * k)]
         table = divided_difference_table(g, k)
         for shape in shapes:
             if shape.parts == (1,) * k:
-                ideal = _full_ideal(table, budget)
+                ideal = _full_ideal(table, ledger)
             else:
-                ideal = _fixed_ideal(g, table, shape, budget)
+                ideal = _fixed_ideal(g, table, shape, ledger)
             e_dim = expected_dim_sigma(g.n, g.p, k, shape)
+            try:
+                classification = icis.classify(ideal, e_dim)
+            except ResourceLimitError as exc:
+                where = f"{exc.reason} in D^{k} {shape.label()}"
+                raise ResourceLimitError(where, exc.steps) from exc
             cells[(k, shape.parts)] = MultiPointSpace(
                 k=k,
                 shape=shape,
                 expected_dim=e_dim,
                 ideal=ideal,
-                classification=icis.classify(ideal, e_dim),
+                classification=classification,
             )
     return GermAnalysis(germ=g, kappa=kap, cells=cells)
 
@@ -437,9 +457,11 @@ def generate_sc_germ(
     attached as x_t * y^kappa, one per component, so that level kappa + 1
     pins each of them (on a shared component it would pin only their sum).
     For kappa = 1 (p > 2n) the components pin everything at the double
-    point level while keeping D^2 nonempty.  The output is re-analyzed and must
-    pass the strong-contractibility check; that self-check is part of the
-    contract.
+    point level while keeping D^2 nonempty.  The output is re-analyzed, under
+    one ledger of ``budget`` steps, and must pass the strong-contractibility
+    check; that self-check is part of the contract, so with it a kappa + 1
+    above the supported multiplicity bound is refused before the germ is
+    built.
 
     The monomials of a component are distinct and have coefficient 1, so
     its term map is written directly from exponent tuples, with no ring
@@ -449,7 +471,7 @@ def generate_sc_germ(
         raise InfeasibleDimensionsError(
             f"no strongly contractible mono-germs of corank one in ({n}, {p})"
         )
-    kap = kappa(n, p)
+    kap = _check_multiplicity_bound(n, p) if self_check else kappa(n, p)
     m = p - n + 1
     vs_names = tuple(f"x{i}" for i in range(1, n)) + ("y",)
     vs = VarSet(vs_names)

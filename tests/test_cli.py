@@ -68,9 +68,9 @@ component y^3 + x1^3*y
 """
 
 # The (4, 5) germ: after linear elimination its D^4 (1,1,1,1) curve is a
-# two-generator Le-Greuel chain in 3 variables, whose maximal minors
-# exhaust every budget from 69 to 125 units; the whole analysis, linear
-# eliminations included, needs 281.
+# two-generator Le-Greuel chain in 3 variables.  The whole analysis charges
+# 725 units to its one ledger, and every budget from 312 to 419 runs out in
+# the maximal minors of that chain.
 QUARTIC_QUINTIC_GERM = """\
 n 4
 p 5
@@ -238,10 +238,20 @@ class TestAnalyze:
 
     def test_budget_exit_in_the_chain_minors(self, files, capsys):
         path = files("g.germ", QUARTIC_QUINTIC_GERM)
-        assert run(capsys, "--budget-steps", "300", "analyze", path)[0] == EXIT_OK
-        code, _, err = run(capsys, "--budget-steps", "100", "analyze", path)
+        assert run(capsys, "--budget-steps", "725", "analyze", path)[0] == EXIT_OK
+        for budget, stage in (("400", "maximal minors"), ("100", "standard basis")):
+            code, _, err = run(capsys, "--budget-steps", budget, "analyze", path)
+            assert code == EXIT_RESOURCE
+            assert stage in err
+
+    def test_budget_exit_names_the_cell(self, files, capsys):
+        path = files("g.germ", QUARTIC_QUINTIC_GERM)
+        code, _, err = run(capsys, "--budget-steps", "400", "analyze", path)
         assert code == EXIT_RESOURCE
-        assert "maximal minors" in err
+        assert err == (
+            "error: step budget exceeded during maximal minors in D^4 (1,1,1,1) "
+            "(budget 400 exhausted)\n"
+        )
 
     def test_parse_error_exit(self, files, capsys):
         path = files("g.germ", "n 2\np 3\ncomponent y^^2\ncomponent x1*y\n")
@@ -611,6 +621,13 @@ class TestScCommands:
         code, out, _ = run(capsys, "sc-feasible", "4", "5")
         assert json.loads(out)["feasible"] is False
 
+    def test_feasible_beyond_float_range(self, capsys):
+        # kappa = p // (p - n) = 10^400, which p / (p - n) cannot reach as a float.
+        code, out, err = run(capsys, "sc-feasible", str(10**400 - 1), str(10**400))
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["kappa"] == 10**400 and report["feasible"] is False
+
     def test_generate_round_trips_through_analyze(self, files, capsys, tmp_path):
         out_path = str(tmp_path / "sc.germ")
         code, _, _ = run(capsys, "--output", out_path, "sc-generate", "5", "8")
@@ -629,6 +646,13 @@ class TestScCommands:
         code, _, err = run(capsys, "sc-generate", "3", "5")
         assert code == EXIT_INFEASIBLE
         assert "strongly contractible" in err
+
+    def test_generate_refuses_an_unsupported_multiplicity(self, capsys):
+        # Feasible, but kappa + 1 = 13: refused before the germ is built,
+        # with the message and exit code of the self-check's analysis.
+        code, out, err = run(capsys, "sc-generate", "3100", "3362")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: kappa + 1 = 13 exceeds the supported multiplicity bound\n"
 
 
 # sha256 of the stdout of `germlab --format F char-table K`, K = 1..12 (outer)

@@ -669,11 +669,13 @@ class TestChainMinors:
     def test_minor_expansion_is_charged_to_the_budget(self):
         # Mond's H_5 (x, y^3, x*y + y^14), double point curve: the first
         # generator's section has infinite colength, so step 1 takes the
-        # second.  The chain that computes mu charges 87 units to the minors
-        # of both candidates and both steps, while no standard basis needs
-        # more than 26.
+        # second.  The chain that computes mu charges 109 units to the
+        # ideal's ledger, 87 of them to the minors of both candidates and
+        # both steps, while no standard basis needs more than 26.
         g = mp.germ(2, 3, ["y^3", "x1*y + y^14"])
-        assert milnor_icis(mp.multiple_point_equations(g, 2, budget=87), 1) == 1
+        assert milnor_icis(mp.multiple_point_equations(g, 2, budget=109), 1) == 1
+        with pytest.raises(ResourceLimitError):
+            milnor_icis(mp.multiple_point_equations(g, 2, budget=108), 1)
         I = mp.multiple_point_equations(g, 2, budget=50)
         with pytest.raises(ResourceLimitError, match="maximal minors"):
             milnor_icis(I, 1)

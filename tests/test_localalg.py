@@ -384,7 +384,6 @@ class TestStaircaseWalk:
         pure = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
         lms = pure + [e for e in extra if any(e)]
         vs = VarSet(tuple(f"x{i}" for i in range(n)))
-        I = LocalIdeal([MultiPoly(vs, {e: 1}) for e in lms], vs)
         charges = []
 
         class Recording(_Budget):
@@ -393,15 +392,18 @@ class TestStaircaseWalk:
                     charges.append(cost)
                 super().tick(what, cost)
 
+        # The ideal opens its ledger when it is built.
         with mock.patch.object(localalg, "_Budget", Recording):
-            count = I.quotient_dimension()
+            I = LocalIdeal([MultiPoly(vs, {e: 1}) for e in lms], vs)
+        count = I.quotient_dimension()
         assert count == box_count(lms, n)
         assert sum(charges) == count <= box_size(lms, n)
 
     def test_charge_is_one_unit_per_standard_monomial(self):
-        # Staircase {1, x, y, xy} of (x^2, y^2): four units fit a budget of
-        # four (TestBudget shows a budget of three running out).
-        I = ideal(["x", "y"], ["x^2", "y^2"], budget=4)
+        # Staircase {1, x, y, xy} of (x^2, y^2): its four units and the two
+        # nodes of the Krull-dimension search before it fit a budget of six
+        # (TestBudget shows a budget of three running out).
+        I = ideal(["x", "y"], ["x^2", "y^2"], budget=6)
         assert I.quotient_dimension() == 4
 
 

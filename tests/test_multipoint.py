@@ -32,10 +32,12 @@ from germlab import (
     sc_feasibility_report,
 )
 from germlab import multipoint as mp
+from germlab.errors import ResourceLimitError
 from germlab.icis import EMPTY, NOT_ICIS
 from germlab.localalg import _integer_terms
 from germlab.multipoint import InfeasibleDimensionsError, divided_difference_table
 
+from conftest import CORPUS_SPECS, NOT_A_FINITE_SPEC
 from fraction_table import fixed_generators, full_generators
 from ring_generator import ring_sc_germ
 from test_invariants import mond_germs
@@ -55,6 +57,13 @@ class TestExpectedDims:
         assert kappa(5, 6) == 6
         assert kappa(2, 3) == 3
         assert kappa(5, 8) == 2
+
+    def test_kappa_is_exact_beyond_float_precision(self):
+        # p / (p - n) in floats rounds 33333333333333333.33 down to ...32.
+        assert kappa(10**17 - 3, 10**17) == 33333333333333333
+        # 30000000000000001 / 10000000000000001 rounds up to 3.0 in floats.
+        rep = sc_feasibility_report(2 * 10**16, 3 * 10**16 + 1)
+        assert rep["kappa"] == 2 and rep["feasible"] is True
 
     def test_sigma_dim_bounded_by_full_dim(self):
         for k in range(2, 7):
@@ -370,6 +379,36 @@ class TestAnalyze:
                     assert not sp.ideal.contains_unit()
 
 
+def _ledger_germs() -> dict[str, mp.GermSpec]:
+    """The conftest corpus, the not-A-finite germ and Mond's H_5."""
+    out = {name: germ(n, p, comps) for name, (n, p, comps) in CORPUS_SPECS.items()}
+    for n, p in [(6, 10), (7, 11)]:
+        out[f"generated_{n}_{p}"] = generate_sc_germ(n, p, self_check=False)
+    out["not_a_finite"] = germ(*NOT_A_FINITE_SPEC)
+    (h5,) = [comps for name, _, comps in mond_germs() if name == "H_5"]
+    out["H_5"] = germ(2, 3, h5)
+    return out
+
+
+LEDGER_GERMS = _ledger_germs()
+
+
+class TestRunLedger:
+    """One ledger per analysis: the budget bounds the work of the whole run."""
+
+    @pytest.mark.parametrize("name", LEDGER_GERMS)
+    def test_the_budget_bounds_the_whole_analysis(self, name):
+        g = LEDGER_GERMS[name]
+        an = mp.analyze_germ(g)
+        (ledger,) = {cell.ideal._ledger for cell in an.cells.values()}
+        total = ledger.steps
+        assert mp.analyze_germ(g, budget=total).verdict == an.verdict
+        # crosscap, immersion and stable_3_5 are decided by exact criteria.
+        if total:
+            with pytest.raises(ResourceLimitError):
+                mp.analyze_germ(g, budget=total - 1)
+
+
 class TestFeasibility:
     def test_known_pairs(self):
         assert sc_dimension_feasible(5, 8)
@@ -414,6 +453,16 @@ class TestGenerator:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleDimensionsError):
             generate_sc_germ(3, 5)
+
+    def test_unsupported_multiplicity_is_refused_before_the_germ_is_built(self):
+        # (155, 168) is feasible with kappa = 12: the self-check would
+        # analyze D^13, so the germ is refused before it is built.
+        assert sc_dimension_feasible(155, 168) and kappa(155, 168) == 12
+        with mock.patch.object(mp, "GermSpec", side_effect=AssertionError("built")):
+            with pytest.raises(InvalidInputError, match="kappa \\+ 1 = 13 exceeds"):
+                generate_sc_germ(155, 168)
+        # Without the self-check the germ is still built.
+        assert len(generate_sc_germ(155, 168, self_check=False).components) == 14
 
     def test_7_11_arithmetic_and_self_check(self):
         assert 11 - (11 // 4) * 5 >= 0

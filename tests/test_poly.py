@@ -21,7 +21,7 @@ from germlab import (
 )
 from germlab import multipoint as mp
 from germlab.errors import InvalidInputError
-from germlab.localalg import DEFAULT_STEP_BUDGET
+from germlab.localalg import DEFAULT_STEP_BUDGET, _Budget
 from germlab.poly import parse_name, records
 from germlab.symrep import Partition, partitions
 
@@ -342,7 +342,7 @@ def test_fixed_locus_map_drops_the_terms_it_cancels():
     amb = VarSet(("x1", "y1", "y2"))
     row = [parse_poly("x1 + y1^2 - y2^2", amb), parse_poly("y1 - y2", amb)]
     table = (amb, [1, 1], [[{e: int(c) for e, c in p.terms.items()} for p in row]])
-    ideal = mp._fixed_ideal(g, table, Partition((2,)), DEFAULT_STEP_BUDGET)
+    ideal = mp._fixed_ideal(g, table, Partition((2,)), _Budget(DEFAULT_STEP_BUDGET))
     assert [gen.terms for gen in ideal.generators] == [{(1, 0): 1}]
     assert all(_nonzero_fractions(gen) for gen in ideal.generators)
 
