@@ -378,12 +378,12 @@ class LocalIdeal:
     Construction keeps each generator as an integer term map and a
     denominator, and their primitive parts, zero generators dropped, and
     opens a ledger of ``budget`` steps.  The MultiPoly generators, the
-    minimal reducers of the standard basis and their leading monomials are
-    cached on first use; unit containment, Krull and quotient dimension are
-    recomputed on every call.  Every computation on the ideal, and on every
-    ideal derived from it (its standard basis, the sections of its Milnor
-    chain, the reduced ideals of ``classify``), charges that one ledger, so
-    ``budget`` bounds their total work.  The generators are immutable, but
+    minimal reducers of the standard basis, their leading monomials and the
+    Krull dimension are cached on first use; unit containment and quotient
+    dimension are recomputed on every call.  Every computation on the ideal,
+    and on every ideal derived from it (its standard basis, the sections of
+    its Milnor chain, the reduced ideals of ``classify``), charges that one
+    ledger, so ``budget`` bounds their total work.  The generators are immutable, but
     the ledger is shared state: ideals of one ledger are not for concurrent
     use.  ``budget`` reads the ledger's limit.
     """
@@ -464,6 +464,12 @@ class LocalIdeal:
 
     def krull_dimension(self) -> int:
         """Dimension of the leading ideal; -1 for the unit ideal."""
+        return self._krull_dimension
+
+    @cached_property
+    def _krull_dimension(self) -> int:
+        # Cached here, not on krull_dimension, so the public name stays a
+        # plain method that can be wrapped by name.
         if self.contains_unit():
             return -1
         return _monomial_ideal_dimension(self.leading_monomials, len(self.ambient), self._ledger)

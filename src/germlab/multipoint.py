@@ -4,13 +4,13 @@ A germ is stored in the normal form (x, h_1(x,y), ..., h_m(x,y)) with
 m = p - n + 1.  The k-th multiple point space lives in (x, y_1..y_k) and is
 cut out by the iterated divided differences of the components: level j
 contributes the divided difference of level j-1 in a fresh variable y_j, for
-j = 2..k.  One table of these differences, integer term maps of components
-scaled once to integer coefficients, is built per k, and every cell of that
-k is read off it.  The fixed locus of a cycle shape is the image of the
-table under the monomial map y_i -> z_{cycle(i)} for the canonical
-permutation, whose cycles occupy consecutive positions in decreasing length
-order (all choices give isomorphic loci): each cycle's block of y-exponents
-sums to one z-exponent.
+j = 2..k.  The germ holds each component as an integer term map and one
+denominator, so one table of these differences, on those maps, is built per
+k with no rational arithmetic, and every cell of that k is read off it.  The
+fixed locus of a cycle shape is the image of the table under the monomial
+map y_i -> z_{cycle(i)} for the canonical permutation, whose cycles occupy
+consecutive positions in decreasing length order (all choices give
+isomorphic loci): each cycle's block of y-exponents sums to one z-exponent.
 
 The analyzer classifies every (k, shape) cell against its expected dimension
 and derives the Marar-Mond style verdicts: stability, A-finiteness, strong
@@ -23,9 +23,9 @@ as max{k <= kappa : D^k nonempty}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise
-from math import lcm
 from typing import Sequence
 
 from . import icis
@@ -45,11 +45,11 @@ from .icis import (
 )
 from .localalg import DEFAULT_STEP_BUDGET, LocalIdeal, _Budget
 from .poly import (
-    _ONE,
     Exponent,
     MultiPoly,
     VarSet,
     _divided_difference_terms,
+    clear_denominators,
     divided_difference,  # not called here; perfbench/tracer.py patches this name
     format_poly,
     parse_integer,
@@ -60,32 +60,81 @@ from .poly import (
 from .symrep import MAX_SYMMETRIC_K, Partition, partitions
 
 
-@dataclass(frozen=True)
 class GermSpec:
-    """A corank-one mono-germ (x, h_1(x,y), .., h_m(x,y)) from (C^n,0) to (C^p,0)."""
+    """A corank-one mono-germ (x, h_1(x,y), .., h_m(x,y)) from (C^n,0) to (C^p,0).
 
-    n: int
-    p: int
-    base_names: tuple[str, ...]
-    corank_name: str
-    components: tuple[MultiPoly, ...]
+    Its one state, set at construction, is each component h_i as an integer
+    term map and the lcm d_i of its coefficient denominators, h_i = map / d_i,
+    which ``divided_difference_table`` reads as it is; the MultiPoly
+    components are built from that state on first use.  The state of a
+    polynomial is unique, so germs compare and hash by their dimensions,
+    variable names and component polynomials.  A germ is immutable.
+    """
 
-    def __post_init__(self):
-        _check_dims(self.n, self.p)
-        if len(self.base_names) != self.n - 1:
+    def __init__(self, n: int, p: int, base_names: Sequence[str], corank_name: str,
+                 components: Sequence[MultiPoly]):
+        _check_dims(n, p)
+        if len(base_names) != n - 1:
             raise InvalidInputError("base variable count must be n - 1")
-        _check_component_count(len(self.components), self.n, self.p)
-        vs = self.varset
+        _check_component_count(len(components), n, p)
+        vs = VarSet(tuple(base_names) + (corank_name,))
         origin = (0,) * len(vs)
-        for h in self.components:
+        maps, dens = [], []
+        for h in components:
             if h.vars != vs:
                 raise InvalidInputError("component does not live over the germ variables")
             if origin in h.terms:
                 raise InvalidInputError("components must vanish at the origin")
+            den, ints = clear_denominators(h.terms.values())
+            maps.append(dict(zip(h.terms, ints)))
+            dens.append(den)
+        self._init_state(n, p, base_names, corank_name, maps, dens)
+
+    @classmethod
+    def _from_terms(cls, n: int, p: int, base_names: Sequence[str], corank_name: str,
+                    maps: Sequence[dict[Exponent, int]]) -> "GermSpec":
+        """The germ whose components are the integer term maps ``maps``,
+        with no check: the caller guarantees what the constructor checks and
+        that every coefficient is a nonzero int."""
+        return cls.__new__(cls)._init_state(n, p, base_names, corank_name, maps, [1] * len(maps))
+
+    def _init_state(self, n: int, p: int, base_names: Sequence[str], corank_name: str,
+                    maps: Sequence[dict[Exponent, int]], dens: Sequence[int]) -> "GermSpec":
+        vars(self).update(n=n, p=p, base_names=tuple(base_names), corank_name=corank_name,
+                          _scaled=(tuple(maps), tuple(dens)))
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("GermSpec is immutable")
+
+    def _key(self) -> tuple:
+        maps, dens = self._scaled
+        return (self.n, self.p, self.base_names, self.corank_name,
+                tuple(frozenset(h.items()) for h in maps), dens)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GermSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"GermSpec(n={self.n}, p={self.p}, base_names={self.base_names!r}, "
+                f"corank_name={self.corank_name!r}, "
+                f"components={[format_poly(h) for h in self.components]!r})")
 
     @cached_property
     def varset(self) -> VarSet:
         return VarSet(self.base_names + (self.corank_name,))
+
+    @cached_property
+    def components(self) -> tuple[MultiPoly, ...]:
+        maps, dens = self._scaled
+        vs = self.varset
+        return tuple(
+            MultiPoly._trusted(vs, {e: Fraction(c, d) for e, c in h.items()})
+            for h, d in zip(maps, dens)
+        )
 
     @property
     def m(self) -> int:
@@ -197,11 +246,11 @@ def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], li
     j = 2..k, whose entries are the m iterated differences as integer term maps.
 
     Level 2 is (h_i(y_2) - h_i(y_1)) / (y_2 - y_1); level j divides out
-    (y_j - y_{j-1}) from the previous level.  Each component h_i is scaled
-    to integers once, by the lcm d_i of its coefficient denominators, and a
-    divided difference copies coefficients, so entry i of every row is d_i
-    times the difference of h_i.  Entries can be empty (components of low
-    y-degree exhaust).
+    (y_j - y_{j-1}) from the previous level.  The germ holds each component
+    h_i scaled to integers by the lcm d_i of its coefficient denominators,
+    the scale, and a divided difference copies coefficients, so entry i of
+    every row is d_i times the difference of h_i.  Entries can be empty
+    (components of low y-degree exhaust).
     """
     if k < 2:
         raise InvalidInputError("multiple point spaces start at k = 2")
@@ -210,19 +259,16 @@ def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], li
             f"k = {k} exceeds the practical bound kappa + 1 = {kappa(g.n, g.p) + 1}"
         )
     amb = _ambient(g, [f"{g.corank_name}{i}" for i in range(1, k + 1)])
-    scales = [lcm(*(c.denominator for c in h.terms.values())) for h in g.components]
+    maps, scales = g._scaled
     # The germ's corank variable is last and y1 is the ambient's first corank
     # variable, so lifting y -> y1 pads every exponent with zeros.
     pad = (0,) * (k - 1)
-    current = [
-        {e + pad: c.numerator * (d // c.denominator) for e, c in h.terms.items()}
-        for h, d in zip(g.components, scales)
-    ]
+    current = [{e + pad: c for e, c in h.items()} for h in maps]
     rows = []
     for i in range(len(g.base_names), len(amb) - 1):
         current = [_divided_difference_terms(q, i, i + 1) for q in current]
         rows.append(current)
-    return amb, scales, rows
+    return amb, list(scales), rows
 
 
 def _full_ideal(table, ledger: _Budget) -> LocalIdeal:
@@ -464,8 +510,9 @@ def generate_sc_germ(
     built.
 
     The monomials of a component are distinct and have coefficient 1, so
-    its term map is written directly from exponent tuples, with no ring
-    arithmetic, in the order the sum of its monomials would list them.
+    its integer term map, the germ's state, is written directly from
+    exponent tuples, with no ring arithmetic, in the order the sum of its
+    monomials would list them.
     """
     if not sc_dimension_feasible(n, p):
         raise InfeasibleDimensionsError(
@@ -473,8 +520,7 @@ def generate_sc_germ(
         )
     kap = _check_multiplicity_bound(n, p) if self_check else kappa(n, p)
     m = p - n + 1
-    vs_names = tuple(f"x{i}" for i in range(1, n)) + ("y",)
-    vs = VarSet(vs_names)
+    base_names = tuple(f"x{i}" for i in range(1, n))
 
     def mono(y_deg: int, t: int = 0, a: int = 1) -> Exponent:
         """The exponent of x_t^a * y^y_deg; t = 0 leaves out the x factor."""
@@ -510,8 +556,8 @@ def generate_sc_germ(
         scheduled = m * (kap - 1)
         for t in range(scheduled + 1, n):
             supports[t - scheduled - 1].append(mono(kap, t))  # leftover <= m, by feasibility
-    comps = [MultiPoly._trusted(vs, dict.fromkeys(exps, _ONE)) for exps in supports]
-    spec = GermSpec(n, p, vs_names[:-1], "y", tuple(comps))
+    maps = [dict.fromkeys(exps, 1) for exps in supports]
+    spec = GermSpec._from_terms(n, p, base_names, "y", maps)
     if self_check:
         analysis = analyze_germ(spec, budget=budget)
         if not analysis.verdict.strongly_contractible:

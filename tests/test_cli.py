@@ -69,7 +69,7 @@ component y^3 + x1^3*y
 
 # The (4, 5) germ: after linear elimination its D^4 (1,1,1,1) curve is a
 # two-generator Le-Greuel chain in 3 variables.  The whole analysis charges
-# 725 units to its one ledger, and every budget from 312 to 419 runs out in
+# 722 units to its one ledger, and every budget from 309 to 416 runs out in
 # the maximal minors of that chain.
 QUARTIC_QUINTIC_GERM = """\
 n 4
@@ -238,8 +238,8 @@ class TestAnalyze:
 
     def test_budget_exit_in_the_chain_minors(self, files, capsys):
         path = files("g.germ", QUARTIC_QUINTIC_GERM)
-        assert run(capsys, "--budget-steps", "725", "analyze", path)[0] == EXIT_OK
-        for budget, stage in (("400", "maximal minors"), ("100", "standard basis")):
+        assert run(capsys, "--budget-steps", "722", "analyze", path)[0] == EXIT_OK
+        for budget, stage in (("400", "maximal minors"), ("99", "standard basis")):
             code, _, err = run(capsys, "--budget-steps", budget, "analyze", path)
             assert code == EXIT_RESOURCE
             assert stage in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from germlab import (
     expected_dim,
     expected_dim_sigma,
     fixed_locus_equations,
+    format_poly,
     generate_sc_germ,
     germ,
     germ_from_text,
@@ -31,6 +33,7 @@ from germlab import (
     sc_dimension_feasible,
     sc_feasibility_report,
 )
+from germlab import localalg
 from germlab import multipoint as mp
 from germlab.errors import ResourceLimitError
 from germlab.icis import EMPTY, NOT_ICIS
@@ -304,6 +307,50 @@ class TestIntegerTable:
         ]
 
 
+class TestGermState:
+    """The germ's integer state against the parser and the Fraction scales."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_germs)
+    def test_state_matches_the_parsed_polynomials(self, g):
+        texts = [format_poly(h) for h in g.components]
+        again = germ(g.n, g.p, texts)
+        want = [parse_poly(t, g.varset) for t in texts]
+        assert [list(h.terms.items()) for h in again.components] == [
+            list(h.terms.items()) for h in want
+        ]
+        _, scales, _ = divided_difference_table(again, 2)
+        assert scales == [lcm(*(c.denominator for c in h.terms.values())) for h in want]
+        read = germ_from_text(g.serialize())
+        assert read == g == again and hash(read) == hash(g) == hash(again)
+        assert repr(read) == repr(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_germs, st.fractions(1, 3).filter(bool))
+    def test_constructor_checks_are_kept(self, g, constant):
+        names = g.base_names + (g.corank_name,)
+        other = VarSet(names[:-1] + ("z",))
+        first, *rest = g.components
+        with pytest.raises(InvalidInputError, match="does not live over"):
+            mp.GermSpec(g.n, g.p, g.base_names, g.corank_name,
+                        (MultiPoly(other, first.terms), *rest))
+        shifted = first + MultiPoly.constant(g.varset, constant)
+        with pytest.raises(InvalidInputError, match="vanish at the origin"):
+            mp.GermSpec(g.n, g.p, g.base_names, g.corank_name, (shifted, *rest))
+
+    def test_equality_follows_the_polynomials(self):
+        g = germ(2, 3, ["1/2*y^2", "y^3 + 3/4*x1^3*y"])
+        assert g.components[0] == parse_poly("1/2*y^2", g.varset)
+        # The same integer map with another denominator is another germ.
+        assert g != germ(2, 3, ["y^2", "y^3 + 3/4*x1^3*y"])
+        assert g != germ(2, 3, ["1/2*y^2", "y^3 + 3/2*x1^3*y"])
+        assert g == germ(2, 3, ["1/2*y^2", "3/4*y*x1^3 + y^3"])
+        assert repr(g) == ("GermSpec(n=2, p=3, base_names=('x1',), corank_name='y', "
+                           "components=['1/2*y^2', '3/4*x1^3*y + y^3'])")
+        with pytest.raises(AttributeError):
+            g.n = 3
+
+
 class TestAnalyze:
     def test_contractible_5_8(self, corpus):
         v = corpus["contractible_5_8"].verdict
@@ -371,6 +418,20 @@ class TestAnalyze:
                     }
                     for gen in I.generators:
                         assert normal_form(I, gen.substitute(mapping)).is_zero()
+
+    def test_each_ideal_searches_its_krull_dimension_once(self):
+        # classify and then milnor_icis ask a zero-dimensional cell for its
+        # Krull dimension; the branch and bound runs on the first request.
+        calls = []
+        search = localalg._monomial_ideal_dimension
+
+        def spy(lms, nvars, budget):
+            calls.append(tuple(lms))
+            return search(lms, nvars, budget)
+
+        with mock.patch.object(localalg, "_monomial_ideal_dimension", spy):
+            mp.analyze_germ(germ(*CORPUS_SPECS["s2"]))
+        assert len(calls) == len(set(calls)) == 3
 
     def test_mono_germ_fixed_loci_contain_origin_when_nonempty(self, corpus):
         for an in corpus.values():
@@ -458,7 +519,7 @@ class TestGenerator:
         # (155, 168) is feasible with kappa = 12: the self-check would
         # analyze D^13, so the germ is refused before it is built.
         assert sc_dimension_feasible(155, 168) and kappa(155, 168) == 12
-        with mock.patch.object(mp, "GermSpec", side_effect=AssertionError("built")):
+        with mock.patch.object(mp.GermSpec, "_from_terms", side_effect=AssertionError("built")):
             with pytest.raises(InvalidInputError, match="kappa \\+ 1 = 13 exceeds"):
                 generate_sc_germ(155, 168)
         # Without the self-check the germ is still built.
@@ -495,6 +556,7 @@ class TestGenerator:
                 list(h.terms.items()) for h in want.components
             ], (n, p)
             assert got.serialize() == want.serialize(), (n, p)
+            assert got == want and hash(got) == hash(want), (n, p)
 
     def test_kappa_1_pads_to_exactly_m_monomials(self):
         # p >= 2n + 1, so m = p - n + 1 exceeds the n + 1 monomials y^2, y^3,
