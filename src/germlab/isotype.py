@@ -7,9 +7,9 @@ that must be integers for honest group actions is a *validation signal*: the
 functions raise InconsistentDataError carrying the exact offending value
 rather than rounding.
 
-Character values here are rational, so complex conjugation in the formulas
-is the identity; generic tables with irrational entries are out of scope and
-rejected at load time by the table parser.
+Character values here are integers (one per class), so complex conjugation
+in the formulas is the identity; tables with other values are out of scope
+and rejected at load time by the table parser.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def _exact_sum(
 
 def _class_sum(table: CharacterTable, i: int, values: Sequence[Fraction | int]) -> Fraction:
     """(1/|G|) sum_classes size * chi_i * value, values in class order."""
-    den, ints = table.integer_rows[i]
-    return _exact_sum(map(mul, table.class_sizes, ints), values, table.group_order * den)
+    return _exact_sum(map(mul, table.class_sizes, table.values[i]), values, table.group_order)
 
 
 def solve_character_system(
@@ -117,9 +116,8 @@ def evaluate_class_function(
 ) -> dict[str, Fraction]:
     """Forward evaluation b_sigma = sum_tau chi_tau(sigma) x_tau per class."""
     values = [x[label] for label in table.irrep_labels]
-    columns = map(clear_denominators, zip(*table.values))
-    return {cls: _exact_sum(ints, values, den)
-            for cls, (den, ints) in zip(table.class_labels, columns)}
+    return {cls: _exact_sum(column, values, 1)
+            for cls, column in zip(table.class_labels, zip(*table.values))}
 
 
 def tau_characteristic(

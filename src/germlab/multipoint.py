@@ -136,10 +136,6 @@ class GermSpec:
             for h, d in zip(maps, dens)
         )
 
-    @property
-    def m(self) -> int:
-        return self.p - self.n + 1
-
     def serialize(self) -> str:
         lines = [f"n {self.n}", f"p {self.p}"]
         if self.base_names:

@@ -304,9 +304,9 @@ def _divided_difference_terms(terms: Mapping[Exponent, Fraction | int], i: int, 
 # Outside polynomials, every input file has one line grammar (``records``):
 # '#' starts a comment, blank lines are skipped, and a record is a directive
 # and its whitespace-separated fields.  A declared variable is one NAME
-# (parse_name), an integer field [+-]?[0-9]+ (parse_integer), a rational
-# field [+-]?[0-9]+(/[0-9]+)? (parse_rational; parse_rational_fields keeps
-# integer literals as int).
+# (parse_name), an integer field [+-]?[0-9]+ (parse_integer; a list of them
+# parse_integer_fields), a rational field [+-]?[0-9]+(/[0-9]+)?
+# (parse_rational).
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()/"
@@ -356,20 +356,19 @@ def parse_rational(text: str) -> Fraction:
 _INTEGER_FIELDS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
 
-def parse_rational_fields(fields: Sequence[str]) -> tuple[int | Fraction, ...]:
-    """Read whitespace-free rational literals: an integer literal
-    ``[+-]?[0-9]+`` as an int, an ``a/b`` field as parse_rational's Fraction.
+def parse_integer_fields(fields: Sequence[str], what: str) -> tuple[int, ...]:
+    """Read whitespace-free integer literals ``[+-]?[0-9]+``; ``what`` names
+    a bad one in the error, as in parse_integer.
 
-    One grammar check covers a list of integer literals; any other list is
-    read field by field with parse_rational, so a bad field fails with its
-    message.
+    One grammar check covers the whole list; any other list is read field by
+    field with parse_integer, so a bad field fails with its message.
     """
     if _INTEGER_FIELDS.fullmatch(" ".join(fields)):
         try:
             return tuple(map(int, fields))
         except ValueError:  # more digits than int() converts
             pass
-    return tuple(v if "/" in f else int(v) for f, v in zip(fields, map(parse_rational, fields)))
+    return tuple(parse_integer(f, what) for f in fields)
 
 
 def content_lines(text: str) -> Iterator[str]:

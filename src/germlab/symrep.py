@@ -5,22 +5,21 @@ the irreducible characters of S_k.  Character values are exact integers from
 the Murnaghan-Nakayama rule, on partitions and rim-hook columns built once
 per process, and stay plain ints; these tables are exact by construction and
 the test suite, not the run time, checks them.  A generic CharacterTable
-container holds tables of other finite groups with rational values, loaded
-from a small text format and validated against the orthogonality relations
-on load.
+container holds tables of other finite groups with one integer per class,
+loaded from a small text format and validated against the orthogonality
+relations on load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import factorial
 from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from .errors import InconsistentDataError, InvalidInputError
-from .poly import clear_denominators, parse_integer, parse_rational_fields, records
+from .poly import parse_integer, parse_integer_fields, records
 
 MAX_SYMMETRIC_K = 12
 
@@ -54,9 +53,6 @@ class Partition:
 
     def label(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-    def __iter__(self):
-        return iter(self.parts)
 
 
 @cache
@@ -133,17 +129,16 @@ def _column(cycles: tuple[int, ...]) -> dict[int, int]:
     return column
 
 
-def _check_shape(rows: Sequence[Sequence[int | Fraction]], width: int):
+def _check_shape(rows: Sequence[Sequence[int]], width: int):
     if any(len(r) != width for r in rows):
         raise InconsistentDataError("ragged character table")
     if len(rows) != width:
         raise InconsistentDataError(f"{len(rows)} irreducibles for {width} classes")
 
 
-def _rows_orthogonal(order: int, sizes: Sequence[int],
-                     rows: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
-    """Whether sum_k sizes_k r_ik r_jk == order D_i D_j [i == j] for all rows
-    i, j of integer_rows ((D_i, r_i) each), in O(c^2) integer operations.
+def _rows_orthogonal(order: int, sizes: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_k sizes_k r_ik r_jk == order [i == j] for all rows i, j,
+    in O(c^2) integer operations.
 
     The c x c identity H == E holds iff H v == E v for v = (1, t, t^2, ...)
     with t = 2^b above every |H_ij - E_ij|: a nonzero row of H - E cannot
@@ -154,14 +149,13 @@ def _rows_orthogonal(order: int, sizes: Sequence[int],
     """
     if min(sizes, default=1) <= 0:
         return False
-    squares = [sum(map(mul, sizes, map(mul, ints, ints))) for _, ints in rows]
-    den = max((d for d, _ in rows), default=1)
-    b = (max(squares, default=0) + abs(order) * den * den).bit_length()
+    squares = [sum(map(mul, sizes, map(mul, row, row))) for row in rows]
+    b = (max(squares, default=0) + abs(order)).bit_length()
     powers = range(0, b * len(rows), b)  # v_j = t^j = 1 << powers[j]
-    columns = [sum(map(lshift, col, powers)) for col in zip(*(ints for _, ints in rows))]
+    columns = [sum(map(lshift, col, powers)) for col in zip(*rows)]
     weighted = tuple(map(mul, sizes, columns))  # S X^T v
-    return all(sum(map(mul, ints, weighted)) == (order * d * d) << powers[i]
-               for i, (d, ints) in enumerate(rows))
+    return all(sum(map(mul, row, weighted)) == order << powers[i]
+               for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -169,23 +163,21 @@ class CharacterTable:
     """Irreducible characters indexed by conjugacy class, all values exact.
 
     validate() enforces class sizes summing to group_order, one irreducible
-    per class, row orthogonality and positive degrees; every table read from
-    text runs it.
-    For symmetric groups the labels are partition strings and the values are
-    ints; generic tables admit rational values, an int where the value is
-    written as an integer and a Fraction where it is written a/b.  Values
-    are real rationals throughout, so character conjugation is the identity
-    here.
+    per class, int values, row orthogonality and positive degrees; every
+    table read from text runs it.
+    For symmetric groups the labels are partition strings.  A character
+    value is a sum of roots of unity, so a rational one is an integer: the
+    values are ints, and character conjugation is the identity here.
     """
 
     group_order: int
     class_labels: tuple[str, ...]
     class_sizes: tuple[int, ...]
     irrep_labels: tuple[str, ...]
-    values: tuple[tuple[int | Fraction, ...], ...]  # rows: irreps, columns: classes
+    values: tuple[tuple[int, ...], ...]  # rows: irreps, columns: classes
     identity_index: int = 0
 
-    def degree(self, row: int) -> int | Fraction:
+    def degree(self, row: int) -> int:
         return self.values[row][self.identity_index]
 
     def irrep_index(self, label: str) -> int:
@@ -194,39 +186,26 @@ class CharacterTable:
         except ValueError:
             raise InvalidInputError(f"unknown irreducible {label!r}") from None
 
-    def row(self, label: str) -> tuple[int | Fraction, ...]:
+    def row(self, label: str) -> tuple[int, ...]:
         return self.values[self.irrep_index(label)]
-
-    @cached_property
-    def integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per irreducible i: (D_i, r_i), D_i the lcm of the row's denominators
-        and r_i = D_i * row_i in integers, so that exact sums over a row need
-        one division at the end instead of a Fraction per term.  A row of
-        ints is its own r_i, with D_i = 1."""
-        return tuple(
-            (1, row) if all(type(v) is int for v in row) else clear_denominators(row)
-            for row in self.values
-        )
 
     def validate(self):
         if sum(self.class_sizes) != self.group_order:
             raise InconsistentDataError("class sizes do not sum to the group order")
-        _check_shape(self.values, len(self.class_labels))
-        rows = self.integer_rows
+        rows = self.values
+        _check_shape(rows, len(self.class_labels))
+        if others := [v for row in rows for v in row if type(v) is not int]:
+            raise InconsistentDataError(f"character value {others[0]} is not an integer",
+                                        value=others[0])
         # All pairs at once; pair by pair only to name the first that fails.
         suspects = () if _rows_orthogonal(self.group_order, self.class_sizes, rows) else rows
-        for i, (den_i, ints_i) in enumerate(suspects):
-            # sum size * row_i * row_j == expected  <=>  the same identity
-            # multiplied through by D_i * D_j, in integers.
-            weighted = tuple(map(mul, self.class_sizes, ints_i))
+        for i, row in enumerate(suspects):
+            weighted = tuple(map(mul, self.class_sizes, row))
             for j in range(i, len(rows)):
-                den_j, ints_j = rows[j]
-                acc = sum(map(mul, weighted, ints_j))
-                expected = self.group_order if i == j else 0
-                if acc != expected * den_i * den_j:
+                acc = sum(map(mul, weighted, rows[j]))
+                if acc != (self.group_order if i == j else 0):
                     raise InconsistentDataError(
-                        f"row orthogonality fails for irreducibles {i} and {j}",
-                        value=Fraction(acc, den_i * den_j),
+                        f"row orthogonality fails for irreducibles {i} and {j}", value=acc
                     )
         for i in range(len(rows)):
             if self.degree(i) <= 0:
@@ -248,7 +227,7 @@ def character_table_symmetric(k: int) -> CharacterTable:
     Both axes follow the deterministic partition order.  Rows are found by
     label (``irrep_index``): the trivial character is the row of (k), the
     sign character the row of (1^k).  Built once per k and process; the
-    table is frozen, so every caller shares it and its ``integer_rows``.
+    table is frozen, so every caller shares it.
     """
     if not 1 <= k <= MAX_SYMMETRIC_K:
         raise InvalidInputError(f"symmetric character tables support 1 <= k <= {MAX_SYMMETRIC_K}")
@@ -284,15 +263,15 @@ def table_from_text(text: str) -> CharacterTable:
     Format: exactly one `group_order N` line, then `class <label> <size>`
     lines, then `irrep <label> <value per class...>` lines, in the record
     grammar of ``poly.records``.  Class labels and irreducible labels must
-    each be unique and class sizes positive.  A value written as an integer
-    is read as an int, one written a/b as a Fraction.  The identity class is
+    each be unique and class sizes positive.  Each value is an integer
+    literal (``poly.parse_integer_fields``).  The identity class is
     the one of size 1 on which every irreducible is positive; the count of
     irreducibles (one per class) and orthogonality are validated and
     inconsistent tables are rejected.
     """
     order = None
     sizes: dict[str, int] = {}
-    rows: dict[str, tuple[int | Fraction, ...]] = {}
+    rows: dict[str, tuple[int, ...]] = {}
     lines = records(text, "character-table", _TABLE_FIELDS, once=("group_order",),
                     required=("group_order", "class", "irrep"))
     for key, fields, line in lines:
@@ -306,7 +285,8 @@ def table_from_text(text: str) -> CharacterTable:
         elif len(fields) < 2:
             raise InvalidInputError(f"bad irrep line: {line!r}")
         else:
-            _add(rows, fields[0], parse_rational_fields(fields[1:]), "irreducible")
+            _add(rows, fields[0], parse_integer_fields(fields[1:], "character value"),
+                 "irreducible")
     values = tuple(rows.values())
     _check_shape(values, len(sizes))
     identity_candidates = [

@@ -32,7 +32,7 @@ from germlab.icis import EMPTY, ICIS, ISOLATED_POINTS, SMOOTH, milnor_hypersurfa
 
 from alt_formulas import mu_alt_formula_a, mu_alt_formula_b
 from recombination import _random_recombination
-from test_symrep import brute_force_table
+from tabloid_table import brute_force_table
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str = ""):

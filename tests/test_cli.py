@@ -209,6 +209,26 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert "mu_I = 2" in out
 
+    @pytest.mark.parametrize("tau, line", [
+        ("(1,1)", "mu_2^(1,1) = 2"),
+        ("(3)", "no (3)-isotype numbers"),
+    ], ids=["sign", "no-table-has-it"])
+    def test_text_format_with_tau(self, files, capsys, tau, line):
+        path = files("g.germ", S2_GERM)
+        code, out, _ = run(capsys, "--format", "text", "analyze", path, "--tau", tau)
+        assert code == EXIT_OK
+        assert line in out.splitlines()
+
+    def test_a_germ_without_the_corank_variable_is_not_a_finite(self, files, capsys):
+        # Every divided difference of (x1^2, x1^3) vanishes: each D^k ideal
+        # is zero, of the ambient dimension, not the expected one.
+        path = files("g.germ", "n 2\np 3\ncomponent x1^2\ncomponent x1^3\n")
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == EXIT_NOT_A_FINITE
+        spaces = json.loads(out)["spaces"]
+        assert len(spaces) == 6
+        assert {space["evidence"] for space in spaces} == {"zero ideal of wrong dimension"}
+
     def test_deterministic_output(self, files, capsys):
         path = files("g.germ", S2_GERM)
         _, first, _ = run(capsys, "analyze", path)
@@ -266,8 +286,13 @@ class TestAnalyze:
             ("n 2\np x\ncomponent y^2\ncomponent y^3\n", "bad p"),
             ("n\np 3\ncomponent y^2\ncomponent y^3\n", "bad n"),
             ("n 2\np 3\ncomponent y^\u00b2\ncomponent y^3\n", "unexpected character"),
+            ("n 2\np 3\ncomponent 1/0*y\ncomponent y^3\n", "zero denominator (at offset 2)"),
+            # D^k appends y1..yk after the base variables
+            ("n 2\np 3\nbase y1\ncomponent y^2\ncomponent y^3 + y1^3*y\n",
+             "variable clash: y1 is already a base variable"),
         ],
-        ids=["p-not-an-integer", "n-missing", "superscript-exponent"],
+        ids=["p-not-an-integer", "n-missing", "superscript-exponent", "zero-denominator",
+             "base-name-of-d-k"],
     )
     def test_malformed_germ_file_is_an_input_error(self, files, capsys, text, message):
         code, out, err = run(capsys, "analyze", files("g.germ", text))
@@ -822,13 +847,23 @@ class TestIsotypeCommand:
             ("group_order 2\nclass a 1\nclass b 1\nirrep t 1 1\nirrep u 1\n",
              "class a euler 1\nclass b euler 1\n", EXIT_INCONSISTENT, "ragged"),
             ("group_order 1\nclass a 1\nirrep t 1/0\n", "class a euler 1\n", EXIT_INPUT,
-             "bad rational literal"),
+             "bad character value '1/0'"),
             (S2_TABLE, "class (1,1) euler x\nclass (2) euler 0\n", EXIT_INPUT, "bad integer"),
             (S2_TABLE, "top_dim x\nclass (1,1) single 2 1\nclass (2) single 1 1\n",
              EXIT_INPUT, "bad integer"),
+            # printed {"t": "7/5", "u": "1/5"} and exited 0: orthogonal rows of
+            # positive degree, but no finite group has a value that is not an
+            # integer
+            ("group_order 2\nclass a 1\nclass b 1\nirrep t 7/5 1/5\nirrep u 1/5 -7/5\n",
+             "class a euler 2\nclass b euler 0\n", EXIT_INPUT, "bad character value '7/5'"),
+            (S2_TABLE, "class (1,1) euler 2\nclass (3) euler 0\n", EXIT_INPUT,
+             "datum for unknown class '(3)'"),
+            (S2_TABLE, "class (1,1) cells 2\nclass (2) cells 0\n", EXIT_INPUT,
+             "unknown fixed-point record kind 'cells'"),
         ],
         ids=["repeated-class", "repeated-irrep", "order-abc", "order-missing", "size-x",
-             "short-row", "zero-denominator", "euler-x", "top-dim-x"],
+             "short-row", "zero-denominator", "euler-x", "top-dim-x", "rational-values",
+             "unknown-class", "unknown-kind"],
     )
     def test_malformed_input_exit_codes(self, files, capsys, table, data, expected, message):
         code, out, err = run(capsys, "isotype", files("t.table", table), files("d.data", data))
@@ -838,16 +873,17 @@ class TestIsotypeCommand:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("1" * 5000, f"bad rational literal {'1' * 5000!r}: too many digits"),
-            ("1/0", "bad rational literal '1/0': zero denominator"),
-            ("1.5", "bad rational literal '1.5'"),
-            ("1_0", "bad rational literal '1_0'"),
-            ("\u0661", "bad rational literal '\u0661'"),
+            ("1" * 5000, f"bad character value {'1' * 5000!r}: too many digits"),
+            ("1/0", "bad character value '1/0'"),
+            ("1.5", "bad character value '1.5'"),
+            ("1_0", "bad character value '1_0'"),
+            ("\u0661", "bad character value '\u0661'"),
         ],
         ids=["too-many-digits", "zero-denominator", "decimal", "underscore", "arabic-indic"],
     )
     def test_bad_field_among_integers_keeps_its_message(self, files, capsys, field, message):
-        # Messages as they were when every field went through parse_rational.
+        # The fast path for a row of integers leaves each bad field the
+        # message of the integer grammar.
         table = S3_TABLE.replace("irrep (2,1) -1 0 2", f"irrep (2,1) -1 {field} 2")
         code, out, err = run(capsys, "isotype", files("t.table", table),
                              files("d.data", S3_DATA[0]))
@@ -1135,6 +1171,15 @@ class TestMilnorCommand:
         assert code == EXIT_OK and json.loads(out) == {"mu": 2**12 - 1}
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("vars x x\nx\n", "duplicate variable names in ('x', 'x')"),
+        ("vars x y\nx\ny\nx*y\n", "more generators than ambient variables"),
+    ], ids=["repeated-variable", "more-generators-than-variables"])
+    def test_an_ideal_with_no_milnor_number_is_an_input_error(self, files, capsys, text,
+                                                               message):
+        code, out, err = run(capsys, "milnor", files("bad.ideal", text))
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("generators", ["1", "x + 1"])
     def test_unit_ideal_is_an_input_error(self, files, capsys, generators):
         # Exited 5, "internal inconsistency", on the user's own input.
@@ -1177,6 +1222,18 @@ class TestConservationCommand:
         code, out, err = run(capsys, "conservation-check", path)
         assert (code, out) == (EXIT_INPUT, "")
         assert message in err
+
+    @pytest.mark.parametrize("text, old, new, message", [
+        (KILLING_CONSERVATION, "betti 2 1", "betti 0 1",
+         "perturbed-image Betti data uses positive degrees only"),
+        (CUSP_CONSERVATION, "d 1", "d -1", "family dimension must be >= 0"),
+    ], ids=["betti-degree-0", "negative-d"])
+    def test_a_value_out_of_range_is_an_input_error(self, files, capsys, text, old, new,
+                                                    message):
+        assert f"\n{old}\n" in text
+        path = files("bad.cons", text.replace(f"\n{old}\n", f"\n{new}\n"))
+        code, out, err = run(capsys, "conservation-check", path)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_violation_reported(self, files, capsys):
         path = files(

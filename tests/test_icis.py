@@ -146,6 +146,8 @@ class TestExactCriteria:
             (["x + y^2", "y - x^3"], 0, SMOOTH, 0, FULL_LINEAR_RANK),
             (["x + y^2", "y - x^3"], 1, NOT_ICIS, 0, "dimension 0 != expected 1"),
             (["x + y^2"], 1, SMOOTH, 1, IMPLICIT_FUNCTION),
+            ([], 2, SMOOTH, 2, "zero ideal"),
+            ([], 1, NOT_ICIS, 2, "zero ideal of wrong dimension"),
         ],
     )
     def test_decided_without_a_standard_basis(self, gens, e, kind, dim, evidence):

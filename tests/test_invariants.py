@@ -453,6 +453,16 @@ class TestIcssTable:
         positions = {(c.r, c.q) for c in layout.cells}
         assert positions == {(1, 6), (2, 4), (3, 2), (4, 0)}
 
+    def test_layout_text_marks_each_alternating_number(self):
+        # A layout has no values yet: each cell shows the mu_k^Alt it holds.
+        assert icss_layout(2, 3).to_text() == (
+            "  2 |        .   m2^Alt        .        .\n"
+            "  1 |        .        .   m3^Alt        .\n"
+            "  0 |        .        .        .   m4^Alt\n"
+            "    +------------------------------------\n"
+            "q\\r |        0        1        2        3\n"
+        )
+
     def test_stable_germ_has_no_entries(self, corpus):
         table = icss_table(corpus["stable_3_5"])
         assert table.entries == ()

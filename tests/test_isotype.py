@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import rational_tables
+from strategies import integer_tables
 
 from germlab import (
     EulerOnly,
@@ -303,7 +303,7 @@ numbers = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 3
 
 @st.composite
 def tables_with_data(draw):
-    table = draw(rational_tables)
+    table = draw(integer_tables)
     m, n = len(table.class_labels), len(table.irrep_labels)
     by_class = dict(zip(table.class_labels, draw(st.lists(numbers, min_size=m, max_size=m))))
     by_irrep = dict(zip(table.irrep_labels, draw(st.lists(numbers, min_size=n, max_size=n))))

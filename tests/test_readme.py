@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from germlab.cli import EXIT_OK, main
+from germlab.cli import EXIT_OK, EXIT_RESOURCE, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,3 +91,31 @@ def test_conservation_examples_hold(cli, index):
     code, out = cli(["conservation-check"], EXAMPLES["Conservation data"][index])
     assert code == EXIT_OK
     assert json.loads(out)["status"] == "holds"
+
+
+def test_ledger_example_charges_what_it_says(tmp_path):
+    text = " ".join(README.read_text().split())
+    m = re.search(
+        r"The \(4, 5\) germ `\((.*?), (.*?)\)` charges (\d+) units in all, (\d+) in the cells"
+        r" before its (D\^4 \(1,1,1,1\)) cell and (\d+) in that cell, so at `--budget-steps"
+        r" (\d+)` it exits 2 with `(error: .*?)`",
+        text,
+    )
+    h1, h2, total, before, cell, in_cell, budget, message = m.groups()
+    assert int(before) + int(in_cell) == int(total)
+    path = tmp_path / "q45.germ"
+    path.write_text(f"n 4\np 5\ncomponent {h1}\ncomponent {h2}\n")
+
+    def analyze(steps):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--budget-steps", str(steps), "analyze", str(path)])
+        return code, err.getvalue()
+
+    assert analyze(int(total)) == (EXIT_OK, "")
+    assert analyze(int(total) - 1)[0] == EXIT_RESOURCE
+    # The cells before it spend exactly `before`, so the next unit is charged
+    # in that cell.
+    assert f" in {cell} " in analyze(int(before))[1]
+    assert f" in {cell} " not in analyze(int(before) - 1)[1]
+    assert analyze(int(budget)) == (EXIT_RESOURCE, message + "\n")

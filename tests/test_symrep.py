@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mn_betas import mn_char
-from strategies import rational_tables
+from strategies import integer_tables
+from tabloid_table import brute_force_table
 
 from germlab import (
     CharacterTable,
@@ -27,7 +28,7 @@ from germlab import (
 )
 from germlab import multipoint as mp
 from germlab import symrep
-from germlab.poly import parse_rational, parse_rational_fields
+from germlab.poly import parse_integer, parse_integer_fields, parse_rational
 
 
 class TestPartitions:
@@ -74,69 +75,6 @@ class TestClassData:
         assert sign_of_class(Partition((1, 1, 1, 1))) == 1
         assert sign_of_class(Partition((2, 1))) == -1
         assert sign_of_class(Partition((3,))) == 1
-
-
-# -- brute-force character oracle --------------------------------------------
-#
-# Permutation modules on tabloids: phi_lam(sigma) counts row assignments of
-# {1..k} with row sizes lam fixed by sigma.  Irreducible characters fall out
-# by projecting away previously built ones in an order refining dominance;
-# no rim hooks are involved, so this is independent of the implementation.
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def _tabloids(lam: tuple[int, ...], k: int):
-    rows = []
-    for idx, size in enumerate(lam):
-        rows.extend([idx] * size)
-    return set(itertools.permutations(rows, k))
-
-
-def _fixed_tabloid_count(lam, perm, tabs) -> int:
-    return sum(1 for t in tabs if all(t[perm[i]] == t[i] for i in range(len(perm))))
-
-
-def brute_force_table(k: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    perms = list(itertools.permutations(range(k)))
-    classes = [p.parts for p in partitions(k)]
-    reps = {}
-    for perm in perms:
-        reps.setdefault(_cycle_type(perm), perm)
-    sizes = {c: class_size(Partition(c)) for c in classes}
-    order = factorial(k)
-
-    def inner(f, g):
-        return sum(sizes[c] * f[c] * g[c] for c in classes) / order
-
-    phi = {}
-    for lam in classes:
-        tabs = _tabloids(lam, k)
-        phi[lam] = {c: Fraction(_fixed_tabloid_count(lam, reps[c], tabs)) for c in classes}
-    chars: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for lam in classes:  # descending order refines dominance
-        psi = dict(phi[lam])
-        for mu, chi in chars.items():
-            coeff = inner(psi, chi)
-            for c in classes:
-                psi[c] -= coeff * chi[c]
-        assert inner(psi, psi) == 1, f"projection failed for {lam}"
-        chars[lam] = psi
-    return chars
 
 
 class TestCharacterTable:
@@ -360,7 +298,7 @@ class TestNearSymmetricTables:
 
 
 def rows_orthogonal(table: CharacterTable) -> bool:
-    return symrep._rows_orthogonal(table.group_order, table.class_sizes, table.integer_rows)
+    return symrep._rows_orthogonal(table.group_order, table.class_sizes, table.values)
 
 
 def pairs_hold(table: CharacterTable) -> bool:
@@ -385,12 +323,12 @@ class TestRowsOrthogonal:
         assert pairs_hold(t)
 
     @settings(max_examples=400, deadline=None)
-    @given(rational_tables)
+    @given(integer_tables)
     def test_matches_the_pairwise_check(self, table):
         if sum(table.class_sizes) == table.group_order:
             assert rows_orthogonal(table) == pairs_hold(table)
 
-    @pytest.mark.parametrize("delta", [1, -1, 24, Fraction(1, 2)])
+    @pytest.mark.parametrize("delta", [1, -1, 24])
     def test_every_single_entry_change_of_s4_fails(self, delta):
         t = character_table_symmetric(4)
         for i, j in itertools.product(range(5), repeat=2):
@@ -414,7 +352,7 @@ class TestRowsOrthogonal:
                            irrep_labels=("x", "y"), values=((1, 1), (1, 2)))
         assert not rows_orthogonal(t)
         assert verdict(CharacterTable.validate, t) == (
-            "row orthogonality fails for irreducibles 0 and 1", 1, Fraction)
+            "row orthogonality fails for irreducibles 0 and 1", 1, int)
 
 
 # -- integer kernel against the Fraction loop ---------------------------------
@@ -430,6 +368,10 @@ def fraction_validate(table: CharacterTable):
     n = len(table.irrep_labels)
     if n != len(table.class_labels):
         raise InconsistentDataError(f"{n} irreducibles for {len(table.class_labels)} classes")
+    for row in table.values:
+        for v in row:
+            if type(v) is not int:
+                raise InconsistentDataError(f"character value {v} is not an integer", value=v)
     for i in range(n):
         for j in range(i, n):
             acc = Fraction(0)
@@ -437,8 +379,10 @@ def fraction_validate(table: CharacterTable):
                 acc += size * a * b
             expected = table.group_order if i == j else 0
             if acc != expected:
+                # Every value is an int, so the sum is an integer.
+                assert acc.denominator == 1
                 raise InconsistentDataError(
-                    f"row orthogonality fails for irreducibles {i} and {j}", value=acc
+                    f"row orthogonality fails for irreducibles {i} and {j}", value=int(acc)
                 )
     for i in range(n):
         if table.degree(i) <= 0:
@@ -453,56 +397,55 @@ def verdict(check, table):
     return None
 
 
+def halved_s3():
+    t = character_table_symmetric(3)
+    return replace(t, values=tuple(tuple(Fraction(v, 2) for v in row) for row in t.values))
+
+
+def third_added_in_s5():
+    t = character_table_symmetric(5)
+    values = [list(row) for row in t.values]
+    values[2][3] += Fraction(1, 3)
+    return replace(t, values=tuple(map(tuple, values)))
+
+
+def fractions_in_s2():
+    return replace(
+        character_table_symmetric(2),
+        values=((Fraction(1, 2), Fraction(-1, 3)), (Fraction(4), Fraction(-2, 4))),
+    )
+
+
+def integral_fraction_in_s2():
+    return replace(character_table_symmetric(2), values=((1, 1), (Fraction(-1), 1)))
+
+
 class TestIntegerKernel:
     @settings(max_examples=400, deadline=None)
-    @given(rational_tables)
+    @given(integer_tables)
     def test_validate_matches_fraction_reference(self, table):
         assert verdict(CharacterTable.validate, table) == verdict(fraction_validate, table)
 
-    def test_rows_scaled_by_a_half_are_rejected(self):
-        # The diagonal sum of a row halved is |G| / 4: the integer check must
-        # compare against |G| * D_i * D_j, not |G|.
-        t = character_table_symmetric(3)
-        halved = replace(t, values=tuple(tuple(Fraction(v, 2) for v in row) for row in t.values))
-        assert verdict(CharacterTable.validate, halved) == (
-            "row orthogonality fails for irreducibles 0 and 0",
-            Fraction(3, 2),
-            Fraction,
-        )
-
-    def test_perturbed_entry_rejected_like_the_reference(self):
-        t = character_table_symmetric(5)
-        values = [list(row) for row in t.values]
-        values[2][3] += Fraction(1, 3)
-        bad = replace(t, values=tuple(map(tuple, values)))
-        expected = verdict(fraction_validate, bad)
-        assert expected is not None
-        assert verdict(CharacterTable.validate, bad) == expected
-
-    def test_integer_rows(self):
-        t = replace(
-            character_table_symmetric(2),
-            values=((Fraction(1, 2), Fraction(-1, 3)), (Fraction(4), Fraction(-2, 4))),
-        )
-        assert t.integer_rows == ((6, (3, -2)), (2, (8, -1)))
-
-    def test_a_row_of_ints_is_its_own_integer_row(self):
-        t = replace(character_table_symmetric(2), values=((1, 1), (Fraction(-1), 1)))
-        assert t.integer_rows == ((1, (1, 1)), (1, (-1, 1)))
-        assert t.integer_rows[0][1] is t.values[0]
-
-
-def irrep_rows(text: str) -> tuple[tuple[int | Fraction, ...], ...]:
-    return tuple(
-        parse_rational_fields(line.split()[2:])
-        for line in text.splitlines()
-        if line.startswith("irrep ")
-    )
+    @pytest.mark.parametrize("build, i, j", [
+        (halved_s3, 0, 0),
+        (third_added_in_s5, 2, 3),
+        (fractions_in_s2, 0, 0),
+        (integral_fraction_in_s2, 1, 0),
+    ], ids=["halved", "third-added", "fractions", "integral-fraction"])
+    def test_a_value_that_is_no_int_is_refused(self, build, i, j):
+        # A character value is a sum of roots of unity, so a rational one is
+        # an integer; a table holding a Fraction is no finite group's, even
+        # when the Fraction is integral.  The first one, values[i][j], is named.
+        table = build()
+        value = table.values[i][j]
+        expected = (f"character value {value} is not an integer", value, Fraction)
+        assert verdict(CharacterTable.validate, table) == expected
+        assert verdict(fraction_validate, table) == expected
 
 
 class TestIntegerValues:
     """S_k values stay ints from Murnaghan-Nakayama through a text round trip;
-    only a field written a/b becomes a Fraction."""
+    a field written a/b is an input error."""
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_generated_values_are_ints(self, k):
@@ -522,32 +465,16 @@ class TestIntegerValues:
         ["-2/2", "+3/-3", "1/2", "-1/3", "0/7"],
         ids=["minus-one", "bad-denominator", "half", "third", "zero"],
     )
-    def test_one_rational_field_is_the_only_fraction(self, field):
+    def test_a_rational_field_is_an_input_error(self, field):
         # The (2,1) row of S_3 is "-1 0 2"; its first entry is rewritten.
+        # Even "-2/2" and "0/7", which equal integers, are refused: a value
+        # is one integer literal.
         t = character_table_symmetric(3)
         text = t.to_text().replace("irrep (2,1) -1 0 2\n", f"irrep (2,1) {field} 0 2\n")
         assert text != t.to_text()
-        try:
-            parse_rational(field)
-        except InvalidInputError as exc:
-            with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
-                table_from_text(text)
-            return
-        rows = irrep_rows(text)
-        kinds = [[type(v) for v in row] for row in rows]
-        assert kinds == [[int] * 3, [Fraction, int, int], [int] * 3]
-        assert rows[1][0] == parse_rational(field)
-        mixed = replace(t, values=rows)
-        # Every value a Fraction, as tables were read before ints were kept.
-        fractions = replace(t, values=tuple(tuple(map(Fraction, row)) for row in rows))
-        expected = verdict(fraction_validate, fractions)
-        assert verdict(CharacterTable.validate, mixed) == expected
-        assert verdict(CharacterTable.validate, fractions) == expected
-        if expected is None:
-            assert table_from_text(text).values == rows
-        else:
-            with pytest.raises(InconsistentDataError, match=re.escape(expected[0])):
-                table_from_text(text)
+        with pytest.raises(InvalidInputError) as exc:
+            table_from_text(text)
+        assert str(exc.value) == f"bad character value {field!r}"
 
 
 REJECTED = "rejected"
@@ -608,25 +535,26 @@ def fields_outcome(read, fields):
 
 
 def fields_reference(fields):
-    """Field by field: an integer literal, spelled as a regular expression,
-    as int() reads it, and anything else by parse_rational."""
-    return tuple(int(f) if re.fullmatch("[+-]?[0-9]+", f) else parse_rational(f) for f in fields)
+    """Field by field, as parse_integer reads each."""
+    return tuple(parse_integer(f, "character value") for f in fields)
 
 
-class TestRationalFields:
+def read_fields(fields):
+    return parse_integer_fields(fields, "character value")
+
+
+class TestIntegerFields:
     @settings(max_examples=300)
     @given(st.lists(st.text(alphabet="0123456789+-/._e \u0661\u00b2", max_size=5),
                     min_size=1, max_size=4))
-    def test_reads_each_field_like_parse_rational(self, fields):
-        assert fields_outcome(parse_rational_fields, fields) == fields_outcome(
-            fields_reference, fields
-        )
+    def test_reads_each_field_like_parse_integer(self, fields):
+        assert fields_outcome(read_fields, fields) == fields_outcome(fields_reference, fields)
 
-    @pytest.mark.parametrize("bad", ["1" * 5000, "1/0", "1.5", "1_0", "\u0661"],
-                             ids=["too-many-digits", "zero-denominator", "decimal",
+    @pytest.mark.parametrize("bad", ["1" * 5000, "1/0", "1/2", "1.5", "1_0", "\u0661"],
+                             ids=["too-many-digits", "zero-denominator", "half", "decimal",
                                   "underscore", "arabic-indic"])
-    def test_a_bad_field_among_integers_fails_like_parse_rational(self, bad):
+    def test_a_bad_field_among_integers_fails_like_parse_integer(self, bad):
         with pytest.raises(InvalidInputError) as exc:
-            parse_rational(bad)
+            parse_integer(bad, "character value")
         fields = ["1", "-2", bad, "+3"]
-        assert fields_outcome(parse_rational_fields, fields) == str(exc.value)
+        assert fields_outcome(read_fields, fields) == str(exc.value)
