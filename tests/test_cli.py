@@ -910,6 +910,25 @@ class TestIsotypeCommand:
         assert code == EXIT_INPUT
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_boundary_of_the_simplex_under_s_k(self, files, capsys, k):
+        # S_k permutes the k vertices of the simplex.  A permutation with c
+        # cycles fixes the boundary of the simplex on its c cycle barycentres,
+        # a (c-2)-sphere of Euler characteristic 1 + (-1)^c (empty for c = 1).
+        # The homology is the trivial representation in degree 0 and the sign
+        # (orientation) in degree k - 2, so the Euler isotypes are 1 at (k),
+        # (-1)^k at (1^k) and 0 elsewhere.
+        code, table, _ = run(capsys, "--format", "text", "char-table", str(k))
+        assert code == EXIT_OK
+        classes = germlab.partitions(k)
+        euler = "".join(f"class {c.label()} euler {1 + (-1) ** c.cycle_count}\n" for c in classes)
+        code, out, err = run(capsys, "isotype", files("sk.table", table), files("sk.data", euler))
+        assert (code, err) == (EXIT_OK, "")
+        expected = dict.fromkeys((c.label() for c in classes), "0")
+        expected[f"({k})"] = "1"
+        expected[germlab.Partition((1,) * k).label()] = str((-1) ** k)
+        assert json.loads(out) == expected
+
 
 # -- isotype output bytes on the char-table tables ----------------------------
 

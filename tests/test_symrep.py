@@ -128,6 +128,20 @@ class TestCharacterTable:
             character_table_symmetric(k)
         assert character_table_symmetric(12) == cold
 
+    def test_columns_reached_by_removing_the_longest_cycle_first(self):
+        # A deterministic work counter for the recursion order: removing the
+        # longest cycle first reaches 154 columns for S_12 (272 removing the
+        # shortest), and 263 for S_9..S_12 built in turn (272).
+        def columns_after(ks):
+            symrep._column.cache_clear()
+            character_table_symmetric.cache_clear()
+            for k in ks:
+                character_table_symmetric(k)
+            return symrep._column.cache_info().currsize
+
+        assert columns_after([12]) == 154
+        assert columns_after(range(9, 13)) == 263
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_matches_brute_force_oracle(self, k):
         oracle = brute_force_table(k)
