@@ -26,7 +26,6 @@ mono-germs analyzed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IncompleteDataError, InvalidInputError, NotAFiniteError
@@ -46,10 +45,10 @@ def _require_a_finite(analysis: GermAnalysis):
 
 def mu_alt_dk(analysis: GermAnalysis, k: int) -> int:
     """mu^Alt(D^k(f)), the sign isotype of the S_k action on D^k(f)."""
-    return int(mu_k_tau(analysis, k, Partition((1,) * k).label()))
+    return mu_k_tau(analysis, k, Partition((1,) * k).label())
 
 
-def mu_k_tau(analysis: GermAnalysis, k: int, tau: str) -> Fraction:
+def mu_k_tau(analysis: GermAnalysis, k: int, tau: str) -> int:
     """tau-isotype Milnor number of D^k(f) through the character solver.
 
     Feeds the per-class data (actual dimension, extended Milnor number) of
@@ -60,7 +59,7 @@ def mu_k_tau(analysis: GermAnalysis, k: int, tau: str) -> Fraction:
     if not 2 <= k <= analysis.kappa:
         raise InvalidInputError(f"k = {k} outside 2..kappa = {analysis.kappa}")
     if analysis.full_space(k).classification.is_empty:
-        return Fraction(0)
+        return 0
     data: dict[str, IcisDatum] = {}
     for shape in partitions(k):
         sp = analysis.cell(k, shape)
@@ -285,7 +284,7 @@ class InvariantReport:
     icss: IcssTable | None
     no_unexpected: bool
     tau: str | None = None
-    mu_tau_values: dict[int, Fraction] | None = None
+    mu_tau_values: dict[int, int] | None = None
 
     def as_dict(self) -> dict:
         g = self.analysis.germ
@@ -320,10 +319,7 @@ class InvariantReport:
             "tau": self.tau,
             "mu_tau": None
             if self.mu_tau_values is None
-            else {
-                str(k): (str(v) if v.denominator > 1 else int(v))
-                for k, v in sorted(self.mu_tau_values.items())
-            },
+            else {str(k): v for k, v in sorted(self.mu_tau_values.items())},
             "spaces": spaces,
         }
 

@@ -2,10 +2,13 @@
 
 Inputs are keyed by conjugacy class, which makes constancy on classes true
 by construction; per-element input is rejected by design (there is no way to
-express it).  All arithmetic is exact rational.  Integrality of the outputs
-that must be integers for honest group actions is a *validation signal*: the
-functions raise InconsistentDataError carrying the exact offending value
-rather than rounding.
+express it).  The signed sums (mu_tau, tau_betti_single_dim) must be
+non-negative integers for honest group actions, so integrality is a
+*validation signal*: they return the int they were checked to be, or raise
+InconsistentDataError carrying the exact offending rational rather than
+rounding.  tau_characteristic, solve_character_system and
+evaluate_class_function return exact rationals, unvalidated: Euler data need
+not give integers.
 
 Character values here are integers (one per class), so complex conjugation
 in the formulas is the identity; tables with other values are out of scope
@@ -17,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import IncompleteDataError, InconsistentDataError, InvalidInputError
-from .poly import check_directives, clear_denominators, parse_integer, records
+from .poly import check_directives, parse_integer, records
 from .symrep import CharacterTable
 
 
@@ -78,23 +81,10 @@ def _check_classes(table: CharacterTable, data: Mapping[str, object]):
             raise InvalidInputError(f"missing datum for class {label!r}")
 
 
-def _exact_sum(
-    weights: Iterable[int], values: Sequence[Fraction | int], scale: int
-) -> Fraction:
-    """sum(weights[c] * values[c]) / scale, exactly, for integer weights.
-
-    Integer values stay on the integer path; rational values are first put
-    over their common denominator, so no Fraction is formed per term.
-    """
-    if all(type(v) is int for v in values):
-        return Fraction(sum(map(mul, weights, values)), scale)
-    den, nums = clear_denominators(values)
-    return Fraction(sum(map(mul, weights, nums)), scale * den)
-
-
 def _class_sum(table: CharacterTable, i: int, values: Sequence[Fraction | int]) -> Fraction:
     """(1/|G|) sum_classes size * chi_i * value, values in class order."""
-    return _exact_sum(map(mul, table.class_sizes, table.values[i]), values, table.group_order)
+    return Fraction(sum(map(mul, map(mul, table.class_sizes, table.values[i]), values)),
+                    table.group_order)
 
 
 def solve_character_system(
@@ -116,7 +106,7 @@ def evaluate_class_function(
 ) -> dict[str, Fraction]:
     """Forward evaluation b_sigma = sum_tau chi_tau(sigma) x_tau per class."""
     values = [x[label] for label in table.irrep_labels]
-    return {cls: _exact_sum(column, values, 1)
+    return {cls: Fraction(sum(map(mul, column, values)))
             for cls, column in zip(table.class_labels, zip(*table.values))}
 
 
@@ -130,12 +120,13 @@ def tau_characteristic(
 
 
 def _signed_sum(table: CharacterTable, data: Mapping[str, object], tau: str, d: int,
-                field: str, quantity: str) -> Fraction:
+                field: str, quantity: str) -> int:
     """(1/|G|) sum size * (-1)^(d - datum.dim) * chi_tau * datum.<field>.
 
     The identity class's datum must have dimension d.  The result must be a
-    non-negative integer for data coming from an honest action; otherwise
-    InconsistentDataError names the quantity and carries the exact value.
+    non-negative integer for data coming from an honest action, and is
+    returned as that int; otherwise InconsistentDataError names the quantity
+    and carries the exact value.
     """
     _check_classes(table, data)
     if data[table.class_labels[table.identity_index]].dim != d:
@@ -152,7 +143,7 @@ def _signed_sum(table: CharacterTable, data: Mapping[str, object], tau: str, d: 
             f"{quantity} is {value}, not a non-negative integer: inconsistent input",
             value=value,
         )
-    return value
+    return value.numerator
 
 
 def tau_betti_single_dim(
@@ -160,7 +151,7 @@ def tau_betti_single_dim(
     data: Mapping[str, SingleDim],
     tau: str,
     d: int,
-) -> Fraction:
+) -> int:
     """Top tau-Betti number when every fixed locus has one homology dimension.
 
     beta_d^tau(M) = (1/|G|) sum size * (-1)^(d - d^sigma) * chi_tau * beta.
@@ -173,7 +164,7 @@ def mu_tau(
     data: Mapping[str, IcisDatum],
     tau: str,
     d: int,
-) -> Fraction:
+) -> int:
     """tau-Milnor number from per-class (dimension, extended-mu) data.
 
     mu^tau = (1/|G|) sum size * (-1)^(d - dim) * chi_tau * mu_tilde.
@@ -235,7 +226,7 @@ class FixedPointFile:
     data: dict[str, object]
     top_dim: int | None
 
-    def value(self, table: CharacterTable, tau: str) -> Fraction:
+    def value(self, table: CharacterTable, tau: str) -> Fraction | int:
         """The isotype number of tau that this kind of data determines:
         chi_tau (euler), beta_d^tau (single) or mu^tau (icis), d = top_dim."""
         formula = globals()[_KINDS[self.kind][2]]  # looked up at each call

@@ -250,6 +250,13 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["a_finite"] is False and report["mu_image"] is None
 
+    def test_not_a_finite_icss_exits_with_no_table(self, files, capsys):
+        # Unlike analyze, icss has nothing partial to print.
+        path = files("g.germ", NOT_A_FINITE_GERM)
+        assert run(capsys, "icss", path) == (EXIT_NOT_A_FINITE, "", (
+            "error: invariants are defined for A-finite germs only; analysis says otherwise\n"
+        ))
+
     def test_budget_exit(self, files, capsys):
         path = files("g.germ", S2_GERM)
         code, _, err = run(capsys, "--budget-steps", "1", "analyze", path)
@@ -828,6 +835,22 @@ class TestIsotypeCommand:
         code, _, err = run(capsys, "isotype", table, data, "--tau", "(1,1)")
         assert code == EXIT_INCONSISTENT
         assert "inconsistent" in err
+
+    @pytest.mark.parametrize("data, code, out, err", [
+        # Euler data are not validated: chi_tau may be any rational.
+        ("class (2) euler 0\nclass (1,1) euler 1\n", EXIT_OK,
+         {"(2)": "1/2", "(1,1)": "1/2"}, ""),
+        # mu^tau is validated: a non-integer names the quantity and its value.
+        ("top_dim 1\nclass (1,1) icis 1 2\nclass (2) icis 0 1\n", EXIT_INCONSISTENT, None,
+         "error: mu^(2) is 1/2, not a non-negative integer: inconsistent input\n"),
+        ("top_dim 1\nclass (1,1) icis 1 2\nclass (2) icis 0 2\n", EXIT_OK,
+         {"(2)": "0", "(1,1)": "2"}, ""),
+    ], ids=["euler-halves", "icis-half", "icis-integers"])
+    def test_validated_and_unvalidated_values(self, files, capsys, data, code, out, err):
+        table = files("s2.table", S2_TABLE)
+        got_code, got_out, got_err = run(capsys, "isotype", table, files("k.data", data))
+        assert (got_code, got_err) == (code, err)
+        assert (json.loads(got_out) if got_out else None) == out
 
     @pytest.mark.parametrize(
         "table, data, expected, message",

@@ -290,11 +290,14 @@ def fraction_class_sum(table, tau, values):
 
 
 def exact(call):
-    """The value returned, or the value carried by InconsistentDataError."""
+    """The int returned, or the exact value carried by InconsistentDataError."""
     try:
-        return call()
+        value = call()
     except InconsistentDataError as exc:
+        assert type(exc.value) is Fraction
         return exc.value
+    assert type(value) is int
+    return value
 
 
 numbers = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30),
@@ -320,8 +323,11 @@ class TestIntegerClassSums:
     def test_same_fractions_as_the_reference_loops(self, case):
         table, by_class, by_irrep, ints, dims, d = case
         labels = table.class_labels
-        assert solve_character_system(table, by_class) == fraction_solve(table, by_class)
-        assert evaluate_class_function(table, by_irrep) == fraction_evaluate(table, by_irrep)
+        solved = solve_character_system(table, by_class)
+        evaluated = evaluate_class_function(table, by_irrep)
+        assert solved == fraction_solve(table, by_class)
+        assert evaluated == fraction_evaluate(table, by_irrep)
+        assert {type(v) for v in [*solved.values(), *evaluated.values()]} == {Fraction}
         signs = [-1 if (d - dim) % 2 else 1 for dim in dims]
         euler = {c: EulerOnly(v) for c, v in zip(labels, ints)}
         single = {c: SingleDim(dim, v) for c, dim, v in zip(labels, dims, ints)}
@@ -329,7 +335,8 @@ class TestIntegerClassSums:
         for tau in table.irrep_labels:
             plain = fraction_class_sum(table, tau, ints)
             signed = fraction_class_sum(table, tau, [s * v for s, v in zip(signs, ints)])
-            assert tau_characteristic(table, euler, tau) == plain
+            chi = tau_characteristic(table, euler, tau)
+            assert chi == plain and type(chi) is Fraction
             assert exact(lambda: tau_betti_single_dim(table, single, tau, d)) == signed
             assert exact(lambda: mu_tau(table, icis, tau, d)) == signed
 
