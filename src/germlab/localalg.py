@@ -31,8 +31,15 @@ term maps with one denominator each, cleared from MultiPolys or handed over
 by ``multipoint``, ``standard_basis()`` and the Le-Greuel chain, and their
 primitive parts; its MultiPolys are built from that state only when asked
 for.  Inside the basis completion every element is held as a reducer
-(leading monomial, ecart, integer term map), computed once when it joins,
-and S-polynomials are formed on those maps.  The ideal keeps its minimal
+(leading monomial, ecart, integer term map, support mask), computed once
+when it joins, and S-polynomials are formed on those maps.  The support
+mask of a leading monomial has bit i set iff variable i occurs in it, as
+Singular's short exponent vectors, but as wide as the ring has variables.
+It answers, before any exponent is compared, what the supports alone
+decide: a reducer whose mask is not inside the remainder's cannot divide
+it, and a pair with disjoint masks has coprime leading monomials, which
+Buchberger's product criterion skips.  So the masks change no reducer
+chosen, no pair queued and no charge.  The ideal keeps its minimal
 reducers: the leading ideal, and every fact derived from it, is read
 straight from them, and the basis becomes MultiPolys only when a caller
 asks for it.  A reduction step is charged 1 + terms * bits // 256 units,
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, compress, repeat
 from math import gcd
 from operator import add, itemgetter, le, sub
@@ -89,10 +96,6 @@ def order_key(exp: Exponent):
 
 def monomial_divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
-
-
-def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(add, a, b))
 
 
 def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -206,9 +209,27 @@ def _extend_minors(
     return out
 
 
-def _entry(h: dict[Exponent, int]) -> tuple[Exponent, int, dict[Exponent, int]]:
-    """A reducer: the leading monomial, ecart and primitive integer term map h."""
-    return (*_lead(h), h)
+@cache
+def _bits(nvars: int) -> tuple[int, ...]:
+    """The bits 1, 2, 4, ... of the first nvars variables."""
+    return tuple(1 << i for i in range(nvars))
+
+
+def _mask(e: Exponent) -> int:
+    """The support mask of an exponent: bit i is set iff variable i occurs.
+
+    If a divides b, mask(a) is a subset of mask(b), so a reducer whose mask
+    has a bit outside the remainder's cannot divide it; and a, b are coprime
+    iff their masks are disjoint.  The width is the number of variables.
+    """
+    return sum(compress(_bits(len(e)), e))
+
+
+def _entry(h: dict[Exponent, int]) -> tuple[Exponent, int, dict[Exponent, int], int]:
+    """A reducer: the leading monomial, ecart, primitive integer term map h
+    and the support mask of the leading monomial."""
+    lm, ecart = _lead(h)
+    return lm, ecart, h, _mask(lm)
 
 
 def _reduce(
@@ -222,7 +243,10 @@ def _reduce(
     recruited reducers are only ever applied with multipliers in the maximal
     ideal, so the result differs from h by a unit times an ideal member.
 
-    A step cancels the leading term of h against g by pseudo-division,
+    A reducer whose mask has a variable outside the remainder's leading
+    monomial cannot divide it, so it is skipped before the exponents are
+    compared.  A step cancels the leading term of h against g by
+    pseudo-division,
     h := (lc g / d) * h - (lc h / d) * m * g with d = gcd(lc h, lc g).  This
     is the division over Q times a nonzero integer, and scaling by a unit
     changes no leading monomial, no ecart and no choice of reducer, so the
@@ -237,15 +261,21 @@ def _reduce(
             h = _primitive(h)
             bits = _coeff_bits(h)
         lm_h, ecart_h = _lead(h)
+        mask_h = _mask(lm_h)
+        outside = ~mask_h
         chosen = None
         for reducer in reducers:  # the first of least ecart
-            if monomial_divides(reducer[0], lm_h) and (chosen is None or reducer[1] < chosen[1]):
+            if (
+                not reducer[3] & outside
+                and monomial_divides(reducer[0], lm_h)
+                and (chosen is None or reducer[1] < chosen[1])
+            ):
                 chosen = reducer
         if chosen is None:
             break
-        lm_g, ecart_g, g = chosen
+        lm_g, ecart_g, g, _ = chosen
         if ecart_g > ecart_h:
-            reducers.append((lm_h, ecart_h, h))
+            reducers.append((lm_h, ecart_h, h, mask_h))
         budget.tick("normal form", 1 + (len(h) * bits) // 256)
         d = gcd(h[lm_h], g[lm_g])
         a, b = h[lm_h] // d, g[lm_g] // d
@@ -258,11 +288,12 @@ def _reduce(
 def mora_normal_form(p: MultiPoly, reducers: Sequence[tuple], budget: _Budget) -> MultiPoly:
     """Weak normal form of p against reducers (Mora's algorithm).
 
-    The reducers are (leading monomial, ecart, primitive integer term map)
-    triples, as ``standard_basis`` returns them.  Returns 0 iff p is in the
-    local ideal when they are a *standard* basis.  Fraction-free: p becomes
-    a primitive integer term map, so the remainder returned is the one over
-    Q times a nonzero rational, with integer coefficients.
+    The reducers are (leading monomial, ecart, primitive integer term map,
+    support mask) tuples, as ``_entry`` builds and ``standard_basis``
+    returns them.  Returns 0 iff p is in the local ideal when they are a
+    *standard* basis.  Fraction-free: p becomes a primitive integer term
+    map, so the remainder returned is the one over Q times a nonzero
+    rational, with integer coefficients.
     """
     if p.is_zero():
         return p
@@ -273,7 +304,7 @@ def _spoly(first: tuple, second: tuple, lcm: Exponent) -> dict[Exponent, int]:
     """The S-polynomial of two reducers f, g, fraction-free:
     (lc g / d) * (lcm / lm f) * f - (lc f / d) * (lcm / lm g) * g with
     d = gcd(lc f, lc g)."""
-    (lm_f, _, f), (lm_g, _, g) = first, second
+    (lm_f, _, f, _), (lm_g, _, g, _) = first, second
     d = gcd(f[lm_f], g[lm_g])
     a, b = g[lm_g] // d, f[lm_f] // d
     mf = monomial_sub(lcm, lm_f)
@@ -283,7 +314,7 @@ def _spoly(first: tuple, second: tuple, lcm: Exponent) -> dict[Exponent, int]:
 
 def standard_basis(
     generators: Sequence[dict[Exponent, int]], budget: _Budget
-) -> list[tuple[Exponent, int, dict[Exponent, int]]]:
+) -> list[tuple[Exponent, int, dict[Exponent, int], int]]:
     """The minimal standard basis of the local ideal, as reducers.
 
     The generators are primitive integer term maps.  Deterministic:
@@ -293,21 +324,22 @@ def standard_basis(
     lcm), whose ascending order is exactly that processing order.
 
     The basis is held as reducers (leading monomial, ecart, primitive
-    integer term map), each computed once when its element joins.  The
-    minimal ones are returned most leading first, each map scaled to a
-    positive leading coefficient.  Reductions and pairs are charged to
-    ``budget``.
+    integer term map, support mask), each computed once when its element
+    joins.  A pair is queued, and its lcm built, only when the masks of its
+    leading monomials meet (the product criterion).  The minimal ones are
+    returned most leading first, each map scaled to a positive leading
+    coefficient.  Reductions and pairs are charged to ``budget``.
     """
     basis: list[tuple] = []
     pairs: list[tuple[int, Exponent, int, int, Exponent]] = []
 
     def add(h: dict[Exponent, int]):
         entry = _entry(_primitive(h))
-        lm_h = entry[0]
+        lm_h, _, _, mask_h = entry
         k = len(basis)
-        for t, (lm_t, _, _) in enumerate(basis):
-            lcm = monomial_lcm(lm_t, lm_h)
-            if lcm != monomial_mul(lm_t, lm_h):  # product criterion: skip coprime pairs
+        for t, (lm_t, _, _, mask_t) in enumerate(basis):
+            if mask_t & mask_h:  # product criterion: skip coprime pairs
+                lcm = monomial_lcm(lm_t, lm_h)
                 heapq.heappush(pairs, (sum(lcm), lcm[::-1], t, k, lcm))
         basis.append(entry)
 
@@ -327,8 +359,8 @@ def standard_basis(
             if h:
                 add(h)
     return [
-        (lm, ecart, h if h[lm] > 0 else {e: -c for e, c in h.items()})
-        for lm, ecart, h in _minimalize(basis)
+        (lm, ecart, h if h[lm] > 0 else {e: -c for e, c in h.items()}, mask)
+        for lm, ecart, h, mask in _minimalize(basis)
     ]
 
 
@@ -336,7 +368,10 @@ def _minimalize(basis: list[tuple]) -> list[tuple]:
     """Drop reducers whose leading monomial is divisible by another's."""
     keep: list[tuple] = []
     for entry in sorted(basis, key=lambda entry: order_key(entry[0]), reverse=True):
-        if not any(monomial_divides(kept[0], entry[0]) for kept in keep):
+        lm, outside = entry[0], ~entry[3]
+        if not any(
+            not kept[3] & outside and monomial_divides(kept[0], lm) for kept in keep
+        ):
             keep.append(entry)
     return keep
 
@@ -439,18 +474,18 @@ class LocalIdeal:
         return f"LocalIdeal({[format_poly(g) for g in self.generators]})"
 
     @cached_property
-    def _reducers(self) -> list[tuple[Exponent, int, dict[Exponent, int]]]:
+    def _reducers(self) -> list[tuple[Exponent, int, dict[Exponent, int], int]]:
         return standard_basis(self._terms, self._ledger)
 
     def standard_basis(self) -> "LocalIdeal":
         """The cached standard basis, monic, as the generators of a new ideal."""
         reducers = self._reducers
-        maps, dens = [h for _, _, h in reducers], [h[lm] for lm, _, h in reducers]
+        maps, dens = [h for _, _, h, _ in reducers], [h[lm] for lm, _, h, _ in reducers]
         return LocalIdeal._from_terms(maps, self.ambient, self._ledger, dens)
 
     @cached_property
     def leading_monomials(self) -> tuple[Exponent, ...]:
-        return tuple(lm for lm, _, _ in self._reducers)
+        return tuple(lm for lm, _, _, _ in self._reducers)
 
     def contains_unit(self) -> bool:
         """True iff the ideal is the whole local ring (empty germ).

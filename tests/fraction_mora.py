@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Sequence
 
 from germlab.localalg import (
@@ -20,11 +21,14 @@ from germlab.localalg import (
     _lead,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     monomial_sub,
     order_key,
 )
 from germlab.poly import Exponent, MultiPoly
+
+
+def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(map(add, a, b))
 
 
 def leading_monomial(p: MultiPoly) -> Exponent:

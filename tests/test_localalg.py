@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
@@ -27,7 +27,6 @@ from germlab.localalg import (
     _Budget,
     _integer_terms,
     _monomial_ideal_dimension,
-    monomial_mul,
     mora_normal_form,
     order_key,
 )
@@ -36,7 +35,7 @@ from germlab import multipoint as mp
 from germlab.poly import format_poly
 
 import fraction_mora
-from fraction_mora import leading_monomial
+from fraction_mora import leading_monomial, monomial_mul
 from staircase_box import box_count, box_size
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -72,6 +71,31 @@ def small_ideals(draw):
     coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
     polys = st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(lambda d: MultiPoly(vs, d))
     return draw(st.lists(polys, min_size=1, max_size=3)), draw(polys)
+
+
+# Shaped like the heads of the kappa-3 ladder's D^4 cells: 6 to 20
+# variables, up to 6 generators, each a linear or quadratic leading part
+# plus up to 3 terms of degree 2 to 4, all sparse.  Most leading monomials
+# are then coprime and most reducers have a variable the remainder lacks, so
+# the support masks decide most pairs and divisibility tests; then one more
+# sparse polynomial to reduce.
+@st.composite
+def ladder_head_ideals(draw):
+    n = draw(st.integers(6, 20))
+    vs = VarSet(tuple(f"x{i}" for i in range(n)))
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+    def monomial(degree):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+        return tuple(idx.count(i) for i in range(n))
+
+    def sparse(lead_degrees):
+        mons = [monomial(draw(lead_degrees))]
+        mons += [monomial(draw(st.integers(2, 4))) for _ in range(draw(st.integers(0, 3)))]
+        return MultiPoly(vs, {m: draw(coeffs) for m in mons})
+
+    gens = [sparse(st.sampled_from((1, 1, 2))) for _ in range(draw(st.integers(1, 6)))]
+    return gens, sparse(st.integers(1, 4))
 
 
 # The reference's budget; an example it cannot finish is skipped.  The
@@ -132,6 +156,38 @@ class TestOrder:
         assume(lms)
         p = MultiPoly(VarSet(tuple(f"x{i}" for i in range(n))), dict(zip(lms, coeffs)))
         assert leading_monomial(p) == max(p.terms, key=order_key)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two sparse exponents in 1 to 70 variables; half the time the first
+    divides the second."""
+    n = draw(st.integers(1, 70))
+
+    def exponent():
+        # Counted from the last variable, which a fixed-width mask would lose.
+        variables = st.integers(0, n - 1).map(lambda k: n - 1 - k)
+        support = draw(st.sets(variables, max_size=min(n, 6)))
+        return tuple(draw(st.integers(1, 3)) if i in support else 0 for i in range(n))
+
+    a, b = exponent(), exponent()
+    return a, monomial_mul(a, b) if draw(st.booleans()) else b
+
+
+class TestSupportMasks:
+    """A support mask only answers what the supports already decide, at any
+    number of variables."""
+
+    @given(exponent_pairs())
+    @example(((0,) * 69 + (1,), (1,) + (0,) * 68 + (1,)))  # x69 divides x0*x69
+    @settings(max_examples=300)
+    def test_masks_decide_divisibility_and_coprimality(self, pair):
+        a, b = pair
+        mask_a, mask_b = localalg._mask(a), localalg._mask(b)
+        assert mask_a == sum(1 << i for i, e in enumerate(a) if e)
+        if localalg.monomial_divides(a, b):
+            assert not mask_a & ~mask_b
+        assert (not mask_a & mask_b) == (localalg.monomial_lcm(a, b) == monomial_mul(a, b))
 
 
 class TestStandardBasis:
@@ -223,42 +279,59 @@ class TestStandardBasis:
         assert [str(g) for g in std.generators] == [str(g) for g in again.generators]
 
 
+def same_standard_basis(gens):
+    expected = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
+    got = monic_standard_basis(gens, KERNEL_BUDGET)
+    assert [format_poly(g) for g in got] == [format_poly(g) for g in expected]
+    assert got == expected
+
+
+def same_normal_forms(gens, p):
+    # Against the raw generators (recruitment at work) and against the
+    # standard basis (membership), the latter both as given and as the
+    # ideal's own reducers: the same verdict, and a remainder that is the
+    # reference's times a nonzero rational, with integer coefficients.
+    std = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
+    I = LocalIdeal(gens, gens[0].vars, budget=KERNEL_BUDGET)
+    for basis, reduce in (
+        (gens, lambda q: mora_normal_form(q, reducers(gens), _Budget(KERNEL_BUDGET))),
+        (std, lambda q: mora_normal_form(q, reducers(std), _Budget(KERNEL_BUDGET))),
+        (std, lambda q: normal_form(I, q)),
+    ):
+        for q in (p, *gens):
+            expected = reference(
+                fraction_mora.mora_normal_form, q, basis, _Budget(REFERENCE_BUDGET)
+            )
+            got = reduce(q)
+            assert got.is_zero() == expected.is_zero()
+            if not got.is_zero():
+                assert fraction_mora.monic(got) == fraction_mora.monic(expected)
+                assert all(c.denominator == 1 for c in got.terms.values())
+
+
 class TestFractionReference:
-    """The integer kernel against the Fraction engine it replaced."""
+    """The integer kernel against the Fraction engine it replaced, which
+    tests every exponent and builds every lcm."""
 
     @given(small_ideals())
     @settings(max_examples=200, deadline=None)
     def test_standard_bases_match(self, drawn):
-        gens, _ = drawn
-        expected = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
-        got = monic_standard_basis(gens, KERNEL_BUDGET)
-        assert [format_poly(g) for g in got] == [format_poly(g) for g in expected]
-        assert got == expected
+        same_standard_basis(drawn[0])
 
     @given(small_ideals())
     @settings(max_examples=200, deadline=None)
     def test_normal_forms_match(self, drawn):
-        # Against the raw generators (recruitment at work) and against the
-        # standard basis (membership), the latter both as given and as the
-        # ideal's own reducers: the same verdict, and a remainder that is the
-        # reference's times a nonzero rational, with integer coefficients.
-        gens, p = drawn
-        std = reference(fraction_mora.standard_basis, gens, REFERENCE_BUDGET)
-        I = LocalIdeal(gens, gens[0].vars, budget=KERNEL_BUDGET)
-        for basis, reduce in (
-            (gens, lambda q: mora_normal_form(q, reducers(gens), _Budget(KERNEL_BUDGET))),
-            (std, lambda q: mora_normal_form(q, reducers(std), _Budget(KERNEL_BUDGET))),
-            (std, lambda q: normal_form(I, q)),
-        ):
-            for q in (p, *gens):
-                expected = reference(
-                    fraction_mora.mora_normal_form, q, basis, _Budget(REFERENCE_BUDGET)
-                )
-                got = reduce(q)
-                assert got.is_zero() == expected.is_zero()
-                if not got.is_zero():
-                    assert fraction_mora.monic(got) == fraction_mora.monic(expected)
-                    assert all(c.denominator == 1 for c in got.terms.values())
+        same_normal_forms(*drawn)
+
+    @given(ladder_head_ideals())
+    @settings(max_examples=100, deadline=None)
+    def test_standard_bases_match_on_sparse_ideals(self, drawn):
+        same_standard_basis(drawn[0])
+
+    @given(ladder_head_ideals())
+    @settings(max_examples=100, deadline=None)
+    def test_normal_forms_match_on_sparse_ideals(self, drawn):
+        same_normal_forms(*drawn)
 
     def test_pseudo_division_divides_by_the_gcd_of_leading_coefficients(self):
         # d = gcd(2, 4) = 2: h := (4/2) h - (2/2) g.  Multiplying by 4 and 2

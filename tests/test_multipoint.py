@@ -43,7 +43,7 @@ from germlab.multipoint import InfeasibleDimensionsError, divided_difference_tab
 from conftest import CORPUS_SPECS, NOT_A_FINITE_SPEC
 from fraction_table import fixed_generators, full_generators
 from ring_generator import ring_sc_germ
-from test_invariants import mond_germs
+from test_invariants import LADDER, mond_germs
 from test_localalg import normal_form
 
 CONTRACTIBLE_5_8 = ["y^3+x1*y", "y^4+x2*y", "y^5+x3*y", "x4*y+x1*y^2"]
@@ -468,6 +468,33 @@ class TestRunLedger:
         if total:
             with pytest.raises(ResourceLimitError):
                 mp.analyze_germ(g, budget=total - 1)
+
+    # The deterministic work counter on the benchmark's inputs.  A check
+    # that only skips work whose outcome is already known (such as the
+    # support masks of the standard basis) moves none of these totals.
+    @pytest.mark.parametrize("name,total", [
+        ("sc_11_15", 39), ("sc_13_18", 41), ("sc_15_21", 43), ("sc_16_22", 44),
+    ])
+    def test_ladder_totals(self, name, total):
+        assert run_total(germ_from_text((LADDER / f"{name}.germ").read_text())) == total
+
+    def test_mond_totals(self):
+        totals = {name: run_total(germ(2, 3, comps)) for name, _, comps in mond_germs()}
+        assert len(totals) == 53
+        assert (totals["H_5"], totals["H_8"], sum(totals.values())) == (664, 2572, 8400)
+
+    def test_sc_sweep_total(self):
+        # Every feasible (n, p) with n <= 10 and p <= 60, as generated.
+        pairs = [(n, p) for n in range(1, 11) for p in range(n + 1, 61)
+                 if sc_dimension_feasible(n, p)]
+        assert len(pairs) == 502
+        assert sum(run_total(generate_sc_germ(n, p, self_check=False)) for n, p in pairs) == 2948
+
+
+def run_total(g: mp.GermSpec) -> int:
+    """The units the analysis of g charges to its one ledger."""
+    (ledger,) = {cell.ideal._ledger for cell in mp.analyze_germ(g).cells.values()}
+    return ledger.steps
 
 
 class TestFeasibility:
