@@ -6,11 +6,13 @@ cut out by the iterated divided differences of the components: level j
 contributes the divided difference of level j-1 in a fresh variable y_j, for
 j = 2..k.  The germ holds each component as an integer term map and one
 denominator, so one table of these differences, on those maps, is built per
-k with no rational arithmetic, and every cell of that k is read off it.  The
-fixed locus of a cycle shape is the image of the table under the monomial
-map y_i -> z_{cycle(i)} for the canonical permutation, whose cycles occupy
+k with no rational arithmetic, and D^k(f) is read off it.  The fixed locus
+of a cycle shape is the image of D^k(f) under the monomial map
+y_i -> z_{cycle(i)} for the canonical permutation, whose cycles occupy
 consecutive positions in decreasing length order (all choices give
-isomorphic loci): each cycle's block of y-exponents sums to one z-exponent.
+isomorphic loci).  Level j of a term c*x^b*y^a is c*x^b*h_{a-j+1}(y_1..y_j),
+h_m the complete homogeneous symmetric polynomial, so the fixed locus is
+written from the germ's terms in closed form, with no table.
 
 The analyzer classifies every (k, shape) cell against its expected dimension
 and derives the Marar-Mond style verdicts: stability, A-finiteness, strong
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, pairwise
+from math import comb
 from typing import Sequence
 
 from . import icis
@@ -237,6 +240,15 @@ def _ambient(g: GermSpec, ys: Sequence[str]) -> VarSet:
     return VarSet(g.base_names + tuple(ys))
 
 
+def _check_level(g: GermSpec, k: int):
+    if k < 2:
+        raise InvalidInputError("multiple point spaces start at k = 2")
+    if k > kappa(g.n, g.p) + 1:
+        raise InvalidInputError(
+            f"k = {k} exceeds the practical bound kappa + 1 = {kappa(g.n, g.p) + 1}"
+        )
+
+
 def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], list[list[dict]]]:
     """The ambient (x, y_1..y_k), the component scales and the rows of levels
     j = 2..k, whose entries are the m iterated differences as integer term maps.
@@ -248,12 +260,7 @@ def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], li
     every row is d_i times the difference of h_i.  Entries can be empty
     (components of low y-degree exhaust).
     """
-    if k < 2:
-        raise InvalidInputError("multiple point spaces start at k = 2")
-    if k > kappa(g.n, g.p) + 1:
-        raise InvalidInputError(
-            f"k = {k} exceeds the practical bound kappa + 1 = {kappa(g.n, g.p) + 1}"
-        )
+    _check_level(g, k)
     amb = _ambient(g, [f"{g.corank_name}{i}" for i in range(1, k + 1)])
     maps, scales = g._scaled
     # The germ's corank variable is last and y1 is the ambient's first corank
@@ -274,27 +281,50 @@ def _full_ideal(table, ledger: _Budget) -> LocalIdeal:
     return LocalIdeal._from_terms(maps, amb, ledger, scales * len(rows))
 
 
-def _fixed_ideal(g: GermSpec, table, shape: Partition, ledger: _Budget) -> LocalIdeal:
-    """D^k(f)^sigma in (x, z_1..z_c) from the table of k, for the canonical
-    sigma, charging ``ledger``.
+@cache
+def _spread(m: int, widths: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The image of h_m under collapsing consecutive blocks of ``widths``
+    variables: each spread s of m over the blocks, in ascending lex order,
+    with its multiplicity prod C(s_l + w_l - 1, w_l - 1), the number of
+    monomials of degree s_l in w_l variables over the blocks."""
+    w, rest = widths[0], widths[1:]
+    if not rest:
+        return (((m,), comb(m + w - 1, w - 1)),)
+    return tuple(
+        ((t, *s), comb(t + w - 1, w - 1) * c)
+        for t in range(m + 1)
+        for s, c in _spread(m - t, rest)
+    )
 
-    Its cycles occupy consecutive y positions, so y_i -> z_{cycle(i)} sums
-    each cycle's block of y-exponents; integer coefficients add where images
-    collide, and every equation keeps its component's scale.
+
+def _fixed_ideal(g: GermSpec, shape: Partition, ledger: _Budget) -> LocalIdeal:
+    """D^k(f)^sigma in (x, z_1..z_c) for the canonical sigma, charging ``ledger``.
+
+    Level j of a term c*x^b*y^a is c*x^b*h_{a-j+1}(y_1..y_j), and the blocks
+    of sigma's cycles among y_1..y_j collapse h_m onto its spreads s.
+    Distinct terms give distinct (x^b, |s|) and every coefficient is a
+    nonzero multiple of c, so nothing collides or cancels.  The lex-least
+    preimage of z^s holds each block's mass in the block's last y, so the
+    table's order of first occurrence is lex on s: the maps are the collapsed
+    table's, dict order included, each keeping its component's scale.
     """
-    _, scales, rows = table
-    target = _ambient(g, [f"z{i}" for i in range(1, shape.cycle_count + 1)])
-    nb = len(g.base_names)
-    blocks = [slice(a, b) for a, b in pairwise(accumulate(shape.parts, initial=nb))]
-    maps = []
-    for row in rows:
-        for q in row:
+    maps, scales = g._scaled
+    nb, cycles = len(g.base_names), shape.cycle_count
+    target = _ambient(g, [f"z{i}" for i in range(1, cycles + 1)])
+    starts = list(accumulate(shape.parts, initial=0))
+    out = []
+    for j in range(2, shape.k + 1):
+        widths = tuple(min(b, j) - a for a, b in pairwise(starts) if a < j)
+        pad = (0,) * (cycles - len(widths))
+        for h in maps:
             terms: dict[Exponent, int] = {}
-            for e, c in q.items():
-                image = e[:nb] + tuple(map(sum, map(e.__getitem__, blocks)))
-                terms[image] = terms.get(image, 0) + c
-            maps.append({e: c for e, c in terms.items() if c})
-    return LocalIdeal._from_terms(maps, target, ledger, scales * len(rows))
+            for e, c in h.items():
+                if (m := e[nb] - j + 1) >= 0:
+                    x = e[:nb]
+                    for s, mult in _spread(m, widths):
+                        terms[x + s + pad] = c * mult
+            out.append(terms)
+    return LocalIdeal._from_terms(out, target, ledger, scales * (shape.k - 1))
 
 
 def multiple_point_equations(
@@ -312,7 +342,8 @@ def fixed_locus_equations(
     with a ledger of ``budget`` steps of its own."""
     if shape.k != k:
         raise InvalidInputError(f"cycle shape {shape.parts} is not a partition of {k}")
-    return _fixed_ideal(g, divided_difference_table(g, k), shape, _Budget(budget))
+    _check_level(g, k)
+    return _fixed_ideal(g, shape, _Budget(budget))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -432,7 +463,7 @@ def analyze_germ(g: GermSpec, budget: int = DEFAULT_STEP_BUDGET) -> GermAnalysis
             if shape.parts == (1,) * k:
                 ideal = _full_ideal(table, ledger)
             else:
-                ideal = _fixed_ideal(g, table, shape, ledger)
+                ideal = _fixed_ideal(g, shape, ledger)
             e_dim = expected_dim_sigma(g.n, g.p, k, shape)
             try:
                 classification = icis.classify(ideal, e_dim)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from unittest import mock
 
 import pytest
@@ -39,6 +39,7 @@ from germlab.errors import ResourceLimitError
 from germlab.icis import EMPTY, NOT_ICIS
 from germlab.localalg import _integer_terms
 from germlab.multipoint import InfeasibleDimensionsError, divided_difference_table
+from germlab.poly import _divided_difference_terms
 
 from conftest import CORPUS_SPECS, NOT_A_FINITE_SPEC
 from fraction_table import fixed_generators, full_generators
@@ -160,6 +161,60 @@ class TestFixedLoci:
         I = fixed_locus_equations(g, 2, Partition((2,)))
         assert not I.contains_unit()
         assert all((0,) * len(gen.vars) not in gen.terms for gen in I.generators)
+
+    @pytest.mark.parametrize(
+        "k, parts, message",
+        [
+            (3, (2,), "cycle shape (2,) is not a partition of 3"),
+            (1, (1,), "multiple point spaces start at k = 2"),
+            (4, (3, 1), "k = 4 exceeds the practical bound kappa + 1 = 3"),
+        ],
+        ids=["shape-of-another-k", "k-below-2", "k-above-kappa-plus-1"],
+    )
+    def test_refusals(self, k, parts, message):
+        g = germ(5, 8, CONTRACTIBLE_5_8)  # kappa = 2
+        with pytest.raises(InvalidInputError) as exc:
+            fixed_locus_equations(g, k, Partition(parts))
+        assert str(exc.value) == message
+
+
+def _spread_widths() -> list[tuple[int, ...]]:
+    """The block widths of every canonical shape with k <= 8 among y_1..y_j,
+    for every level j = 2..k."""
+    out = set()
+    for k in range(2, 9):
+        for shape in partitions(k):
+            starts = [sum(shape.parts[:i]) for i in range(len(shape.parts))]
+            for j in range(2, k + 1):
+                out.add(tuple(min(a + w, j) - a for a, w in zip(starts, shape.parts) if a < j))
+    return sorted(out)
+
+
+def _collapsed_h(m: int, widths: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """h_m(y_1..y_j) built by divided differences of y_1^(m+j-1), in the
+    table's term order, with consecutive blocks of ``widths`` collapsed:
+    counts summed, first occurrence kept."""
+    j = sum(widths)
+    terms = {(m + j - 1,) + (0,) * (j - 1): 1}
+    for i in range(j - 1):
+        terms = _divided_difference_terms(terms, i, i + 1)
+    starts = [sum(widths[:i]) for i in range(len(widths) + 1)]
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        s = tuple(sum(e[a:b]) for a, b in zip(starts, starts[1:]))
+        out[s] = out.get(s, 0) + c
+    return list(out.items())
+
+
+class TestSpread:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_spread_widths()), st.integers(0, 12))
+    def test_spread_is_the_collapsed_complete_symmetric_polynomial(self, widths, m):
+        spread = mp._spread(m, widths)
+        j = sum(widths)
+        assert sum(c for _, c in spread) == comb(m + j - 1, j - 1)
+        assert [s for s, _ in spread] == sorted(s for s, _ in spread)
+        assert list(spread) == _collapsed_h(m, widths)
 
 
 def _reference_table(g, k):
@@ -290,6 +345,23 @@ class TestIntegerTable:
                 assert_matches_fraction_table(
                     fixed_locus_equations(g, k, shape), *fixed_generators(g, k, shape)
                 )
+
+    @pytest.mark.parametrize("source", ["ladder", "mond"])
+    def test_fixed_cells_of_the_benchmark_germs_match_the_fraction_table(self, source):
+        # These germs reach y^23, past the degree 5 of the random germs.
+        if source == "ladder":
+            germs = [germ_from_text(path.read_text()) for path in sorted(LADDER.glob("*.germ"))]
+        else:
+            germs = [germ(2, 3, comps) for _, _, comps in mond_germs()]
+        assert len(germs) == {"ladder": 4, "mond": 53}[source]
+        for g in germs:
+            for k in range(2, kappa(g.n, g.p) + 1):
+                for shape in partitions(k):
+                    if shape.parts == (1,) * k:
+                        continue
+                    assert_matches_fraction_table(
+                        fixed_locus_equations(g, k, shape), *fixed_generators(g, k, shape)
+                    )
 
     def test_entries_keep_their_component_scale(self):
         # 1/2*y^2 has scale 2 and 2*y^3 + 4*x1^2*y scale 1; the level-2 maps

@@ -21,7 +21,6 @@ from germlab import (
 )
 from germlab import multipoint as mp
 from germlab.errors import InvalidInputError
-from germlab.localalg import DEFAULT_STEP_BUDGET, _Budget
 from germlab.poly import parse_name, records
 from germlab.symrep import Partition, partitions
 
@@ -335,15 +334,28 @@ def test_ring_operations_match_a_fraction_dict_reference(p, q):
             assert _nonzero_fractions(got)
 
 
-def test_fixed_locus_map_drops_the_terms_it_cancels():
-    # Under the swap y1, y2 -> z1 the hand-made row (x1 + y1^2 - y2^2, y1 - y2)
-    # sums to (x1, 0): the collision sum must drop what cancels.
-    g = mp.germ(2, 3, ["y^2", "x1*y"])
-    amb = VarSet(("x1", "y1", "y2"))
-    row = [parse_poly("x1 + y1^2 - y2^2", amb), parse_poly("y1 - y2", amb)]
-    table = (amb, [1, 1], [[{e: int(c) for e, c in p.terms.items()} for p in row]])
-    ideal = mp._fixed_ideal(g, table, Partition((2,)), _Budget(DEFAULT_STEP_BUDGET))
-    assert [gen.terms for gen in ideal.generators] == [{(1, 0): 1}]
+@pytest.mark.parametrize(
+    "k, parts, expected",
+    [
+        # Level 2 of y^5 is h_4(y1, y2), whose 5 terms collapse onto z1^4.
+        (2, (2,), ["z1", "x1 + 5*z1^4"]),
+        # Level 3 of y^5 is h_3(y1, y2, y3): 10 terms onto z1^3 ...
+        (3, (3,), ["z1", "x1 + 5*z1^4", "1/2", "10*z1^3"]),
+        # ... or onto the spreads of 3 over the blocks (y1, y2), (y3),
+        # z1^s * z2^(3-s) with multiplicity s + 1.
+        (3, (2, 1), ["z1", "x1 + 5*z1^4", "1/2",
+                     "z2^3 + 2*z1*z2^2 + 3*z1^2*z2 + 4*z1^3"]),
+    ],
+    ids=["k2-(2)", "k3-(3)", "k3-(2,1)"],
+)
+def test_fixed_locus_generators_by_hand(k, parts, expected):
+    # The germ (1/2*y^2, x1*y + y^5): the x1*y term stops at level 2, and
+    # the 1/2 of the first component halves its coefficients.
+    g = mp.germ(2, 3, ["1/2*y^2", "x1*y + y^5"])
+    ideal = mp.fixed_locus_equations(g, k, Partition(parts))
+    vs = VarSet(("x1",) + tuple(f"z{i}" for i in range(1, len(parts) + 1)))
+    assert ideal.ambient == vs
+    assert [gen.terms for gen in ideal.generators] == [parse_poly(t, vs).terms for t in expected]
     assert all(_nonzero_fractions(gen) for gen in ideal.generators)
 
 
