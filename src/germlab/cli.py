@@ -8,9 +8,10 @@ command computes anything.  sc-generate writes a germ file in every format.
 Runs are reproducible: every algorithm is deterministic.
 
 Exit codes: 0 success; 1 input or parse error; 2 resource limit exceeded;
-3 germ not A-finite (a partial report is still emitted); 4 sc-generate on
-infeasible dimensions; 5 internal inconsistency detected; 6 invalid or
-incomplete checker data (e.g. a missing correction term).
+3 germ not A-finite (analyze still emits its partial report, icss emits
+nothing); 4 sc-generate on infeasible dimensions; 5 internal inconsistency
+detected; 6 invalid or incomplete checker data (e.g. a missing correction
+term).
 """
 
 from __future__ import annotations

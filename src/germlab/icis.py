@@ -42,9 +42,10 @@ split and steps 1 to 4 are exact and build no standard basis:
                       of r comes off: since (g) + J = (g) + J|_{x_j := -r/c},
                       O'/I' is O''/I'' for O'' the local ring of the other
                       coordinates and I'' the other generators with x_j
-                      substituted, repeated until no such generator is left;
-                      the split is its case r = 0.  Its substitutions are
-                      charged to the ideal's ledger.  Steps 6 and 8 read I''
+                      substituted by Horner's rule, repeated until no such
+                      generator is left; the split is its case r = 0.  Each
+                      Horner step is charged to the ideal's ledger before it
+                      is built.  Steps 6 and 8 read I''
   6. Krull dimension  from the standard basis of I'', equal to that of I:
                       isolated_points or not_icis when e < 0, not_icis when
                       it differs from e
@@ -243,12 +244,15 @@ def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
     ring of the other coordinates: the same Krull dimension and Milnor
     number.  Each round takes the first such g of fewest terms (its first
     such x_j), drops it and substitutes into the others on integer term
-    maps: a map h of x_j-degree D becomes c^D * h(x_j := -r/c), the sum of
-    c^(D - a) * h_a * (-r)^a over its x_j-degree parts h_a.  Generators the
-    substitution empties are dropped.  Every term product is charged to the
-    ideal's ledger, which the result shares.  The maps are projected to the
-    kept coordinates once, at the end; without such a generator the ideal
-    itself comes back.
+    maps: a map h of x_j-degree D, with x_j-degree parts h_a, becomes
+    c^D * h(x_j := -r/c) by Horner's rule, acc := h_D and then
+    acc := acc * (-r) + c^(D - a) * h_a for a = D - 1 down to 0, so the
+    products collapse after every step and no power of r is built.  Each
+    step charges len(acc) * len(r) + len(h_a) units to the ideal's ledger,
+    which the result shares, before it builds anything.  Generators the
+    substitution empties are dropped.  The maps are projected to the kept
+    coordinates once, at the end; without such a generator the ideal itself
+    comes back.
     """
     maps = list(ideal._terms)
     nvars = len(ideal.ambient)
@@ -269,7 +273,6 @@ def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
         unit = (0,) * j + (1,) + (0,) * (nvars - 1 - j)
         c = g[unit]
         r = {e: a for e, a in g.items() if e != unit}
-        powers = [{(0,) * nvars: 1}]  # (-r)^a
         rest = []
         for h in maps:
             if not any(e[j] for e in h):
@@ -279,18 +282,14 @@ def _eliminate_linear(ideal: LocalIdeal) -> LocalIdeal:
             for e, a in h.items():
                 parts.setdefault(e[j], {})[e[:j] + (0,) + e[j + 1 :]] = a
             top = max(parts)
-            while len(powers) <= top:
-                budget.tick("linear elimination", len(powers[-1]) * len(r))
-                power: dict[Exponent, int] = {}
-                for e, a in powers[-1].items():
-                    _subtract_multiple(power, a, r, e)
-                powers.append(power)
-            acc: dict[Exponent, int] = {}
-            for a, part in parts.items():
-                budget.tick("linear elimination", len(part) * len(powers[a]))
+            acc = parts[top]
+            for a in range(top - 1, -1, -1):
+                part = parts.get(a, {})
+                budget.tick("linear elimination", len(acc) * len(r) + len(part))
                 scale = c ** (top - a)
-                for e, b in part.items():
-                    _subtract_multiple(acc, -scale * b, powers[a], e)
+                acc, prev = {e: scale * b for e, b in part.items()}, acc
+                for e, b in prev.items():
+                    _subtract_multiple(acc, b, r, e)
             if acc:
                 rest.append(_primitive(acc))
         maps = rest

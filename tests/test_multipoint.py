@@ -26,6 +26,7 @@ from germlab import (
     germ,
     germ_from_text,
     kappa,
+    mu_image,
     multiple_point_equations,
     parse_poly,
     partitions,
@@ -553,20 +554,61 @@ class TestRunLedger:
     def test_mond_totals(self):
         totals = {name: run_total(germ(2, 3, comps)) for name, _, comps in mond_germs()}
         assert len(totals) == 53
-        assert (totals["H_5"], totals["H_8"], sum(totals.values())) == (664, 2572, 8400)
+        assert (totals["H_5"], totals["H_8"], sum(totals.values())) == (275, 760, 3918)
+
+    def test_h5_exits_in_the_staircase_of_its_triple_point_cell(self):
+        # H_5 charges 275 units, the last in the staircase enumeration of its
+        # D^3 (1,1,1) curve's chain.
+        g = LEDGER_GERMS["H_5"]
+        assert mu_image(mp.analyze_germ(g, budget=275)) == 5
+        with pytest.raises(ResourceLimitError, match=r"staircase enumeration in D\^3 \(1,1,1\)"):
+            mp.analyze_germ(g, budget=274)
+
+    # Where the units of a run go, stage by stage: a re-pin shows which stage
+    # its work moved from.
+    @pytest.mark.parametrize("spec,stages", [
+        ((2, 3, ["y^3", "x1*y + y^14"]),  # H_5
+         {"linear elimination": 222, "standard basis": 1, "normal form": 12,
+          "Krull dimension": 9, "staircase enumeration": 27, "maximal minors": 4}),
+        ((2, 3, ["y^3", "x1*y + y^23"]),  # H_8
+         {"linear elimination": 674, "standard basis": 1, "normal form": 27,
+          "Krull dimension": 9, "staircase enumeration": 45, "maximal minors": 4}),
+        ((4, 5, ["y^4 + x1*y + x2*y^2", "y^5 + x3*y"]),
+         {"linear elimination": 22, "standard basis": 73, "normal form": 368,
+          "Krull dimension": 28, "staircase enumeration": 50, "maximal minors": 150}),
+    ], ids=["H_5", "H_8", "q45"])
+    def test_stage_totals(self, spec, stages):
+        g = germ(*spec)
+        assert run_stages(g) == stages
+        assert sum(stages.values()) == run_total(g)
 
     def test_sc_sweep_total(self):
         # Every feasible (n, p) with n <= 10 and p <= 60, as generated.
         pairs = [(n, p) for n in range(1, 11) for p in range(n + 1, 61)
                  if sc_dimension_feasible(n, p)]
         assert len(pairs) == 502
-        assert sum(run_total(generate_sc_germ(n, p, self_check=False)) for n, p in pairs) == 2948
+        assert sum(run_total(generate_sc_germ(n, p, self_check=False)) for n, p in pairs) == 2084
 
 
 def run_total(g: mp.GermSpec) -> int:
     """The units the analysis of g charges to its one ledger."""
     (ledger,) = {cell.ideal._ledger for cell in mp.analyze_germ(g).cells.values()}
     return ledger.steps
+
+
+def run_stages(g: mp.GermSpec) -> dict[str, int]:
+    """The units the analysis of g charges to its one ledger, by the stage
+    each ``_Budget.tick`` names."""
+    stages: dict[str, int] = {}
+    tick = localalg._Budget.tick
+
+    def counted(budget, what, cost=1):
+        stages[what] = stages.get(what, 0) + cost
+        return tick(budget, what, cost)
+
+    with mock.patch.object(localalg._Budget, "tick", counted):
+        mp.analyze_germ(g)
+    return stages
 
 
 class TestFeasibility:
