@@ -14,9 +14,14 @@ isomorphic loci).  Level j of a term c*x^b*y^a is c*x^b*h_{a-j+1}(y_1..y_j),
 h_m the complete homogeneous symmetric polynomial, so the fixed locus is
 written from the germ's terms in closed form, with no table.
 
-The analyzer classifies every (k, shape) cell against its expected dimension
-and derives the Marar-Mond style verdicts: stability, A-finiteness, strong
-contractibility, and d(f).  For A-finite germs, a nonempty space of
+The analyzer decides every (k, shape) cell and derives the Marar-Mond style
+verdicts: stability, A-finiteness, strong contractibility, and d(f).  An
+x-free term c*y^a gives the constant c at level a + 1 of its component, and
+no other term of it is constant there, so every cell of D^k holds a unit
+exactly when k > m(f), the least such a (the multiplicity of f along its
+kernel).  Above level 2 those cells are empty from the germ alone, and their
+equations are built only on request; every other cell is classified against
+its expected dimension.  For A-finite germs, a nonempty space of
 non-negative expected dimension has a nonempty smoothing and isolated points
 at negative expected dimension vanish in it, so d(f) is read off germ-side
 as max{k <= kappa : D^k nonempty}.
@@ -43,6 +48,7 @@ from .icis import (
     ICIS,
     ISOLATED_POINTS,
     SMOOTH,
+    UNIT_CONSTANT_TERM,
     MilnorData,
     VarietyClass,
 )
@@ -274,13 +280,6 @@ def divided_difference_table(g: GermSpec, k: int) -> tuple[VarSet, list[int], li
     return amb, list(scales), rows
 
 
-def _full_ideal(table, ledger: _Budget) -> LocalIdeal:
-    """D^k(f) in (x, y_1..y_k) from the table of k, charging ``ledger``."""
-    amb, scales, rows = table
-    maps = [q for row in rows for q in row]
-    return LocalIdeal._from_terms(maps, amb, ledger, scales * len(rows))
-
-
 @cache
 def _spread(m: int, widths: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The image of h_m under collapsing consecutive blocks of ``widths``
@@ -297,8 +296,11 @@ def _spread(m: int, widths: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int
     )
 
 
-def _fixed_ideal(g: GermSpec, shape: Partition, ledger: _Budget) -> LocalIdeal:
-    """D^k(f)^sigma in (x, z_1..z_c) for the canonical sigma, charging ``ledger``.
+def _cell_ideal(g: GermSpec, k: int, shape: Partition | None, ledger: _Budget) -> LocalIdeal:
+    """The equations of one cell on ``ledger``, unchecked and uncharged:
+    D^k(f) in (x, y_1..y_k), the rows of the table of k, when ``shape`` is
+    None, else D^k(f)^sigma in (x, z_1..z_c) for the canonical sigma of
+    ``shape``.
 
     Level j of a term c*x^b*y^a is c*x^b*h_{a-j+1}(y_1..y_j), and the blocks
     of sigma's cycles among y_1..y_j collapse h_m onto its spreads s.
@@ -308,12 +310,16 @@ def _fixed_ideal(g: GermSpec, shape: Partition, ledger: _Budget) -> LocalIdeal:
     table's order of first occurrence is lex on s: the maps are the collapsed
     table's, dict order included, each keeping its component's scale.
     """
+    if shape is None:
+        amb, scales, rows = divided_difference_table(g, k)
+        return LocalIdeal._from_terms([q for row in rows for q in row], amb, ledger,
+                                      scales * len(rows))
     maps, scales = g._scaled
     nb, cycles = len(g.base_names), shape.cycle_count
     target = _ambient(g, [f"z{i}" for i in range(1, cycles + 1)])
     starts = list(accumulate(shape.parts, initial=0))
     out = []
-    for j in range(2, shape.k + 1):
+    for j in range(2, k + 1):
         widths = tuple(min(b, j) - a for a, b in pairwise(starts) if a < j)
         pad = (0,) * (cycles - len(widths))
         for h in maps:
@@ -324,7 +330,7 @@ def _fixed_ideal(g: GermSpec, shape: Partition, ledger: _Budget) -> LocalIdeal:
                     for s, mult in _spread(m, widths):
                         terms[x + s + pad] = c * mult
             out.append(terms)
-    return LocalIdeal._from_terms(out, target, ledger, scales * (shape.k - 1))
+    return LocalIdeal._from_terms(out, target, ledger, scales * (k - 1))
 
 
 def multiple_point_equations(
@@ -332,7 +338,7 @@ def multiple_point_equations(
 ) -> LocalIdeal:
     """The ideal of D^k(f) in (x, y_1..y_k): all levels' divided differences,
     with a ledger of ``budget`` steps of its own."""
-    return _full_ideal(divided_difference_table(g, k), _Budget(budget))
+    return _cell_ideal(g, k, None, _Budget(budget))
 
 
 def fixed_locus_equations(
@@ -343,7 +349,7 @@ def fixed_locus_equations(
     if shape.k != k:
         raise InvalidInputError(f"cycle shape {shape.parts} is not a partition of {k}")
     _check_level(g, k)
-    return _fixed_ideal(g, shape, _Budget(budget))
+    return _cell_ideal(g, k, shape, _Budget(budget))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -351,13 +357,23 @@ def fixed_locus_equations(
 
 @dataclass(frozen=True)
 class MultiPointSpace:
-    """One (k, cycle shape) cell of the analysis table."""
+    """One (k, cycle shape) cell of the analysis table.
+
+    ``source`` is the cell's ideal on the run's ledger or, for a cell decided
+    from the germ alone, the ``_cell_ideal`` arguments that build it on first
+    access to ``ideal``, uncharged.
+    """
 
     k: int
     shape: Partition
     expected_dim: int
-    ideal: LocalIdeal
+    source: LocalIdeal | tuple
     classification: VarietyClass
+
+    @cached_property
+    def ideal(self) -> LocalIdeal:
+        source = self.source
+        return source if isinstance(source, LocalIdeal) else _cell_ideal(*source)
 
     @property
     def nonempty(self) -> bool:
@@ -446,24 +462,58 @@ class GermAnalysis:
         return GermVerdict(stable, a_finite, strongly_contractible, d_of_f, kap)
 
 
+def _kernel_multiplicity(g: GermSpec) -> int | None:
+    """m(f): the least a such that a component has an x-free term c*y^a,
+    the multiplicity of f along its kernel; None when there is none."""
+    nb = len(g.base_names)
+    return min((e[nb] for h in g._scaled[0] for e in h if not any(e[:nb])), default=None)
+
+
+_UNIT_CELL = VarietyClass(EMPTY, evidence=UNIT_CONSTANT_TERM)
+
+
 def analyze_germ(g: GermSpec, budget: int = DEFAULT_STEP_BUDGET) -> GermAnalysis:
-    """Classify every D^k(f)^sigma for k = 2..kappa and D^{kappa+1}(f).
+    """Decide every D^k(f)^sigma for k = 2..kappa and D^{kappa+1}(f).
 
     Every cell's ideal charges one ledger of ``budget`` steps, so the budget
     bounds the work of the whole analysis.  A ResourceLimitError names the
     cell it stopped in.
+
+    A cell at k > max(m(f), 2) holds a unit and gets the verdict
+    ``classify`` gives a constant term, with no equations built and no
+    classify call; its ideal is built on first access, and the names it
+    would use are still checked against the base.
     """
     kap = _check_multiplicity_bound(g.n, g.p)
+    # m(f) is read only when a level above 2 exists; level 2 stays with classify.
+    top = kap + 1
+    if kap > 1 and (m := _kernel_multiplicity(g)) is not None:
+        top = max(m, 2)
     ledger = _Budget(budget)
     cells: dict[tuple[int, tuple[int, ...]], MultiPointSpace] = {}
     for k in range(2, kap + 2):
         shapes = partitions(k) if k <= kap else [Partition((1,) * k)]
-        table = divided_difference_table(g, k)
+        if k > top:
+            # Check the names the cells' equations would use against the base,
+            # as their builders do: y_1..y_k, then z_1..z_{k-1} for the fixed
+            # loci, which exist for k <= kappa.
+            _ambient(g, [f"{g.corank_name}{i}" for i in range(1, k + 1)])
+            if k <= kap:
+                _ambient(g, [f"z{i}" for i in range(1, k)])
+            for shape in shapes:
+                cells[(k, shape.parts)] = MultiPointSpace(
+                    k=k,
+                    shape=shape,
+                    expected_dim=expected_dim_sigma(g.n, g.p, k, shape),
+                    source=(g, k, shape if shape.cycle_count < k else None, ledger),
+                    classification=_UNIT_CELL,
+                )
+            continue
+        # D^k(f) first: its table checks the y names before a fixed locus
+        # checks the z names.
+        full = _cell_ideal(g, k, None, ledger)
         for shape in shapes:
-            if shape.parts == (1,) * k:
-                ideal = _full_ideal(table, ledger)
-            else:
-                ideal = _fixed_ideal(g, shape, ledger)
+            ideal = _cell_ideal(g, k, shape, ledger) if shape.cycle_count < k else full
             e_dim = expected_dim_sigma(g.n, g.p, k, shape)
             try:
                 classification = icis.classify(ideal, e_dim)
@@ -474,7 +524,7 @@ def analyze_germ(g: GermSpec, budget: int = DEFAULT_STEP_BUDGET) -> GermAnalysis
                 k=k,
                 shape=shape,
                 expected_dim=e_dim,
-                ideal=ideal,
+                source=ideal,
                 classification=classification,
             )
     return GermAnalysis(germ=g, kappa=kap, cells=cells)

@@ -8,7 +8,7 @@ from math import comb, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlab import (
@@ -34,7 +34,7 @@ from germlab import (
     sc_dimension_feasible,
     sc_feasibility_report,
 )
-from germlab import localalg
+from germlab import icis, localalg
 from germlab import multipoint as mp
 from germlab.errors import ResourceLimitError
 from germlab.icis import EMPTY, NOT_ICIS
@@ -511,6 +511,122 @@ class TestAnalyze:
             for sp in an.cells.values():
                 if an.full_space(sp.k).nonempty:
                     assert not sp.ideal.contains_unit()
+
+
+@st.composite
+def kernel_germs(draw):
+    """(2, 3) and (3, 4) germs whose two components mix a pure power y^a,
+    a = 2..5, with terms c*x^i*y^j in one base variable."""
+    n = draw(st.sampled_from([2, 3]))
+    base = [f"x{i}" for i in range(1, n)]
+    comps = []
+    for _ in range(2):
+        terms = [f"y^{draw(st.integers(2, 5))}"] if draw(st.booleans()) else []
+        for _ in range(draw(st.integers(0 if terms else 1, 2))):
+            c, i, j = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            terms.append(f"{c}*{draw(st.sampled_from(base))}^{i}*y^{j}")
+        comps.append(" + ".join(terms))
+    return germ(n, n + 1, comps)
+
+
+class TestKernelMultiplicity:
+    """Every cell of D^k holds a unit exactly when k > m(f), the least a of
+    an x-free term c*y^a; above level 2 the analysis decides those cells
+    from the germ and builds their equations only on request."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_germs())
+    def test_every_verdict_is_that_of_classify_on_fresh_equations(self, g):
+        # About one germ in ten grinds in a classified cell (ROADMAP item 8);
+        # a budget of 5000 steps sets those aside.
+        try:
+            an = mp.analyze_germ(g, budget=5000)
+        except ResourceLimitError:
+            assume(False)
+        for (k, parts), cell in an.cells.items():
+            if parts == (1,) * k:
+                fresh = multiple_point_equations(g, k, budget=5000)
+            else:
+                fresh = fixed_locus_equations(g, k, Partition(parts), budget=5000)
+            assert cell.classification == icis.classify(fresh, cell.expected_dim)
+
+    @pytest.mark.parametrize("spec", [CORPUS_SPECS["s1"], (3, 4, ["y^3 + x1*y", "y^4 + x2*y^2"]),
+                                      (2, 3, ["y^3", "x1*y + y^14"])])
+    def test_a_lazy_ideal_is_the_eager_one_on_the_run_ledger(self, spec):
+        g = germ(*spec)
+        an = mp.analyze_germ(g)
+        (ledger,) = {cell.source._ledger for cell in an.cells.values()
+                     if isinstance(cell.source, localalg.LocalIdeal)}
+        steps, lazy = ledger.steps, 0
+        for (k, parts), cell in an.cells.items():
+            if isinstance(cell.source, localalg.LocalIdeal):
+                continue
+            lazy += 1
+            assert cell.classification == VarietyClass(EMPTY, evidence="unit constant term")
+            ideal = cell.ideal
+            assert ideal._ledger is ledger and ledger.steps == steps
+            if parts == (1,) * k:
+                eager = multiple_point_equations(g, k)
+            else:
+                eager = fixed_locus_equations(g, k, Partition(parts))
+            assert ideal.ambient == eager.ambient
+            assert ideal._scaled[1] == eager._scaled[1]
+            assert [list(h.items()) for h in ideal._scaled[0]] == [
+                list(h.items()) for h in eager._scaled[0]
+            ]
+            assert ideal.contains_unit() and cell.ideal is ideal
+        assert lazy > 0
+
+    def test_s1_classifies_only_its_double_point_cells(self):
+        calls = []
+        classify = icis.classify
+
+        def counted(ideal, e_dim):
+            calls.append(e_dim)
+            return classify(ideal, e_dim)
+
+        with mock.patch.object(mp.icis, "classify", counted):
+            an = mp.analyze_germ(germ(*CORPUS_SPECS["s1"]))
+        assert len(calls) == 2 and mu_image(an) == 1
+        for k, parts in [(3, (3,)), (3, (2, 1)), (3, (1, 1, 1)), (4, (1, 1, 1, 1))]:
+            assert an.cell(k, parts).as_dict()["evidence"] == "unit constant term"
+
+    def test_a_high_power_builds_no_table_above_its_kernel_multiplicity(self):
+        # (y^2, x1*y + y^400): D^3 and D^4 hold the unit of y^2 at level 3,
+        # so their tables, of degree up to 400 in 4 variables, are not built.
+        levels = []
+        table = mp.divided_difference_table
+
+        def counted(g, k):
+            levels.append(k)
+            return table(g, k)
+
+        with mock.patch.object(mp, "divided_difference_table", counted):
+            an = mp.analyze_germ(germ(2, 3, ["y^2", "x1*y + y^400"]))
+        assert levels == [2]
+        assert an.full_space(4).classification.is_empty
+
+    @pytest.mark.parametrize("name", ["z2", "y3", "y4"])
+    def test_skipped_levels_still_refuse_their_names(self, name):
+        # z2 names a fixed locus of D^3, y3 and y4 the y's of D^3 and D^4.
+        with pytest.raises(InvalidInputError) as exc:
+            mp.analyze_germ(germ(2, 3, ["y^2", f"y^3 + {name}^2*y"], base=[name]))
+        assert str(exc.value) == f"variable clash: {name} is already a base variable"
+
+    @pytest.mark.parametrize("corank", ["z", "w"])
+    def test_any_corank_name_analyzes(self, corank):
+        # With corank z the y's of D^3, z1..z3, share names with the z's of
+        # its fixed loci, z1 and z2; each names its own ambient, so neither clashes.
+        s1 = germ(2, 3, [f"{corank}^2", f"{corank}^3 + x1^2*{corank}"], corank=corank)
+        an = mp.analyze_germ(s1)
+        assert mu_image(an) == 1
+        assert an.full_space(4).classification.evidence == "unit constant term"
+
+    @pytest.mark.parametrize("name", ["z3", "y5"])
+    def test_names_no_cell_uses_are_accepted(self, name):
+        # D^4 = D^{kappa+1} has no fixed loci, so z3 is never an ambient name.
+        an = mp.analyze_germ(germ(2, 3, ["y^2", f"y^3 + {name}^2*y"], base=[name]))
+        assert mu_image(an) == 1
 
 
 def _ledger_germs() -> dict[str, mp.GermSpec]:
